@@ -214,7 +214,7 @@ def _dispatch(args) -> int:
                 status = "PASS" if r.passed else "FAIL"
                 print(
                     f"[{status}] {r.check_id:5s} checked={r.checked:<8d} "
-                    f"violations={len(r.violations)} ({r.elapsed:.2f}s) {r.description}"
+                    f"violations={r.violation_count} ({r.elapsed:.2f}s) {r.description}"
                 )
                 for v in r.violations[:5]:
                     print(f"         violation: {json.dumps(v, sort_keys=True)}")

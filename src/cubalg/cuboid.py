@@ -88,10 +88,21 @@ def generalised_faces(q: Cuboid) -> list[Cuboid]:
     return faces
 
 
+def _arc_starts(s: frozenset[int], n: int) -> list[int]:
+    """Points of s whose predecessor on the n-circle is not in s: one per arc
+    of s, and none when s is the whole circle."""
+    return [x for x in s if (x - 1) % n not in s]
+
+
 def in_general_position(q1: Cuboid, q2: Cuboid, lattice: LatticeSpec) -> bool:
-    """Transverse, and every pair of generalised faces is disjoint or transverse."""
+    """Transverse, every axis meets in one arc short of the whole circle (so
+    the intersection is a cuboid), and every pair of generalised faces is
+    disjoint or transverse."""
     if not is_transverse(q1, q2, lattice):
         return False
+    for e1, e2, n in zip(q1.axes, q2.axes, lattice.periods):
+        if len(_arc_starts(_axis_support(e1, n) & _axis_support(e2, n), n)) != 1:
+            return False
     fam1 = [q1] + generalised_faces(q1)
     fam2 = [q2] + generalised_faces(q2)
     for f1 in fam1:
@@ -123,9 +134,9 @@ def cuboid_to_chain(q: Cuboid, lattice: LatticeSpec) -> Chain:
 def _axis_intersection(e1: AxisEntry, e2: AxisEntry, n: int) -> AxisEntry | None:
     """Set intersection of two axis entries, reassembled as a single entry.
 
-    Returns None when empty.  Raises if the intersection is disconnected
-    (possible only for torus-wrapping arcs, which general position rules
-    out at the sizes the oracle is used for).
+    Returns None when empty.  Raises if the intersection is the whole
+    circle or disconnected (possible only for torus-wrapping arcs, which
+    in_general_position rules out).
     """
     s = _axis_support(e1, n) & _axis_support(e2, n)
     if not s:
@@ -136,7 +147,7 @@ def _axis_intersection(e1: AxisEntry, e2: AxisEntry, n: int) -> AxisEntry | None
         raise ValueError("unreachable")
     if len(s) == n:
         raise ValueError("intersection covers a whole axis; not a cuboid entry")
-    starts = [x for x in s if (x - 1) % n not in s]
+    starts = _arc_starts(s, n)
     if len(starts) != 1:
         raise ValueError("axis intersection is disconnected")
     start = starts[0]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product as _iterproduct
 
 from . import linalg
@@ -48,11 +49,11 @@ class PairingMatrix:
     cols: tuple[Cell, ...]
     entries: tuple[tuple[Fraction, ...], ...]
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return linalg.rank(self.entries)
 
-    @property
+    @cached_property
     def determinant(self) -> Fraction:
         return linalg.det(self.entries)
 

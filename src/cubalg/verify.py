@@ -8,7 +8,10 @@ rule off the non-ideal complex, the truncation limit, even-period
 degeneracy, star versus crumbling) assert that the failure occurs and
 record a witness; a missing failure is itself a violation.
 
-A report passes exactly when its violations list is empty.
+A report passes exactly when it counted no violation.  Violations and
+witnesses are recorded through `CheckReport.violate` and `.witness`,
+which keep the first `_MAX_RECORDED` entries of each list and count every
+violation.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from itertools import permutations, product as _iterproduct
 
@@ -40,22 +44,32 @@ _MAX_RECORDED = 10
 
 @dataclass
 class CheckReport:
-    """Outcome of one axiom check; passes iff no violations were found."""
+    """Outcome of one axiom check; passes iff no violation was counted."""
 
     check_id: str
     description: str
     periods: tuple[int, ...]
-    window: int | None
-    seed: int | None
-    checked: int
+    window: int | None = None
+    seed: int | None = None
+    checked: int = 0
     violations: list[dict] = field(default_factory=list)
     witnesses: list[dict] = field(default_factory=list)
     details: dict = field(default_factory=dict)
     elapsed: float = 0.0
+    violation_count: int = 0
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return self.violation_count == 0
+
+    def violate(self, kind: str, **fields) -> None:
+        """Count a violation; record it while fewer than _MAX_RECORDED are."""
+        self.violation_count += 1
+        _record(self.violations, kind, fields)
+
+    def witness(self, kind: str, **fields) -> None:
+        """Record an expected failure while fewer than _MAX_RECORDED are."""
+        _record(self.witnesses, kind, fields)
 
     def to_json_dict(self, include_timings: bool = False) -> dict:
         out = {
@@ -66,6 +80,7 @@ class CheckReport:
             "seed": self.seed,
             "checked": self.checked,
             "passed": self.passed,
+            "violation_count": self.violation_count,
             "violations": self.violations,
             "witnesses": self.witnesses,
             "details": self.details,
@@ -75,18 +90,23 @@ class CheckReport:
         return out
 
 
+def _record(entries: list[dict], kind: str, fields: dict) -> None:
+    """Append {"kind": kind, **fields} unless entries is full.  A callable
+    field is called only here, so an entry that is not recorded costs no
+    formatting."""
+    if len(entries) < _MAX_RECORDED:
+        entries.append({"kind": kind, **{k: v() if callable(v) else v for k, v in fields.items()}})
+
+
 # ---------------------------------------------------------------------------
 # shared helpers (integer-scaled chains keyed by encoded cells)
 
 
-def _window_codes(lattice: LatticeSpec, window: int, ideal: bool = True) -> list[int]:
+def _window_codes(lattice: LatticeSpec, window: int) -> list[int]:
     """Encoded basis cells anchored in {0..window-1}**d, sorted."""
-    kinds = (POINT, STICK, INF) if ideal else (POINT, STICK)
-    per_axis: list[list[int]] = []
-    for n in lattice.periods:
-        per_axis.append([c * 3 + k for c in range(window) for k in kinds])
+    axis_codes = [c * 3 + k for c in range(window) for k in (POINT, STICK, INF)]
     codes = []
-    for combo in _iterproduct(*per_axis):
+    for combo in _iterproduct(axis_codes, repeat=lattice.d):
         code = 0
         place = 1
         for fc, n in zip(combo, lattice.periods):
@@ -114,19 +134,17 @@ def _is_ideal_code(code: int, lattice: LatticeSpec) -> bool:
     return False
 
 
-def _scaled_to_chain(terms, lattice: LatticeSpec, scale: int) -> Chain:
-    return Chain(
-        lattice,
-        {decode_cell(c, lattice): Fraction(num, scale) for c, num in terms.items() if num},
-    )
-
-
 def _cell_str(code: int, lattice: LatticeSpec) -> str:
     return str(decode_cell(code, lattice))
 
 
 def _chain_str(terms, lattice: LatticeSpec, scale: int) -> str:
-    return format_chain(_scaled_to_chain(terms, lattice, scale))
+    cells = {decode_cell(c, lattice): Fraction(v, scale) for c, v in terms.items() if v}
+    return format_chain(Chain(lattice, cells))
+
+
+def _nonzero(acc: dict[int, int]) -> dict[int, int]:
+    return {c: v for c, v in acc.items() if v}
 
 
 def _leibniz_residual(kernel, a: int, b: int, lattice: LatticeSpec) -> dict[int, int]:
@@ -142,11 +160,28 @@ def _leibniz_residual(kernel, a: int, b: int, lattice: LatticeSpec) -> dict[int,
     for u, sgn in kernel.boundary(b):
         for v, num in kernel.mult(a, u):
             acc[v] = acc.get(v, 0) + sign_a * sgn * num
-    return {c: v for c, v in acc.items() if v}
+    return _nonzero(acc)
 
 
-def _pair_replay(a: str, b: str, lattice: LatticeSpec) -> list[str]:
-    return ["product", a, b, "--periods", ",".join(map(str, lattice.periods))]
+def _cells(lattice: LatticeSpec, *codes: int, replay: bool = True) -> dict:
+    """Report fields "a", "b", "c" naming cells by code, plus the CLI replay
+    of a*b; each is a callable, formatted only if the entry is recorded."""
+    fields = {name: (lambda x=x: _cell_str(x, lattice)) for name, x in zip("abc", codes)}
+    if replay:
+        fields["replay"] = lambda: [
+            "product",
+            _cell_str(codes[0], lattice),
+            _cell_str(codes[1], lattice),
+            "--periods",
+            ",".join(map(str, lattice.periods)),
+        ]
+    return fields
+
+
+@lru_cache(maxsize=1)
+def _assoc_scan(kernel, window: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """The window's associativity scan, made once for B and G together."""
+    return kernel.scan_assoc(_window_codes(LatticeSpec(kernel.periods), window))
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +197,6 @@ def check_commutativity(lattice: LatticeSpec, window: int) -> CheckReport:
         "graded commutativity: a*b = (-1)**(codim a * codim b) * b*a",
         lattice.periods,
         window,
-        None,
-        0,
     )
     codims = {c: _codim(c, lattice) for c in cells}
     for i, a in enumerate(cells):
@@ -173,51 +206,30 @@ def check_commutativity(lattice: LatticeSpec, window: int) -> CheckReport:
             sign = -1 if (codims[a] * codims[b]) % 2 else 1
             ab = dict(kernel.mult(a, b))
             ba = kernel.mult(b, a)
-            flipped = {c: sign * v for c, v in ba}
             report.checked += 1
-            if ab != flipped:
-                if len(report.violations) < _MAX_RECORDED:
-                    report.violations.append(
-                        {
-                            "kind": "commutativity",
-                            "a": _cell_str(a, lattice),
-                            "b": _cell_str(b, lattice),
-                            "a*b": _chain_str(ab, lattice, scale),
-                            "b*a": _chain_str(dict(ba), lattice, scale),
-                            "replay": _pair_replay(
-                                _cell_str(a, lattice), _cell_str(b, lattice), lattice
-                            ),
-                        }
-                    )
-                else:
-                    report.violations.append({"kind": "commutativity", "truncated": True})
+            if ab != {c: sign * v for c, v in ba}:
+                report.violate(
+                    "commutativity",
+                    **_cells(lattice, a, b),
+                    **{
+                        "a*b": lambda: _chain_str(ab, lattice, scale),
+                        "b*a": lambda: _chain_str(dict(ba), lattice, scale),
+                    },
+                )
     return report
 
 
 def check_associativity(lattice: LatticeSpec, window: int) -> CheckReport:
-    kernel = kernel_for(lattice.periods)
-    cells = _window_codes(lattice, window)
-    checked, bad = kernel.scan_assoc(cells)
+    checked, bad = _assoc_scan(kernel_for(lattice.periods), window)
     report = CheckReport(
         "B",
         "associativity: (a*b)*c = a*(b*c), ordered triples with pairwise meeting supports",
         lattice.periods,
         window,
-        None,
-        checked,
+        checked=checked,
     )
-    for a, b, c in bad[:_MAX_RECORDED]:
-        report.violations.append(
-            {
-                "kind": "associativity",
-                "a": _cell_str(a, lattice),
-                "b": _cell_str(b, lattice),
-                "c": _cell_str(c, lattice),
-                "replay": _pair_replay(_cell_str(a, lattice), _cell_str(b, lattice), lattice),
-            }
-        )
-    if len(bad) > _MAX_RECORDED:
-        report.violations.append({"kind": "associativity", "truncated": True, "total": len(bad)})
+    for a, b, c in bad:
+        report.violate("associativity", **_cells(lattice, a, b, c))
     return report
 
 
@@ -234,8 +246,6 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
         "boundary product rule on non-ideal cells; expected failure on ideal cells",
         lattice.periods,
         window,
-        None,
-        0,
     )
     cells = _window_codes(lattice, window)
     ideal_failures = 0
@@ -243,41 +253,20 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
         for b in cells:
             residual = _leibniz_residual(kernel, a, b, lattice)
             report.checked += 1
-            ideal_pair = _is_ideal_code(a, lattice) or _is_ideal_code(b, lattice)
-            if residual and not ideal_pair:
-                if len(report.violations) < _MAX_RECORDED:
-                    report.violations.append(
-                        {
-                            "kind": "leibniz",
-                            "a": _cell_str(a, lattice),
-                            "b": _cell_str(b, lattice),
-                            "residual": _chain_str(residual, lattice, scale),
-                            "replay": _pair_replay(
-                                _cell_str(a, lattice), _cell_str(b, lattice), lattice
-                            ),
-                        }
-                    )
-            elif residual and ideal_pair:
+            if not residual:
+                continue
+            fields = _cells(lattice, a, b)
+            fields["residual"] = lambda: _chain_str(residual, lattice, scale)
+            if _is_ideal_code(a, lattice) or _is_ideal_code(b, lattice):
                 ideal_failures += 1
-                if len(report.witnesses) < _MAX_RECORDED:
-                    report.witnesses.append(
-                        {
-                            "kind": "leibniz-failure-on-ideal-cells",
-                            "a": _cell_str(a, lattice),
-                            "b": _cell_str(b, lattice),
-                            "residual": _chain_str(residual, lattice, scale),
-                            "replay": _pair_replay(
-                                _cell_str(a, lattice), _cell_str(b, lattice), lattice
-                            ),
-                        }
-                    )
+                report.witness("leibniz-failure-on-ideal-cells", **fields)
+            else:
+                report.violate("leibniz", **fields)
     report.details["ideal_pair_failures"] = ideal_failures
     if ideal_failures == 0:
-        report.violations.append(
-            {
-                "kind": "expected-failure-missing",
-                "note": "no ideal pair broke the product rule; the enlarged complex must",
-            }
+        report.violate(
+            "expected-failure-missing",
+            note="no ideal pair broke the product rule; the enlarged complex must",
         )
     # canonical witness in one dimension: inf_stick * stick at the same coord
     if lattice.d == 1:
@@ -291,12 +280,10 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
         }
         expected = {POINT: -scale // 4}  # -1/4 * [p@0]
         if residual != expected:
-            report.violations.append(
-                {
-                    "kind": "canonical-witness-mismatch",
-                    "expected": _chain_str(expected, lattice, scale),
-                    "got": _chain_str(residual, lattice, scale),
-                }
+            report.violate(
+                "canonical-witness-mismatch",
+                expected=_chain_str(expected, lattice, scale),
+                got=_chain_str(residual, lattice, scale),
             )
     return report
 
@@ -365,8 +352,6 @@ def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
         "invariance under lattice symmetries (translations, reflections, axis permutations)",
         lattice.periods,
         window,
-        None,
-        0,
     )
     pairs = [
         (a, b)
@@ -377,17 +362,6 @@ def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
     shifts = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
     shifts.append(tuple(1 for _ in range(d)))
 
-    def record(kind, a, b, extra):
-        if len(report.violations) < _MAX_RECORDED:
-            entry = {
-                "kind": kind,
-                "a": _cell_str(a, lattice),
-                "b": _cell_str(b, lattice),
-                "replay": _pair_replay(_cell_str(a, lattice), _cell_str(b, lattice), lattice),
-            }
-            entry.update(extra)
-            report.violations.append(entry)
-
     for a, b in pairs:
         base = kernel.mult(a, b)
         for shift in shifts:
@@ -395,13 +369,13 @@ def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
             expected = {_translate_code(c, shift, lattice): v for c, v in base}
             report.checked += 1
             if dict(kernel.mult(ta, tb)) != expected:
-                record("translation", a, b, {"shift": list(shift)})
+                report.violate("translation", **_cells(lattice, a, b), shift=list(shift))
         for axis in range(d):
             ra, rb = _reflect_code(a, axis, lattice), _reflect_code(b, axis, lattice)
             expected = {_reflect_code(c, axis, lattice): v for c, v in base}
             report.checked += 1
             if dict(kernel.mult(ra, rb)) != expected:
-                record("reflection", a, b, {"axis": axis})
+                report.violate("reflection", **_cells(lattice, a, b), axis=axis)
         for perm in permutations(range(d)):
             if perm == tuple(range(d)):
                 continue
@@ -413,7 +387,7 @@ def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
                 expected[pc] = sa * sb * sc * v
             report.checked += 1
             if dict(kernel.mult(pa, pb)) != expected:
-                record("permutation", a, b, {"perm": list(perm)})
+                report.violate("permutation", **_cells(lattice, a, b), perm=list(perm))
     return report
 
 
@@ -426,8 +400,6 @@ def check_transversality(lattice: LatticeSpec, window: int) -> CheckReport:
         "product is nonzero exactly when supports meet and directions span",
         lattice.periods,
         window,
-        None,
-        0,
     )
     for a in cells:
         for b in cells:
@@ -435,19 +407,12 @@ def check_transversality(lattice: LatticeSpec, window: int) -> CheckReport:
             expected = kernel.transverse(a, b)
             report.checked += 1
             if nonzero != expected:
-                if len(report.violations) < _MAX_RECORDED:
-                    report.violations.append(
-                        {
-                            "kind": "transversality",
-                            "a": _cell_str(a, lattice),
-                            "b": _cell_str(b, lattice),
-                            "product_nonzero": nonzero,
-                            "transverse": expected,
-                            "replay": _pair_replay(
-                                _cell_str(a, lattice), _cell_str(b, lattice), lattice
-                            ),
-                        }
-                    )
+                report.violate(
+                    "transversality",
+                    **_cells(lattice, a, b),
+                    product_nonzero=nonzero,
+                    transverse=expected,
+                )
     return report
 
 
@@ -472,9 +437,7 @@ def check_general_position(
         "F",
         "agreement with signed geometric intersection in general position",
         lattice.periods,
-        None,
-        seed,
-        0,
+        seed=seed,
     )
     if lattice.d != 3:
         report.details["skipped"] = "general-position sampling is defined for 3-d lattices"
@@ -491,37 +454,17 @@ def check_general_position(
         expected = geometric_intersection(q1, q2, lattice)
         report.checked += 1
         if got != expected:
-            if len(report.violations) < _MAX_RECORDED:
-                report.violations.append(
-                    {
-                        "kind": "general-position",
-                        "q1": str(q1),
-                        "q2": str(q2),
-                        "product": format_chain(got),
-                        "oracle": format_chain(expected),
-                    }
-                )
+            report.violate(
+                "general-position",
+                q1=str(q1),
+                q2=str(q2),
+                product=lambda: format_chain(got),
+                oracle=lambda: format_chain(expected),
+            )
     report.details["attempts"] = attempts
     if report.checked < count:
-        report.violations.append(
-            {"kind": "sampling", "note": f"only {report.checked} general-position pairs found"}
-        )
+        report.violate("sampling", note=f"only {report.checked} general-position pairs found")
     return report
-
-
-def _augment_scaled(terms, lattice: LatticeSpec) -> int:
-    total = 0
-    for code, num in terms:
-        c = code
-        all_points = True
-        for n in lattice.periods:
-            c, fc = divmod(c, 3 * n)
-            if fc % 3 != POINT:
-                all_points = False
-                break
-        if all_points:
-            total += num
-    return total
 
 
 def check_pairing(lattice: LatticeSpec, window: int) -> CheckReport:
@@ -529,63 +472,24 @@ def check_pairing(lattice: LatticeSpec, window: int) -> CheckReport:
     non-ideal bases (the latter holds exactly for odd periods, so even
     periods make this check fail by design)."""
     kernel = kernel_for(lattice.periods)
-    cells = _window_codes(lattice, window)
     report = CheckReport(
         "G",
         "Frobenius pairing <a*b,c> = <a,b*c>; nondegeneracy on non-ideal bases",
         lattice.periods,
         window,
-        None,
-        0,
     )
-    # Frobenius over window triples with pairwise meeting supports
-    n = len(cells)
-    masks = [0] * n
-    for i in range(n):
-        for j in range(i, n):
-            if kernel.supports_intersect(cells[i], cells[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    aug_cache: dict[tuple[int, int], int] = {}
+    # <a*b,c> = <a,b*c> augments (a*b)*c = a*(b*c) over B's triples; the
+    # arithmetic is exact, so only triples breaking associativity can break it
+    report.checked, bad = _assoc_scan(kernel, window)
 
-    def aug_mult(x: int, y: int) -> int:
-        key = (x, y)
-        val = aug_cache.get(key)
-        if val is None:
-            val = _augment_scaled(kernel.mult(x, y), lattice)
-            aug_cache[key] = val
-        return val
+    def aug(terms) -> int:
+        return sum(num for u, num in terms if _codim(u, lattice) == lattice.d)
 
-    frobenius_bad = 0
-    for i in range(n):
-        a = cells[i]
-        mi = masks[i]
-        mj = mi
-        while mj:
-            jbit = mj & -mj
-            mj ^= jbit
-            j = jbit.bit_length() - 1
-            b = cells[j]
-            p_ab = kernel.mult(a, b)
-            mk = mi & masks[j]
-            while mk:
-                kbit = mk & -mk
-                mk ^= kbit
-                c = cells[kbit.bit_length() - 1]
-                lhs = sum(num * aug_mult(u, c) for u, num in p_ab)
-                rhs = sum(num * aug_mult(a, u) for u, num in kernel.mult(b, c))
-                report.checked += 1
-                if lhs != rhs:
-                    frobenius_bad += 1
-                    if len(report.violations) < _MAX_RECORDED:
-                        report.violations.append(
-                            {
-                                "kind": "frobenius",
-                                "a": _cell_str(a, lattice),
-                                "b": _cell_str(b, lattice),
-                                "c": _cell_str(c, lattice),
-                            }
-                        )
+    for a, b, c in bad:
+        lhs = sum(num * aug(kernel.mult(u, c)) for u, num in kernel.mult(a, b))
+        rhs = sum(num * aug(kernel.mult(a, u)) for u, num in kernel.mult(b, c))
+        if lhs != rhs:
+            report.violate("frobenius", **_cells(lattice, a, b, c, replay=False))
     # nondegeneracy per degree (p and d-p share a rank via transposition)
     degeneracy = []
     for p in range(lattice.d // 2 + 1):
@@ -598,25 +502,21 @@ def check_pairing(lattice: LatticeSpec, window: int) -> CheckReport:
             closed_form = Fraction(2) ** (1 - n1) if n1 % 2 else Fraction(0)
             entry["det_closed_form"] = format_rational(closed_form)
             if mat.determinant != closed_form:
-                report.violations.append(
-                    {
-                        "kind": "pairing-determinant",
-                        "degree": p,
-                        "got": entry["det"],
-                        "expected": entry["det_closed_form"],
-                    }
+                report.violate(
+                    "pairing-determinant",
+                    degree=p,
+                    got=entry["det"],
+                    expected=entry["det_closed_form"],
                 )
         degeneracy.append(entry)
         report.checked += 1
         if not entry["nondegenerate"]:
-            report.violations.append(
-                {
-                    "kind": "degenerate-pairing",
-                    "degree": p,
-                    "rank": entry["rank"],
-                    "size": size,
-                    "note": "nondegeneracy requires every period to be odd",
-                }
+            report.violate(
+                "degenerate-pairing",
+                degree=p,
+                rank=entry["rank"],
+                size=size,
+                note="nondegeneracy requires every period to be odd",
             )
     report.details["degrees"] = degeneracy
     report.details["all_periods_odd"] = all(n % 2 for n in lattice.periods)
@@ -631,8 +531,6 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
         "product rule holds without restriction on the dimension<=2 subalgebra",
         lattice.periods,
         window,
-        None,
-        0,
     )
     if lattice.d != 3:
         report.details["skipped"] = "the H subalgebra lives in three dimensions"
@@ -650,30 +548,19 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
             # closure: every product cell stays in the subalgebra's span
             for c, _num in kernel.mult(a, b):
                 if decode_cell(c, lattice).kinds not in closed:
-                    if len(report.violations) < _MAX_RECORDED:
-                        report.violations.append(
-                            {
-                                "kind": "closure",
-                                "a": _cell_str(a, lattice),
-                                "b": _cell_str(b, lattice),
-                                "escapes": _cell_str(c, lattice),
-                            }
-                        )
+                    report.violate(
+                        "closure",
+                        **_cells(lattice, a, b, replay=False),
+                        escapes=lambda: _cell_str(c, lattice),
+                    )
             residual = _leibniz_residual(kernel, a, b, lattice)
             report.checked += 1
             if residual:
-                if len(report.violations) < _MAX_RECORDED:
-                    report.violations.append(
-                        {
-                            "kind": "leibniz",
-                            "a": _cell_str(a, lattice),
-                            "b": _cell_str(b, lattice),
-                            "residual": _chain_str(residual, lattice, scale),
-                            "replay": _pair_replay(
-                                _cell_str(a, lattice), _cell_str(b, lattice), lattice
-                            ),
-                        }
-                    )
+                report.violate(
+                    "leibniz",
+                    **_cells(lattice, a, b),
+                    residual=lambda: _chain_str(residual, lattice, scale),
+                )
     return report
 
 
@@ -684,8 +571,6 @@ def check_crumbling(lattice: LatticeSpec, window: int, k: int) -> CheckReport:
         f"crumbling (k={k}) commutes with the boundary and the product",
         lattice.periods,
         window,
-        None,
-        0,
         details={"k": k},
     )
     kernel = kernel_for(lattice.periods)
@@ -693,12 +578,8 @@ def check_crumbling(lattice: LatticeSpec, window: int, k: int) -> CheckReport:
     fine = kernel_for(fine_lattice.periods)
     scale = 4 ** lattice.d
 
-    crumble_cache: dict[int, tuple[int, ...]] = {}
-
+    @lru_cache(maxsize=None)
     def crumble_code(code: int) -> tuple[int, ...]:
-        out = crumble_cache.get(code)
-        if out is not None:
-            return out
         images = [0]
         place = 1
         c = code
@@ -712,9 +593,7 @@ def check_crumbling(lattice: LatticeSpec, window: int, k: int) -> CheckReport:
                 choices = [(base % fn) * 3 + kind]
             images = [img + ch * place for img in images for ch in choices]
             place *= 3 * fn
-        out = tuple(images)
-        crumble_cache[code] = out
-        return out
+        return tuple(images)
 
     cells = _window_codes(lattice, window)
     # chain map: boundary commutes
@@ -728,11 +607,8 @@ def check_crumbling(lattice: LatticeSpec, window: int, k: int) -> CheckReport:
             for img in crumble_code(bc):
                 rhs[img] = rhs.get(img, 0) + sgn
         report.checked += 1
-        if {c: v for c, v in lhs.items() if v} != {c: v for c, v in rhs.items() if v}:
-            if len(report.violations) < _MAX_RECORDED:
-                report.violations.append(
-                    {"kind": "crumble-boundary", "a": _cell_str(a, lattice)}
-                )
+        if _nonzero(lhs) != _nonzero(rhs):
+            report.violate("crumble-boundary", **_cells(lattice, a, replay=False))
     # algebra map: product commutes
     for i, a in enumerate(cells):
         ca = crumble_code(a)
@@ -749,20 +625,8 @@ def check_crumbling(lattice: LatticeSpec, window: int, k: int) -> CheckReport:
                     for c, num in fine.mult(ua, ub):
                         fine_side[c] = fine_side.get(c, 0) + num
             report.checked += 1
-            if {c: v for c, v in coarse.items() if v} != {
-                c: v for c, v in fine_side.items() if v
-            }:
-                if len(report.violations) < _MAX_RECORDED:
-                    report.violations.append(
-                        {
-                            "kind": "crumble-product",
-                            "a": _cell_str(a, lattice),
-                            "b": _cell_str(b, lattice),
-                            "replay": _pair_replay(
-                                _cell_str(a, lattice), _cell_str(b, lattice), lattice
-                            ),
-                        }
-                    )
+            if _nonzero(coarse) != _nonzero(fine_side):
+                report.violate("crumble-product", **_cells(lattice, a, b))
     # telescoping identity for a refined self-overlapping stick, one dimension
     if lattice.d == 1:
         a = STICK  # s@0
@@ -774,16 +638,12 @@ def check_crumbling(lattice: LatticeSpec, window: int, k: int) -> CheckReport:
         expected = {(j * 3 + STICK): scale for j in range(k)}
         expected[0 * 3 + INF] = -scale
         expected[(k % fine_lattice.periods[0]) * 3 + INF] = -scale
-        report.details["telescoping"] = _chain_str(
-            {c: v for c, v in fine_side.items() if v}, fine_lattice, scale
-        )
-        if {c: v for c, v in fine_side.items() if v} != expected:
-            report.violations.append(
-                {
-                    "kind": "telescoping",
-                    "expected": _chain_str(expected, fine_lattice, scale),
-                    "got": report.details["telescoping"],
-                }
+        report.details["telescoping"] = _chain_str(fine_side, fine_lattice, scale)
+        if _nonzero(fine_side) != expected:
+            report.violate(
+                "telescoping",
+                expected=_chain_str(expected, fine_lattice, scale),
+                got=report.details["telescoping"],
             )
     return report
 
@@ -797,9 +657,7 @@ def check_truncation(seed: int) -> CheckReport:
         "S6",
         "truncation subalgebras: n=4 m=2 clean, n=4 m=3 fails, n=5 m=3 and n=6 m=4 hold",
         (),
-        None,
-        seed,
-        0,
+        seed=seed,
     )
     rng = random.Random(seed)
 
@@ -819,14 +677,8 @@ def check_truncation(seed: int) -> CheckReport:
             "triples": 0,
         }
         if ideal_dim is not None and ideal_dim > bound:
-            report.violations.append(
-                {
-                    "kind": "ideal-dimension-bound",
-                    "n": n,
-                    "m": m,
-                    "max_ideal_dimension": ideal_dim,
-                    "bound": bound,
-                }
+            report.violate(
+                "ideal-dimension-bound", n=n, m=m, max_ideal_dimension=ideal_dim, bound=bound
             )
         cells = sorted(
             encode_cell(c, lattice)
@@ -847,62 +699,37 @@ def check_truncation(seed: int) -> CheckReport:
             pairs = [(a, b) for a in ideal + plain for b in cells]
         else:
             pairs = [(a, b) for a in cells for b in cells]
-        failure_witness = None
+        witnessed = False
         for a, b in pairs:
             case["pairs"] += 1
             report.checked += 1
             for c, _num in kernel.mult(a, b):
                 if decode_cell(c, lattice).kinds not in closed:
-                    report.violations.append(
-                        {
-                            "kind": "closure",
-                            "n": n,
-                            "m": m,
-                            "a": _cell_str(a, lattice),
-                            "b": _cell_str(b, lattice),
-                            "escapes": _cell_str(c, lattice),
-                        }
+                    report.violate(
+                        "closure",
+                        n=n,
+                        m=m,
+                        **_cells(lattice, a, b, replay=False),
+                        escapes=lambda: _cell_str(c, lattice),
                     )
                     break
             residual = _leibniz_residual(kernel, a, b, lattice)
             if residual:
+                fields = _cells(lattice, a, b, replay=expect_failure)
+                fields["residual"] = lambda: _chain_str(residual, lattice, scale)
                 if expect_failure:
-                    if failure_witness is None:
-                        failure_witness = {
-                            "kind": "leibniz-failure",
-                            "n": n,
-                            "m": m,
-                            "a": _cell_str(a, lattice),
-                            "b": _cell_str(b, lattice),
-                            "residual": _chain_str(residual, lattice, scale),
-                            "replay": _pair_replay(
-                                _cell_str(a, lattice), _cell_str(b, lattice), lattice
-                            ),
-                        }
+                    report.witness("leibniz-failure", n=n, m=m, **fields)
+                    witnessed = True
                     break
-                if len(report.violations) < _MAX_RECORDED:
-                    report.violations.append(
-                        {
-                            "kind": "leibniz",
-                            "n": n,
-                            "m": m,
-                            "a": _cell_str(a, lattice),
-                            "b": _cell_str(b, lattice),
-                            "residual": _chain_str(residual, lattice, scale),
-                        }
-                    )
+                report.violate("leibniz", n=n, m=m, **fields)
         if expect_failure:
-            if failure_witness is None:
-                report.violations.append(
-                    {
-                        "kind": "expected-failure-missing",
-                        "n": n,
-                        "m": m,
-                        "note": "truncating one past the bound must break the product rule",
-                    }
+            if not witnessed:
+                report.violate(
+                    "expected-failure-missing",
+                    n=n,
+                    m=m,
+                    note="truncating one past the bound must break the product rule",
                 )
-            else:
-                report.witnesses.append(failure_witness)
         else:
             # sampled commutativity and associativity
             triple_pool = pairs if sample is None else pairs[: max(1, len(pairs) // 4)]
@@ -911,14 +738,8 @@ def check_truncation(seed: int) -> CheckReport:
                 if dict(kernel.mult(a, b)) != {
                     c: sign * v for c, v in kernel.mult(b, a)
                 }:
-                    report.violations.append(
-                        {
-                            "kind": "commutativity",
-                            "n": n,
-                            "m": m,
-                            "a": _cell_str(a, lattice),
-                            "b": _cell_str(b, lattice),
-                        }
+                    report.violate(
+                        "commutativity", n=n, m=m, **_cells(lattice, a, b, replay=False)
                     )
             triples = []
             for a, b in triple_pool[:200]:
@@ -936,16 +757,9 @@ def check_truncation(seed: int) -> CheckReport:
                 for u, w1 in kernel.mult(b, c):
                     for v, w2 in kernel.mult(a, u):
                         rhs[v] = rhs.get(v, 0) + w1 * w2
-                if {x: v for x, v in lhs.items() if v} != {x: v for x, v in rhs.items() if v}:
-                    report.violations.append(
-                        {
-                            "kind": "associativity",
-                            "n": n,
-                            "m": m,
-                            "a": _cell_str(a, lattice),
-                            "b": _cell_str(b, lattice),
-                            "c": _cell_str(c, lattice),
-                        }
+                if _nonzero(lhs) != _nonzero(rhs):
+                    report.violate(
+                        "associativity", n=n, m=m, **_cells(lattice, a, b, c, replay=False)
                     )
         report.details[f"n{n}m{m}"] = case
 
@@ -967,13 +781,7 @@ def check_truncation(seed: int) -> CheckReport:
     report.details["augmented_triple_product_6d"] = format_rational(smoke)
     report.checked += 1
     if smoke != 1:
-        report.violations.append(
-            {
-                "kind": "augmented-triple-product",
-                "expected": "1",
-                "got": format_rational(smoke),
-            }
-        )
+        report.violate("augmented-triple-product", expected="1", got=format_rational(smoke))
     return report
 
 
@@ -990,9 +798,6 @@ def check_betti(lattice: LatticeSpec) -> CheckReport:
         "BETTI",
         "rational Betti numbers of the h complex and the 2h subcomplex",
         lattice.periods,
-        None,
-        None,
-        0,
     )
     if lattice.d != 3:
         report.details["skipped"] = "Betti checks are defined for 3-d lattices"
@@ -1001,9 +806,7 @@ def check_betti(lattice: LatticeSpec) -> CheckReport:
     report.details["full_h"] = list(full)
     report.checked += 1
     if full != (1, 3, 3, 1):
-        report.violations.append(
-            {"kind": "betti-full", "expected": [1, 3, 3, 1], "got": list(full)}
-        )
+        report.violate("betti-full", expected=[1, 3, 3, 1], got=list(full))
     span = betti_two_h_span(lattice)
     copies = 2 ** sum(1 for n in lattice.periods if n % 2 == 0)
     claim = tuple(copies * b for b in (1, 3, 3, 1))
@@ -1014,18 +817,16 @@ def check_betti(lattice: LatticeSpec) -> CheckReport:
     if span != claim:
         free = betti_two_h_free(lattice)
         report.details["two_h_free_basis"] = list(free)
-        report.violations.append(
-            {
-                "kind": "paper-claim-discrepancy",
-                "claimed": list(claim),
-                "computed_span": list(span),
-                "free_basis_variant": list(free),
-                "note": (
-                    "the claimed copies appear in the free module on 2h cells; "
-                    "expanded in the h-complex the 2h cells become dependent for "
-                    "even periods and part of the claimed homology collapses"
-                ),
-            }
+        report.violate(
+            "paper-claim-discrepancy",
+            claimed=list(claim),
+            computed_span=list(span),
+            free_basis_variant=list(free),
+            note=(
+                "the claimed copies appear in the free module on 2h cells; "
+                "expanded in the h-complex the 2h cells become dependent for "
+                "even periods and part of the claimed homology collapses"
+            ),
         )
     return report
 
@@ -1037,9 +838,6 @@ def check_star(lattice: LatticeSpec, k: int) -> CheckReport:
         "STAR",
         "star involution and bijection; star does not commute with crumbling",
         lattice.periods,
-        None,
-        None,
-        0,
         details={"k": k},
     )
     if lattice.d != 3:
@@ -1052,17 +850,17 @@ def check_star(lattice: LatticeSpec, k: int) -> CheckReport:
             dual = star(cell, lattice)
             report.checked += 1
             if star(dual, lattice) != cell:
-                report.violations.append({"kind": "star-involution", "cell": str(cell)})
+                report.violate("star-involution", cell=str(cell))
             if dual.dimension != 3 - p:
-                report.violations.append({"kind": "star-degree", "cell": str(cell)})
+                report.violate("star-degree", cell=str(cell))
             images.add(dual)
         if sorted(images, key=TwoHCell.sort_key) != two_h_basis(3 - p, lattice):
-            report.violations.append({"kind": "star-bijection", "degree": p})
+            report.violate("star-bijection", degree=p)
     # per-vertex counts (1,3,3,1)
     counts = [len(two_h_basis(p, lattice)) // (lattice.periods[0] * lattice.periods[1] * lattice.periods[2]) for p in range(4)]
     report.details["cells_per_vertex"] = counts
     if counts != [1, 3, 3, 1]:
-        report.violations.append({"kind": "two-h-counts", "got": counts})
+        report.violate("two-h-counts", got=counts)
 
     # star/crumble non-commutation witness
     fine_lattice = lattice.refined(k)
@@ -1083,31 +881,24 @@ def check_star(lattice: LatticeSpec, k: int) -> CheckReport:
         recombined = recombined + expand(fc, fine_lattice)
     report.checked += 1
     if recombined != fine_chain:
-        report.violations.append(
-            {
-                "kind": "fine-decomposition",
-                "note": "crumbled 2h cell failed to decompose into fine 2h cells",
-            }
+        report.violate(
+            "fine-decomposition", note="crumbled 2h cell failed to decompose into fine 2h cells"
         )
     star_then = Chain.zero(fine_lattice)
     for fc in fine_cells:
         star_then = star_then + expand(star(fc, fine_lattice), fine_lattice)
     report.checked += 1
     if star_then == coarse_then_star:
-        report.violations.append(
-            {
-                "kind": "expected-failure-missing",
-                "note": "star and crumbling commuted on the witness cell; they must not",
-            }
+        report.violate(
+            "expected-failure-missing",
+            note="star and crumbling commuted on the witness cell; they must not",
         )
     else:
-        report.witnesses.append(
-            {
-                "kind": "star-crumble-non-commutation",
-                "cell": str(c),
-                "crumble_of_star": format_chain(coarse_then_star),
-                "fine_star_of_crumble": format_chain(star_then),
-            }
+        report.witness(
+            "star-crumble-non-commutation",
+            cell=str(c),
+            crumble_of_star=format_chain(coarse_then_star),
+            fine_star_of_crumble=format_chain(star_then),
         )
     return report
 
@@ -1136,6 +927,28 @@ def _normalize_axioms(axioms) -> list[str]:
     return out
 
 
+# check id -> runner(lattice, window, seed, k).  Each runner looks its check
+# up by module-level name when it is called, so a patched `check_*` runs.
+_RUNNERS = {
+    "A": lambda lattice, window, seed, k: check_commutativity(lattice, window),
+    "B": lambda lattice, window, seed, k: check_associativity(lattice, window),
+    "C": lambda lattice, window, seed, k: check_leibniz(lattice, window),
+    "D": lambda lattice, window, seed, k: check_symmetry(lattice, window),
+    "E": lambda lattice, window, seed, k: check_transversality(lattice, window),
+    "F": lambda lattice, window, seed, k: check_general_position(lattice, seed),
+    "G": lambda lattice, window, seed, k: check_pairing(lattice, window),
+    "H": lambda lattice, window, seed, k: check_fc_subalgebra(lattice, window),
+    "J": lambda lattice, window, seed, k: check_crumbling(lattice, window, k),
+    "S6": lambda lattice, window, seed, k: check_truncation(seed),
+    "BETTI": lambda lattice, window, seed, k: check_betti(lattice),
+    "STAR": lambda lattice, window, seed, k: check_star(lattice, k),
+}
+
+# (I): the constructed product realises the minimal extension; verified as
+# "the construction satisfies A-F", so those checks run whenever I does.
+_I_DEPENDS_ON = ["A", "B", "C", "D", "E", "F"]
+
+
 def verify_axioms(
     periods: tuple[int, ...],
     axioms=None,
@@ -1143,67 +956,45 @@ def verify_axioms(
     seed: int = 0,
     k: int = 3,
 ) -> list[CheckReport]:
-    """Run the selected checks; reports are sorted by check id."""
+    """Run the selected checks; reports are sorted by check id.
+
+    Raises ValueError for a window outside 1..min(periods) (wider windows
+    overflow the kernel's cell codes) and for an even or non-positive k.
+    """
     lattice = LatticeSpec(tuple(periods))
+    if not 1 <= window <= min(lattice.periods):
+        raise ValueError(
+            f"window must be between 1 and the smallest period {min(lattice.periods)}, "
+            f"got {window}"
+        )
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"crumbling factor k must be odd and positive, got {k}")
     ids = _normalize_axioms(axioms)
     want_i = "I" in ids
     if want_i:
-        # (I): the constructed product realises the minimal extension; verified
-        # as "the construction satisfies A-F", so those checks must run.
-        for dep in ["A", "B", "C", "D", "E", "F"]:
-            if dep not in ids:
-                ids.append(dep)
+        ids += [dep for dep in _I_DEPENDS_ON if dep not in ids]
     reports: dict[str, CheckReport] = {}
     for check_id in ids:
         if check_id == "I":
             continue
         t0 = time.perf_counter()
-        if check_id == "A":
-            rep = check_commutativity(lattice, window)
-        elif check_id == "B":
-            rep = check_associativity(lattice, window)
-        elif check_id == "C":
-            rep = check_leibniz(lattice, window)
-        elif check_id == "D":
-            rep = check_symmetry(lattice, window)
-        elif check_id == "E":
-            rep = check_transversality(lattice, window)
-        elif check_id == "F":
-            rep = check_general_position(lattice, seed)
-        elif check_id == "G":
-            rep = check_pairing(lattice, window)
-        elif check_id == "H":
-            rep = check_fc_subalgebra(lattice, window)
-        elif check_id == "J":
-            rep = check_crumbling(lattice, window, k)
-        elif check_id == "S6":
-            rep = check_truncation(seed)
-        elif check_id == "BETTI":
-            rep = check_betti(lattice)
-        elif check_id == "STAR":
-            rep = check_star(lattice, k)
-        else:
-            raise AssertionError(check_id)
+        rep = _RUNNERS[check_id](lattice, window, seed, k)
         rep.elapsed = time.perf_counter() - t0
         reports[check_id] = rep
     if want_i:
         t0 = time.perf_counter()
-        deps = ["A", "B", "C", "D", "E", "F"]
         rep = CheckReport(
             "I",
             "existence side of minimal uniqueness: the construction satisfies A-F",
             lattice.periods,
             window,
             seed,
-            len(deps),
+            len(_I_DEPENDS_ON),
         )
-        failed = [d for d in deps if not reports[d].passed]
-        rep.details["depends_on"] = deps
+        rep.details["depends_on"] = list(_I_DEPENDS_ON)
+        failed = [d for d in _I_DEPENDS_ON if not reports[d].passed]
         if failed:
-            rep.violations.append({"kind": "dependency-failed", "checks": failed})
+            rep.violate("dependency-failed", checks=failed)
         rep.elapsed = time.perf_counter() - t0
         reports["I"] = rep
-    wanted = set(_normalize_axioms(axioms))
-    if "I" in wanted:
-        wanted.update(["A", "B", "C", "D", "E", "F"])
-    return [reports[i] for i in sorted(reports) if i in wanted]
+    return [reports[i] for i in sorted(reports)]

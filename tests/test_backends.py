@@ -1,5 +1,8 @@
 """Parity between the pure-Python kernel and the compiled extension."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from cubalg._backend import available_backends, kernel_for
@@ -67,3 +70,16 @@ def test_verify_reports_identical_across_backends(monkeypatch):
     _backend.kernel_for.cache_clear()
     monkeypatch.delenv("CUBALG_BACKEND", raising=False)
     assert compiled == pure
+
+
+SPEEDUPS_PYX_SHA256 = "01c07f523799f9740368bacefca1416278c5d4b2837a393fa313ee8ec84d1360"
+
+
+def test_speedups_source_is_pinned():
+    # the shipped _speedups.cpp is generated from this file and cannot be
+    # regenerated without Cython, so an edit must not pass unnoticed
+    pyx = Path(__file__).resolve().parents[1] / "src" / "cubalg" / "_speedups.pyx"
+    assert hashlib.sha256(pyx.read_bytes()).hexdigest() == SPEEDUPS_PYX_SHA256, (
+        "_speedups.pyx changed: regenerate _speedups.cpp from it with Cython, "
+        "then update SPEEDUPS_PYX_SHA256 in this test"
+    )

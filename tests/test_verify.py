@@ -153,3 +153,111 @@ def test_witness_replay_through_cli():
     from cubalg.grammar import format_chain
 
     assert out.stdout.strip() == format_chain(product(a, b))
+
+
+def test_general_position_check_at_period_three():
+    # edges as long as the period wrap whole axes; such pairs are not sampled
+    rep = check_general_position(LatticeSpec((3, 3, 3)), seed=0)
+    assert rep.passed and rep.checked == 200
+
+
+def test_pairing_check_ranks_each_matrix_once(monkeypatch):
+    import cubalg.linalg
+
+    calls = []
+    rank = cubalg.linalg.rank
+
+    def counting_rank(entries):
+        calls.append(len(entries))
+        return rank(entries)
+
+    monkeypatch.setattr(cubalg.linalg, "rank", counting_rank)
+    lattice = LatticeSpec((3, 3, 3))
+    rep = check_pairing(lattice, 1)
+    assert rep.passed
+    assert len(calls) == len(rep.details["degrees"]) == lattice.d // 2 + 1
+
+
+@pytest.mark.parametrize(
+    "periods, options",
+    [
+        ((5, 5, 5), {"axioms": "A", "window": 0}),
+        ((5,), {"axioms": "B", "window": 9}),
+        ((5, 5, 5), {"axioms": "J", "k": 2}),
+    ],
+)
+def test_verify_rejects_inputs_that_would_mislead(periods, options):
+    from cubalg.cli import main
+
+    with pytest.raises(ValueError):
+        verify_axioms(periods, **options)
+    argv = ["verify", "--periods", ",".join(map(str, periods))]
+    for key, value in options.items():
+        argv += [f"--{key}", str(value)]
+    assert main(argv) == 2
+
+
+def _patch_kernel(monkeypatch, kernel):
+    import cubalg.verify
+
+    monkeypatch.setattr(cubalg.verify, "kernel_for", lambda periods: kernel)
+    return kernel
+
+
+def test_associativity_and_frobenius_share_one_scan(monkeypatch):
+    from cubalg._kernel_py import PyKernel
+
+    class CountingKernel(PyKernel):
+        scans = 0
+
+        def scan_assoc(self, cells):
+            self.scans += 1
+            return super().scan_assoc(cells)
+
+    both = _patch_kernel(monkeypatch, CountingKernel((3, 3, 3)))
+    reports = verify_axioms((3, 3, 3), axioms="B,G", window=1)
+    assert both.scans == 1
+    assert all(r.passed for r in reports)
+    assert reports[1].checked == reports[0].checked + 2  # plus one per pairing degree
+    alone = _patch_kernel(monkeypatch, CountingKernel((3, 3, 3)))
+    (g,) = verify_axioms((3, 3, 3), axioms="G", window=1)
+    assert alone.scans == 1 and g.checked == reports[1].checked
+
+
+def test_violations_capped_and_counted(monkeypatch):
+    from cubalg._kernel_py import PyKernel
+    from cubalg.verify import _MAX_RECORDED
+
+    class Lopsided(PyKernel):
+        def mult(self, a, b):
+            return ((a, 1),) if a < b else ()
+
+    _patch_kernel(monkeypatch, Lopsided((3, 3, 3)))
+    rep = check_commutativity(LatticeSpec((3, 3, 3)), 1)
+    # a window of one: all 27 cells meet, and only the 27 pairs a == b commute
+    assert rep.checked == 27 * 28 // 2
+    assert rep.violation_count == rep.checked - 27
+    assert len(rep.violations) == _MAX_RECORDED
+    assert all(v["kind"] == "commutativity" and "replay" in v for v in rep.violations)
+    assert not rep.passed
+    assert rep.to_json_dict()["violation_count"] == rep.violation_count
+
+
+def test_frobenius_violation_read_off_the_associativity_scan(monkeypatch):
+    from cubalg._kernel_py import POINT, STICK, PyKernel
+
+    class Broken(PyKernel):
+        # s@0 * p@0 = 3/4 p@0 instead of 1/2 p@0
+        def mult(self, a, b):
+            if (a, b) == (STICK, POINT):
+                return ((POINT, 3),)
+            return super().mult(a, b)
+
+    _patch_kernel(monkeypatch, Broken((3,)))
+    lattice = LatticeSpec((3,))
+    assert not check_associativity(lattice, 1).passed
+    rep = check_pairing(lattice, 1)
+    frobenius = [v for v in rep.violations if v["kind"] == "frobenius"]
+    # <s*s,p> = 8/16 but <s,s*p> = 9/16
+    assert {"kind": "frobenius", "a": "[s@0]", "b": "[s@0]", "c": "[p@0]"} in frobenius
+    assert rep.violation_count == len(frobenius)
