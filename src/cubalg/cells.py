@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import product as _iterproduct
 from typing import Iterable
 
 from .lattice import LatticeSpec
@@ -99,39 +100,81 @@ class Cell:
 
 def make_cell(factors: Iterable[Factor], lattice: LatticeSpec) -> Cell:
     """Build a canonical cell: checks arity, reduces coordinates mod periods."""
-    fs = tuple(factors)
-    if len(fs) != lattice.d:
-        raise ValueError(f"expected {lattice.d} factors, got {len(fs)}")
-    reduced = tuple(
-        Factor(f.kind, lattice.reduce(i, f.coord)) for i, f in enumerate(fs)
-    )
-    return Cell(reduced)
+    return decode_cell(encode_cell(Cell(tuple(factors)), lattice), lattice)
 
 
 # ---------------------------------------------------------------------------
-# Integer encoding shared with the computational kernels.
+# Integer cell codes: the one representation of a cell inside the engine.
 #
 # Per axis, a factor is encoded as coord*3 + kind; a cell is the mixed-radix
-# combination of its factor codes, axis 0 least significant.
+# combination of its factor codes with radix 3*period, axis 0 least
+# significant.  The kernels in _kernel_py.py and _speedups.pyx read the
+# same layout.
+
+_KINDS = tuple(FactorKind)
+_POINT = int(FactorKind.POINT)
 
 
-def factor_code(f: Factor) -> int:
-    return f.coord * 3 + int(f.kind)
+def split_code(code: int, lattice: LatticeSpec) -> list[tuple[int, int]]:
+    """Per-axis (coord, kind) pairs of a cell code, axis 0 first.
+
+    The pairs compare like Cell.sort_key, so they also sort codes in the
+    order cells sort."""
+    parts = []
+    for n in lattice.periods:
+        code, fc = divmod(code, 3 * n)
+        parts.append(divmod(fc, 3))
+    return parts
 
 
-def encode_cell(cell: Cell, lattice: LatticeSpec) -> int:
+def join_code(parts: Iterable[tuple[int, int]], lattice: LatticeSpec) -> int:
+    """Inverse of split_code; coordinates must already be reduced."""
     code = 0
     place = 1
-    for f, n in zip(cell.factors, lattice.periods):
-        code += (f.coord * 3 + int(f.kind)) * place
+    for (coord, kind), n in zip(parts, lattice.periods):
+        code += (coord * 3 + kind) * place
         place *= 3 * n
     return code
 
 
+def encode_cell(cell: Cell, lattice: LatticeSpec) -> int:
+    """Canonical code of a cell: checks arity, reduces coordinates mod periods."""
+    if len(cell.factors) != lattice.d:
+        raise ValueError(f"expected {lattice.d} factors, got {len(cell.factors)}")
+    return join_code(
+        ((lattice.reduce(i, f.coord), int(f.kind)) for i, f in enumerate(cell.factors)),
+        lattice,
+    )
+
+
 def decode_cell(code: int, lattice: LatticeSpec) -> Cell:
-    factors = []
+    return Cell(tuple(Factor(_KINDS[kind], coord) for coord, kind in split_code(code, lattice)))
+
+
+def code_kinds(code: int, lattice: LatticeSpec) -> tuple[FactorKind, ...]:
+    """Cell.kinds of a cell code."""
+    return tuple(_KINDS[kind] for _, kind in split_code(code, lattice))
+
+
+def code_codim(code: int, lattice: LatticeSpec) -> int:
+    """Cell.codimension of a cell code: its number of point factors."""
+    codim = 0
     for n in lattice.periods:
         code, fc = divmod(code, 3 * n)
-        coord, kind = divmod(fc, 3)
-        factors.append(Factor(FactorKind(kind), coord))
-    return Cell(tuple(factors))
+        codim += fc % 3 == _POINT
+    return codim
+
+
+def code_is_ideal(code: int, lattice: LatticeSpec) -> bool:
+    """Cell.is_ideal of a cell code: some factor is an infinitesimal stick."""
+    return FactorKind.INF_STICK in code_kinds(code, lattice)
+
+
+def window_codes(lattice: LatticeSpec, window: int, kinds=None) -> list[int]:
+    """Sorted codes of the cells anchored in {0..window-1}**d, optionally only
+    those whose kind pattern is in `kinds`.  Needs window <= min(periods)."""
+    patterns = _iterproduct(_KINDS, repeat=lattice.d) if kinds is None else kinds
+    anchors = list(_iterproduct(range(window), repeat=lattice.d))
+    return sorted(
+        join_code(zip(pos, pattern), lattice) for pattern in patterns for pos in anchors
+    )

@@ -12,30 +12,48 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from ._backend import kernel_for
-from .cells import Cell, FactorKind, decode_cell, encode_cell, make_cell
+from .cells import Cell, code_codim, code_is_ideal, decode_cell, encode_cell
 from .lattice import LatticeSpec
 
 Rational = Fraction | int
 
 
+def _exact(coef: Rational) -> Fraction:
+    if isinstance(coef, float):
+        raise TypeError("coefficients must be exact rationals, not floats")
+    return Fraction(coef)
+
+
 class Chain:
-    """Finite formal sum of basis cells with exact rational coefficients."""
+    """Finite formal sum of basis cells with exact rational coefficients.
+
+    `_terms` maps integer cell codes (see cells.py) to nonzero Fractions;
+    engine modules read it directly and build chains with `_from_codes`.
+    The constructor, `from_cell` and `coefficient` canonicalise `Cell`
+    arguments through cells.encode_cell (wrong arity raises ValueError,
+    coordinates are reduced, equal cells merge); `terms` and `cells()`
+    give the `Cell`-keyed view.
+    """
 
     __slots__ = ("lattice", "_terms")
 
     def __init__(self, lattice: LatticeSpec, terms: Mapping[Cell, Rational] | None = None):
+        codes: dict[int, Fraction] = {}
+        for cell, coef in (terms or {}).items():
+            code = encode_cell(cell, lattice)
+            codes[code] = codes.get(code, 0) + _exact(coef)
         self.lattice = lattice
-        clean: dict[Cell, Fraction] = {}
-        if terms:
-            for cell, coef in terms.items():
-                if isinstance(coef, float):
-                    raise TypeError("coefficients must be exact rationals, not floats")
-                c = Fraction(coef)
-                if c:
-                    clean[cell] = c
-        self._terms = clean
+        self._terms = {c: v for c, v in codes.items() if v}
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def _from_codes(cls, lattice: LatticeSpec, terms: Mapping[int, Rational]) -> "Chain":
+        """Chain from canonical cell codes (kernel output); zeros are dropped."""
+        chain = cls.__new__(cls)
+        chain.lattice = lattice
+        chain._terms = {c: Fraction(v) for c, v in terms.items() if v}
+        return chain
 
     @classmethod
     def zero(cls, lattice: LatticeSpec) -> "Chain":
@@ -43,19 +61,20 @@ class Chain:
 
     @classmethod
     def from_cell(cls, cell: Cell, lattice: LatticeSpec, coef: Rational = 1) -> "Chain":
-        return cls(lattice, {make_cell(cell.factors, lattice): coef})
+        return cls(lattice, {cell: coef})
 
     # -- mapping access -------------------------------------------------------
 
     @property
     def terms(self) -> Mapping[Cell, Fraction]:
-        return MappingProxyType(self._terms)
+        lattice = self.lattice
+        return MappingProxyType({decode_cell(c, lattice): v for c, v in self._terms.items()})
 
     def coefficient(self, cell: Cell) -> Fraction:
-        return self._terms.get(cell, Fraction(0))
+        return self._terms.get(encode_cell(cell, self.lattice), Fraction(0))
 
     def cells(self) -> Iterable[Cell]:
-        return self._terms.keys()
+        return self.terms.keys()
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -70,15 +89,15 @@ class Chain:
 
     def codimension(self) -> int | None:
         """Common codimension of all cells, or None if mixed or zero."""
-        codims = {cell.codimension for cell in self._terms}
+        codims = {code_codim(c, self.lattice) for c in self._terms}
         return codims.pop() if len(codims) == 1 else None
 
     def dimension(self) -> int | None:
-        dims = {cell.dimension for cell in self._terms}
-        return dims.pop() if len(dims) == 1 else None
+        codim = self.codimension()
+        return None if codim is None else self.lattice.d - codim
 
     def is_ideal_free(self) -> bool:
-        return not any(cell.is_ideal for cell in self._terms)
+        return not any(code_is_ideal(c, self.lattice) for c in self._terms)
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -91,25 +110,19 @@ class Chain:
     def __add__(self, other: "Chain") -> "Chain":
         self._check_same_lattice(other)
         out = dict(self._terms)
-        for cell, coef in other._terms.items():
-            out[cell] = out.get(cell, Fraction(0)) + coef
-        return Chain(self.lattice, out)
+        for code, coef in other._terms.items():
+            out[code] = out.get(code, 0) + coef
+        return Chain._from_codes(self.lattice, out)
 
     def __sub__(self, other: "Chain") -> "Chain":
-        self._check_same_lattice(other)
-        out = dict(self._terms)
-        for cell, coef in other._terms.items():
-            out[cell] = out.get(cell, Fraction(0)) - coef
-        return Chain(self.lattice, out)
+        return self + -other
 
     def __neg__(self) -> "Chain":
-        return Chain(self.lattice, {c: -v for c, v in self._terms.items()})
+        return Chain._from_codes(self.lattice, {c: -v for c, v in self._terms.items()})
 
     def __mul__(self, scalar: Rational) -> "Chain":
-        if isinstance(scalar, float):
-            raise TypeError("coefficients must be exact rationals, not floats")
-        s = Fraction(scalar)
-        return Chain(self.lattice, {c: v * s for c, v in self._terms.items()})
+        s = _exact(scalar)
+        return Chain._from_codes(self.lattice, {c: v * s for c, v in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -136,19 +149,16 @@ def boundary(chain: Chain) -> Chain:
     input codimension plus one.
     """
     kernel = kernel_for(chain.lattice.periods)
-    lattice = chain.lattice
-    out: dict[Cell, Fraction] = {}
-    for cell, coef in chain.terms.items():
-        for code, sign in kernel.boundary(encode_cell(cell, lattice)):
-            dcell = decode_cell(code, lattice)
-            out[dcell] = out.get(dcell, Fraction(0)) + sign * coef
-    return Chain(lattice, out)
+    out: dict[int, Fraction] = {}
+    for code, coef in chain._terms.items():
+        for bcode, sign in kernel.boundary(code):
+            out[bcode] = out.get(bcode, 0) + sign * coef
+    return Chain._from_codes(chain.lattice, out)
 
 
 def augment(chain: Chain) -> Fraction:
     """Sum of coefficients over cells whose factors are all points."""
-    total = Fraction(0)
-    for cell, coef in chain.terms.items():
-        if all(f.kind is FactorKind.POINT for f in cell.factors):
-            total += coef
-    return total
+    d = chain.lattice.d
+    return sum(
+        (v for c, v in chain._terms.items() if code_codim(c, chain.lattice) == d), Fraction(0)
+    )

@@ -3,7 +3,7 @@
 Chains are written in the text grammar (e.g. "1/2*[p@0,s@1,s@2]"); a bare
 cell means coefficient 1.  All output is text; --json switches to the
 canonical JSON renderings.  Exit codes: 0 success / all checks passed,
-1 check failures, 2 usage or parse errors.
+1 a check failed or was skipped, 2 usage or parse errors.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def _dispatch(args) -> int:
             print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         else:
             for r in reports:
-                status = "PASS" if r.passed else "FAIL"
+                status = {"passed": "PASS", "failed": "FAIL", "skipped": "SKIP"}[r.status]
                 print(
                     f"[{status}] {r.check_id:5s} checked={r.checked:<8d} "
                     f"violations={r.violation_count} ({r.elapsed:.2f}s) {r.description}"
@@ -220,7 +220,11 @@ def _dispatch(args) -> int:
                     print(f"         violation: {json.dumps(v, sort_keys=True)}")
                 for w in r.witnesses[:2]:
                     print(f"         witness:   {json.dumps(w, sort_keys=True)}")
-            print("all checks passed" if all_passed else "CHECK FAILURES PRESENT")
+            if all_passed:
+                print("all checks passed")
+            else:
+                failed = any(r.status == "failed" for r in reports)
+                print("CHECK FAILURES PRESENT" if failed else "SOME CHECKS SKIPPED")
         return 0 if all_passed else 1
     raise AssertionError(args.command)
 

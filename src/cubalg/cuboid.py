@@ -9,10 +9,9 @@ interval of b - a lattice units; the closure embeds in the circle).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as _iterproduct
 
-from .cells import Cell, Factor, FactorKind, make_cell
+from .cells import FactorKind, join_code
 from .chain import Chain
 from .lattice import LatticeSpec
 
@@ -51,25 +50,26 @@ def _axis_support(entry: AxisEntry, n: int) -> frozenset[int]:
     return frozenset((entry % n,))
 
 
-def supports_intersect(q1: Cuboid, q2: Cuboid, lattice: LatticeSpec) -> bool:
-    _check(q1, lattice)
-    _check(q2, lattice)
+def _supports_meet(q1: Cuboid, q2: Cuboid, lattice: LatticeSpec) -> bool:
     return all(
         _axis_support(e1, n) & _axis_support(e2, n)
         for e1, e2, n in zip(q1.axes, q2.axes, lattice.periods)
     )
 
 
+def _directions_span(q1: Cuboid, q2: Cuboid) -> bool:
+    return all(isinstance(e1, tuple) or isinstance(e2, tuple) for e1, e2 in zip(q1.axes, q2.axes))
+
+
+def supports_intersect(q1: Cuboid, q2: Cuboid, lattice: LatticeSpec) -> bool:
+    _check(q1, lattice)
+    _check(q2, lattice)
+    return _supports_meet(q1, q2, lattice)
+
+
 def is_transverse(q1: Cuboid, q2: Cuboid, lattice: LatticeSpec) -> bool:
     """Closed supports meet and the tangent directions span every axis."""
-    if not supports_intersect(q1, q2, lattice):
-        return False
-    if q1.dimension + q2.dimension < lattice.d:
-        return False
-    return all(
-        isinstance(e1, tuple) or isinstance(e2, tuple)
-        for e1, e2 in zip(q1.axes, q2.axes)
-    )
+    return supports_intersect(q1, q2, lattice) and _directions_span(q1, q2)
 
 
 def generalised_faces(q: Cuboid) -> list[Cuboid]:
@@ -103,32 +103,30 @@ def in_general_position(q1: Cuboid, q2: Cuboid, lattice: LatticeSpec) -> bool:
     for e1, e2, n in zip(q1.axes, q2.axes, lattice.periods):
         if len(_arc_starts(_axis_support(e1, n) & _axis_support(e2, n), n)) != 1:
             return False
+    # both cuboids are checked above, and faces of a valid cuboid are valid
     fam1 = [q1] + generalised_faces(q1)
     fam2 = [q2] + generalised_faces(q2)
-    for f1 in fam1:
-        for f2 in fam2:
-            if not supports_intersect(f1, f2, lattice):
-                continue
-            if not is_transverse(f1, f2, lattice):
-                return False
-    return True
+    return not any(
+        _supports_meet(f1, f2, lattice) and not _directions_span(f1, f2)
+        for f1 in fam1
+        for f2 in fam2
+    )
 
 
 def cuboid_to_chain(q: Cuboid, lattice: LatticeSpec) -> Chain:
     """Decompose into unit basis cells, all with matching orientation."""
     _check(q, lattice)
-    options: list[list[Factor]] = []
+    options = []
     for entry, n in zip(q.axes, lattice.periods):
         if isinstance(entry, tuple):
             a, b = entry
-            options.append([Factor(FactorKind.STICK, (a + j) % n) for j in range(b - a)])
+            options.append([((a + j) % n, FactorKind.STICK) for j in range(b - a)])
         else:
-            options.append([Factor(FactorKind.POINT, entry % n)])
-    terms: dict[Cell, Fraction] = {}
-    for combo in _iterproduct(*options):
-        cell = make_cell(combo, lattice)
-        terms[cell] = terms.get(cell, Fraction(0)) + 1
-    return Chain(lattice, terms)
+            options.append([(entry % n, FactorKind.POINT)])
+    # distinct choices give distinct cells, each with coefficient 1
+    return Chain._from_codes(
+        lattice, {join_code(parts, lattice): 1 for parts in _iterproduct(*options)}
+    )
 
 
 def _axis_intersection(e1: AxisEntry, e2: AxisEntry, n: int) -> AxisEntry | None:

@@ -158,18 +158,17 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def format_cell(cell: Cell) -> str:
-    return str(cell)
+def _sorted_terms(chain: Chain) -> list[tuple[Cell, Fraction]]:
+    return sorted(chain.terms.items(), key=lambda term: term[0].sort_key())
 
 
 def format_chain(chain: Chain) -> str:
     if chain.is_zero():
         return "0"
     parts: list[str] = []
-    for cell in sorted(chain.cells(), key=Cell.sort_key):
-        coef = chain.coefficient(cell)
+    for cell, coef in _sorted_terms(chain):
         mag = abs(coef)
-        body = format_cell(cell) if mag == 1 else f"{format_rational(mag)}*{format_cell(cell)}"
+        body = str(cell) if mag == 1 else f"{format_rational(mag)}*{cell}"
         if not parts:
             parts.append(body if coef > 0 else f"-{body}")
         else:
@@ -179,14 +178,13 @@ def format_chain(chain: Chain) -> str:
 
 def chain_to_json_dict(chain: Chain) -> dict:
     """Canonical JSON rendering with sorted terms."""
-    terms = []
-    for cell in sorted(chain.cells(), key=Cell.sort_key):
-        terms.append(
-            {
-                "cell": [[KIND_CHARS[f.kind], f.coord] for f in cell.factors],
-                "coef": format_rational(chain.coefficient(cell)),
-            }
-        )
+    terms = [
+        {
+            "cell": [[KIND_CHARS[f.kind], f.coord] for f in cell.factors],
+            "coef": format_rational(coef),
+        }
+        for cell, coef in _sorted_terms(chain)
+    ]
     return {"lattice": {"periods": list(chain.lattice.periods)}, "terms": terms}
 
 
@@ -194,7 +192,6 @@ def chain_from_json_dict(data: dict) -> Chain:
     lattice = LatticeSpec(tuple(data["lattice"]["periods"]))
     terms: dict[Cell, Fraction] = {}
     for entry in data["terms"]:
-        factors = [Factor(CHAR_KINDS[k], int(c)) for k, c in entry["cell"]]
-        cell = make_cell(factors, lattice)
+        cell = Cell(tuple(Factor(CHAR_KINDS[k], int(c)) for k, c in entry["cell"]))
         terms[cell] = terms.get(cell, Fraction(0)) + Fraction(entry["coef"])
     return Chain(lattice, terms)

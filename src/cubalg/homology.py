@@ -11,31 +11,30 @@ diagnostic.
 from __future__ import annotations
 
 from . import linalg
-from .chain import Chain, boundary
+from ._backend import kernel_for
+from .chain import boundary  # noqa: F401  (a traced site, see perfbench/tracing.py)
 from .lattice import LatticeSpec
-from .pairing import c_basis
+from .pairing import c_basis_codes
 from .twoh import TwoHCell, abstract_boundary, expand, two_h_basis
 
 
 def _boundary_matrix(p: int, lattice: LatticeSpec) -> list[list[int]]:
     """Matrix of the h-complex boundary C_p -> C_{p-1} (integer entries)."""
-    domain = c_basis(p, lattice)
-    codomain = c_basis(p - 1, lattice)
-    index = {cell: i for i, cell in enumerate(codomain)}
-    cols = []
-    for cell in domain:
-        col = [0] * len(codomain)
-        for bcell, coef in boundary(Chain.from_cell(cell, lattice)).terms.items():
-            col[index[bcell]] = int(coef)
-        cols.append(col)
+    domain = c_basis_codes(p, lattice)
+    index = {code: i for i, code in enumerate(c_basis_codes(p - 1, lattice))}
+    kernel = kernel_for(lattice.periods)
     # rows: codomain cells; cols: domain cells
-    return [[cols[j][i] for j in range(len(domain))] for i in range(len(codomain))]
+    mat = [[0] * len(domain) for _ in index]
+    for j, code in enumerate(domain):
+        for bcode, sign in kernel.boundary(code):
+            mat[index[bcode]][j] += sign
+    return mat
 
 
 def betti_full(lattice: LatticeSpec) -> tuple[int, ...]:
     """Betti numbers of the full h-complex (the d-torus)."""
     d = lattice.d
-    dims = [len(c_basis(p, lattice)) for p in range(d + 1)]
+    dims = [len(c_basis_codes(p, lattice)) for p in range(d + 1)]
     ranks = [0] * (d + 2)
     for p in range(1, d + 1):
         ranks[p] = linalg.rank(_boundary_matrix(p, lattice))
@@ -45,12 +44,11 @@ def betti_full(lattice: LatticeSpec) -> tuple[int, ...]:
 def _expansion_matrix(p: int, lattice: LatticeSpec) -> tuple[list[list[int]], list[TwoHCell]]:
     """Columns: expanded 2h p-cells written in the h-cell basis."""
     basis = two_h_basis(p, lattice)
-    h_cells = c_basis(p, lattice)
-    index = {cell: i for i, cell in enumerate(h_cells)}
-    mat = [[0] * len(basis) for _ in h_cells]
+    index = {code: i for i, code in enumerate(c_basis_codes(p, lattice))}
+    mat = [[0] * len(basis) for _ in index]
     for j, cell in enumerate(basis):
-        for hcell, coef in expand(cell, lattice).terms.items():
-            mat[index[hcell]][j] = int(coef)
+        for code, coef in expand(cell, lattice)._terms.items():
+            mat[index[code]][j] = int(coef)
     return mat, basis
 
 

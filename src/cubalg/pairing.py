@@ -14,7 +14,8 @@ from functools import cached_property
 from itertools import combinations, product as _iterproduct
 
 from . import linalg
-from .cells import Cell, Factor, FactorKind, make_cell
+from ._backend import kernel_for
+from .cells import Cell, FactorKind, decode_cell, join_code, split_code
 from .chain import Chain, augment
 from .lattice import LatticeSpec
 from .product import product
@@ -25,21 +26,22 @@ def pairing(a: Chain, b: Chain) -> Fraction:
     return augment(product(a, b))
 
 
-def c_basis(p: int, lattice: LatticeSpec) -> list[Cell]:
-    """All non-ideal basis cells of dimension p, in a fixed order."""
+def c_basis_codes(p: int, lattice: LatticeSpec) -> list[int]:
+    """Codes of all non-ideal basis cells of dimension p, in a fixed order:
+    the order of Cell.sort_key, on which determinant signs depend."""
     if not 0 <= p <= lattice.d:
         raise ValueError(f"degree must be in 0..{lattice.d}, got {p}")
-    cells = []
-    coords = [range(n) for n in lattice.periods]
-    for stick_axes in combinations(range(lattice.d), p):
-        for pos in _iterproduct(*coords):
-            factors = tuple(
-                Factor(FactorKind.STICK if i in stick_axes else FactorKind.POINT, pos[i])
-                for i in range(lattice.d)
-            )
-            cells.append(make_cell(factors, lattice))
-    cells.sort(key=Cell.sort_key)
-    return cells
+    anchors = list(_iterproduct(*(range(n) for n in lattice.periods)))
+    codes = []
+    for sticks in combinations(range(lattice.d), p):
+        kinds = [FactorKind.STICK if i in sticks else FactorKind.POINT for i in range(lattice.d)]
+        codes += (join_code(zip(pos, kinds), lattice) for pos in anchors)
+    return sorted(codes, key=lambda code: split_code(code, lattice))
+
+
+def c_basis(p: int, lattice: LatticeSpec) -> list[Cell]:
+    """All non-ideal basis cells of dimension p, in a fixed order."""
+    return [decode_cell(code, lattice) for code in c_basis_codes(p, lattice)]
 
 
 @dataclass(frozen=True)
@@ -64,19 +66,19 @@ class PairingMatrix:
 
 def pairing_matrix(p: int, lattice: LatticeSpec) -> PairingMatrix:
     """Matrix of the pairing on C_p x C_{d-p} over the non-ideal bases."""
-    rows = c_basis(p, lattice)
-    cols = c_basis(lattice.d - p, lattice)
+    rows = c_basis_codes(p, lattice)
+    cols = c_basis_codes(lattice.d - p, lattice)
+    kernel = kernel_for(lattice.periods)
+    scale = 4 ** lattice.d
+    # complementary codimensions: every term of r*c is a point cell, so
+    # augmenting the product sums all of its numerators
     entries = tuple(
-        tuple(
-            pairing(
-                Chain.from_cell(r, lattice),
-                Chain.from_cell(c, lattice),
-            )
-            for c in cols
-        )
+        tuple(Fraction(sum(num for _, num in kernel.mult(r, c)), scale) for c in cols)
         for r in rows
     )
-    return PairingMatrix(p, tuple(rows), tuple(cols), entries)
+    return PairingMatrix(
+        p, tuple(c_basis(p, lattice)), tuple(c_basis(lattice.d - p, lattice)), entries
+    )
 
 
 def pairing_report(p: int, lattice: LatticeSpec) -> dict:

@@ -10,9 +10,11 @@ codimension is the sum of the input codimensions.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product as _iterproduct
 
 from ._backend import kernel_for
-from .cells import Cell, Factor, FactorKind, decode_cell, encode_cell, make_cell
+from .cells import Cell, FactorKind, encode_cell, join_code, split_code
+from .cells import decode_cell  # noqa: F401  (a traced site, see perfbench/tracing.py)
 from .chain import Chain
 from .lattice import LatticeSpec
 
@@ -23,16 +25,14 @@ def product(a: Chain, b: Chain, backend: str | None = None) -> Chain:
         raise ValueError(f"mismatched lattices: {a.lattice} vs {b.lattice}")
     lattice = a.lattice
     kernel = kernel_for(lattice.periods, backend)
-    scale = 4 ** lattice.d
-    out: dict[Cell, Fraction] = {}
-    for ca, va in a.terms.items():
-        code_a = encode_cell(ca, lattice)
-        for cb, vb in b.terms.items():
+    out: dict[int, Fraction] = {}
+    for ca, va in a._terms.items():
+        for cb, vb in b._terms.items():
             w = va * vb
-            for code, num in kernel.mult(code_a, encode_cell(cb, lattice)):
-                cell = decode_cell(code, lattice)
-                out[cell] = out.get(cell, Fraction(0)) + w * Fraction(num, scale)
-    return Chain(lattice, out)
+            for code, num in kernel.mult(ca, cb):
+                out[code] = out.get(code, 0) + w * num
+    scale = 4 ** lattice.d
+    return Chain._from_codes(lattice, {c: v / scale for c, v in out.items()})
 
 
 def koszul_sign(a: Cell, b: Cell) -> int:
@@ -57,29 +57,28 @@ def cells_transverse(a: Cell, b: Cell, lattice: LatticeSpec) -> bool:
     return kernel.transverse(encode_cell(a, lattice), encode_cell(b, lattice))
 
 
+def crumble_code(code: int, lattice: LatticeSpec, k: int) -> list[int]:
+    """Codes, on lattice.refined(k), of the fine cells whose sum is the image
+    of one basis cell: per axis, points and infinitesimal sticks map to
+    coordinate k*a, a unit stick to its k fine sticks."""
+    choices = [
+        [(coord * k + j, kind) for j in range(k if kind == FactorKind.STICK else 1)]
+        for coord, kind in split_code(code, lattice)
+    ]
+    fine = lattice.refined(k)
+    return [join_code(parts, fine) for parts in _iterproduct(*choices)]
+
+
 def crumble(chain: Chain, k: int) -> Chain:
     """Refinement chain map onto the k-fold finer lattice (k odd).
 
-    Per axis: points and infinitesimal sticks map to coordinate k*a, unit
-    sticks to the sum of their k fine sticks.  All factor images have the
-    codimension of their source, so no signs arise; the map commutes with
-    both the boundary and the product.
+    All factor images have the codimension of their source, so no signs
+    arise; the map commutes with both the boundary and the product.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"refinement factor must be odd, got {k}")
-    lattice = chain.lattice
-    fine = lattice.refined(k)
-    out: dict[Cell, Fraction] = {}
-    for cell, coef in chain.terms.items():
-        images: list[Cell] = [Cell(())]
-        for f in cell.factors:
-            base = f.coord * k
-            if f.kind is FactorKind.STICK:
-                choices = [Factor(FactorKind.STICK, base + j) for j in range(k)]
-            else:
-                choices = [Factor(f.kind, base)]
-            images = [Cell(c.factors + (nf,)) for c in images for nf in choices]
-        for img in images:
-            cell_f = make_cell(img.factors, fine)
-            out[cell_f] = out.get(cell_f, Fraction(0)) + coef
-    return Chain(fine, out)
+    out: dict[int, Fraction] = {}
+    for code, coef in chain._terms.items():
+        for img in crumble_code(code, chain.lattice, k):
+            out[img] = out.get(img, 0) + coef
+    return Chain._from_codes(chain.lattice.refined(k), out)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import Cell, Factor, FactorKind, make_cell
+from .cells import Cell, Factor, FactorKind
 from .chain import Chain
 from .lattice import LatticeSpec
 
@@ -101,11 +101,8 @@ def mult1(
         ka, kb, a, b = kb, ka, b, a
 
     def chain(*terms: tuple[Factor, Fraction]) -> Chain:
-        out: dict[Cell, Fraction] = {}
-        for factor, coef in terms:
-            cell = make_cell((factor,), lattice)
-            out[cell] = out.get(cell, Fraction(0)) + coef
-        return Chain(lattice, out)
+        # the factors are distinct; Chain reduces their coordinates
+        return Chain(lattice, {Cell((factor,)): coef for factor, coef in terms})
 
     P, S, I = FactorKind.POINT, FactorKind.STICK, FactorKind.INF_STICK
     if ka is P and kb is P:
@@ -153,8 +150,5 @@ def crumble1(f: Factor, k: int, lattice: LatticeSpec) -> Chain:
     fine = lattice.refined(k)
     base = (f.coord % lattice.periods[0]) * k
     if f.kind is FactorKind.STICK:
-        return Chain(
-            fine,
-            {make_cell((Factor(FactorKind.STICK, base + j),), fine): 1 for j in range(k)},
-        )
-    return Chain(fine, {make_cell((Factor(f.kind, base),), fine): 1})
+        return Chain(fine, {Cell((Factor(FactorKind.STICK, base + j),)): 1 for j in range(k)})
+    return Chain(fine, {Cell((Factor(f.kind, base),)): 1})

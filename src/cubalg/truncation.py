@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from itertools import combinations, product as _iterproduct
 
-from .cells import Cell, Factor, FactorKind
+from .cells import Cell, FactorKind, decode_cell, window_codes
+from .lattice import LatticeSpec
 
 P, S, I = FactorKind.POINT, FactorKind.STICK, FactorKind.INF_STICK
 
@@ -99,12 +100,8 @@ def window_cells_of_kinds(
     kinds: frozenset[KindTuple], periods: tuple[int, ...], window: int
 ) -> list[Cell]:
     """All cells with admissible kind patterns anchored in the window."""
-    n = len(periods)
-    out = []
-    for t in sorted(kinds):
-        for pos in _iterproduct(*(range(window) for _ in range(n))):
-            out.append(Cell(tuple(Factor(t[i], pos[i]) for i in range(n))))
-    return out
+    lattice = LatticeSpec(periods)
+    return [decode_cell(code, lattice) for code in window_codes(lattice, window, kinds)]
 
 
 def fc_truncation_generators(n: int, m: int, periods: tuple[int, ...], window: int = 2):

@@ -10,10 +10,9 @@ same barycenter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product as _iterproduct
 
-from .cells import Cell, Factor, FactorKind, make_cell
+from .cells import FactorKind, join_code
 from .chain import Chain
 from .lattice import LatticeSpec
 
@@ -44,19 +43,16 @@ def expand(cell: TwoHCell, lattice: LatticeSpec) -> Chain:
     """The 2h cell as a sum of unit cells of the h-complex."""
     if len(cell.center) != lattice.d:
         raise ValueError("center has wrong dimension")
-    options: list[list[Factor]] = []
+    options = []
     for i, (v, n) in enumerate(zip(cell.center, lattice.periods)):
         if i in cell.directions:
-            options.append(
-                [Factor(FactorKind.STICK, (v - 1) % n), Factor(FactorKind.STICK, v % n)]
-            )
+            options.append([((v - 1) % n, FactorKind.STICK), (v % n, FactorKind.STICK)])
         else:
-            options.append([Factor(FactorKind.POINT, v % n)])
-    terms: dict[Cell, Fraction] = {}
-    for combo in _iterproduct(*options):
-        c = make_cell(combo, lattice)
-        terms[c] = terms.get(c, Fraction(0)) + 1
-    return Chain(lattice, terms)
+            options.append([(v % n, FactorKind.POINT)])
+    # the two sticks of an axis differ because every period is at least 3
+    return Chain._from_codes(
+        lattice, {join_code(parts, lattice): 1 for parts in _iterproduct(*options)}
+    )
 
 
 def two_h_basis(p: int, lattice: LatticeSpec) -> list[TwoHCell]:

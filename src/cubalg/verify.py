@@ -8,10 +8,10 @@ rule off the non-ideal complex, the truncation limit, even-period
 degeneracy, star versus crumbling) assert that the failure occurs and
 record a witness; a missing failure is itself a violation.
 
-A report passes exactly when it counted no violation.  Violations and
-witnesses are recorded through `CheckReport.violate` and `.witness`,
-which keep the first `_MAX_RECORDED` entries of each list and count every
-violation.
+A report fails when it counted a violation, is skipped when it examined
+nothing (checked == 0), and passes otherwise.  Violations and witnesses
+are recorded through `CheckReport.violate` and `.witness`, which keep the
+first `_MAX_RECORDED` entries of each list and count every violation.
 """
 
 from __future__ import annotations
@@ -24,18 +24,28 @@ from fractions import Fraction
 from itertools import permutations, product as _iterproduct
 
 from ._backend import kernel_for
-from .cells import decode_cell, encode_cell
+from .cells import (
+    FactorKind,
+    code_codim,
+    code_is_ideal,
+    code_kinds,
+    decode_cell,
+    join_code,
+    split_code,
+    window_codes,
+)
+from .cells import encode_cell  # noqa: F401  (a traced site, see perfbench/tracing.py)
 from .chain import Chain, augment
 from .cuboid import Cuboid, cuboid_to_chain, geometric_intersection, in_general_position
 from .grammar import format_chain, format_rational
 from .homology import betti_full, betti_two_h_free, betti_two_h_span
 from .lattice import LatticeSpec
 from .pairing import pairing_matrix
-from .product import crumble, product
-from .truncation import kind_closure, max_ideal_dimension, window_cells_of_kinds
+from .product import crumble, crumble_code, product
+from .truncation import kind_closure, max_ideal_dimension
 from .twoh import TwoHCell, expand, star, two_h_basis
 
-POINT, STICK, INF = 0, 1, 2
+POINT, STICK, INF = FactorKind.POINT, FactorKind.STICK, FactorKind.INF_STICK
 
 CHECK_ORDER = ["A", "B", "C", "D", "E", "F", "G", "H", "I", "J", "S6", "BETTI", "STAR"]
 
@@ -44,7 +54,8 @@ _MAX_RECORDED = 10
 
 @dataclass
 class CheckReport:
-    """Outcome of one axiom check; passes iff no violation was counted."""
+    """Outcome of one axiom check: failed if a violation was counted,
+    skipped if nothing was examined, passed otherwise."""
 
     check_id: str
     description: str
@@ -59,8 +70,14 @@ class CheckReport:
     violation_count: int = 0
 
     @property
+    def status(self) -> str:
+        if self.violation_count:
+            return "failed"
+        return "skipped" if self.checked == 0 else "passed"
+
+    @property
     def passed(self) -> bool:
-        return self.violation_count == 0
+        return self.status == "passed"
 
     def violate(self, kind: str, **fields) -> None:
         """Count a violation; record it while fewer than _MAX_RECORDED are."""
@@ -80,6 +97,7 @@ class CheckReport:
             "seed": self.seed,
             "checked": self.checked,
             "passed": self.passed,
+            "status": self.status,
             "violation_count": self.violation_count,
             "violations": self.violations,
             "witnesses": self.witnesses,
@@ -102,45 +120,14 @@ def _record(entries: list[dict], kind: str, fields: dict) -> None:
 # shared helpers (integer-scaled chains keyed by encoded cells)
 
 
-def _window_codes(lattice: LatticeSpec, window: int) -> list[int]:
-    """Encoded basis cells anchored in {0..window-1}**d, sorted."""
-    axis_codes = [c * 3 + k for c in range(window) for k in (POINT, STICK, INF)]
-    codes = []
-    for combo in _iterproduct(axis_codes, repeat=lattice.d):
-        code = 0
-        place = 1
-        for fc, n in zip(combo, lattice.periods):
-            code += fc * place
-            place *= 3 * n
-        codes.append(code)
-    codes.sort()
-    return codes
-
-
-def _codim(code: int, lattice: LatticeSpec) -> int:
-    c = 0
-    for n in lattice.periods:
-        code, fc = divmod(code, 3 * n)
-        if fc % 3 == POINT:
-            c += 1
-    return c
-
-
-def _is_ideal_code(code: int, lattice: LatticeSpec) -> bool:
-    for n in lattice.periods:
-        code, fc = divmod(code, 3 * n)
-        if fc % 3 == INF:
-            return True
-    return False
-
-
 def _cell_str(code: int, lattice: LatticeSpec) -> str:
     return str(decode_cell(code, lattice))
 
 
 def _chain_str(terms, lattice: LatticeSpec, scale: int) -> str:
-    cells = {decode_cell(c, lattice): Fraction(v, scale) for c, v in terms.items() if v}
-    return format_chain(Chain(lattice, cells))
+    """Text of a chain given as numerators at `scale`, keyed by cell code."""
+    chain = Chain._from_codes(lattice, {c: Fraction(v, scale) for c, v in terms.items()})
+    return format_chain(chain)
 
 
 def _nonzero(acc: dict[int, int]) -> dict[int, int]:
@@ -156,7 +143,7 @@ def _leibniz_residual(kernel, a: int, b: int, lattice: LatticeSpec) -> dict[int,
     for u, sgn in kernel.boundary(a):
         for v, num in kernel.mult(u, b):
             acc[v] = acc.get(v, 0) + sgn * num
-    sign_a = -1 if _codim(a, lattice) % 2 else 1
+    sign_a = -1 if code_codim(a, lattice) % 2 else 1
     for u, sgn in kernel.boundary(b):
         for v, num in kernel.mult(a, u):
             acc[v] = acc.get(v, 0) + sign_a * sgn * num
@@ -181,7 +168,7 @@ def _cells(lattice: LatticeSpec, *codes: int, replay: bool = True) -> dict:
 @lru_cache(maxsize=1)
 def _assoc_scan(kernel, window: int) -> tuple[int, list[tuple[int, int, int]]]:
     """The window's associativity scan, made once for B and G together."""
-    return kernel.scan_assoc(_window_codes(LatticeSpec(kernel.periods), window))
+    return kernel.scan_assoc(window_codes(LatticeSpec(kernel.periods), window))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +177,7 @@ def _assoc_scan(kernel, window: int) -> tuple[int, list[tuple[int, int, int]]]:
 
 def check_commutativity(lattice: LatticeSpec, window: int) -> CheckReport:
     kernel = kernel_for(lattice.periods)
-    cells = _window_codes(lattice, window)
+    cells = window_codes(lattice, window)
     scale = 4 ** lattice.d
     report = CheckReport(
         "A",
@@ -198,7 +185,7 @@ def check_commutativity(lattice: LatticeSpec, window: int) -> CheckReport:
         lattice.periods,
         window,
     )
-    codims = {c: _codim(c, lattice) for c in cells}
+    codims = {c: code_codim(c, lattice) for c in cells}
     for i, a in enumerate(cells):
         for b in cells[i:]:
             if not kernel.supports_intersect(a, b):
@@ -247,7 +234,7 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
         lattice.periods,
         window,
     )
-    cells = _window_codes(lattice, window)
+    cells = window_codes(lattice, window)
     ideal_failures = 0
     for a in cells:
         for b in cells:
@@ -257,7 +244,7 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
                 continue
             fields = _cells(lattice, a, b)
             fields["residual"] = lambda: _chain_str(residual, lattice, scale)
-            if _is_ideal_code(a, lattice) or _is_ideal_code(b, lattice):
+            if code_is_ideal(a, lattice) or code_is_ideal(b, lattice):
                 ideal_failures += 1
                 report.witness("leibniz-failure-on-ideal-cells", **fields)
             else:
@@ -270,15 +257,15 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
         )
     # canonical witness in one dimension: inf_stick * stick at the same coord
     if lattice.d == 1:
-        a = INF  # i@0
-        b = STICK  # s@0
+        a = join_code([(0, INF)], lattice)
+        b = join_code([(0, STICK)], lattice)
         residual = _leibniz_residual(kernel, a, b, lattice)
         report.details["canonical_witness"] = {
             "a": _cell_str(a, lattice),
             "b": _cell_str(b, lattice),
             "residual": _chain_str(residual, lattice, scale),
         }
-        expected = {POINT: -scale // 4}  # -1/4 * [p@0]
+        expected = {join_code([(0, POINT)], lattice): -scale // 4}  # -1/4 * [p@0]
         if residual != expected:
             report.violate(
                 "canonical-witness-mismatch",
@@ -289,55 +276,34 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
 
 
 def _translate_code(code: int, shift: tuple[int, ...], lattice: LatticeSpec) -> int:
-    out = 0
-    place = 1
-    for i, n in enumerate(lattice.periods):
-        code, fc = divmod(code, 3 * n)
-        coord, kind = divmod(fc, 3)
-        out += (((coord + shift[i]) % n) * 3 + kind) * place
-        place *= 3 * n
-    return out
+    parts = split_code(code, lattice)
+    return join_code(
+        (((c + s) % n, kind) for (c, kind), s, n in zip(parts, shift, lattice.periods)), lattice
+    )
 
 
 def _reflect_code(code: int, axis: int, lattice: LatticeSpec) -> int:
-    out = 0
-    place = 1
-    for i, n in enumerate(lattice.periods):
-        code, fc = divmod(code, 3 * n)
-        coord, kind = divmod(fc, 3)
-        if i == axis:
-            coord = (-coord - 1) % n if kind == STICK else (-coord) % n
-        out += (coord * 3 + kind) * place
-        place *= 3 * n
-    return out
+    parts = split_code(code, lattice)
+    coord, kind = parts[axis]
+    n = lattice.periods[axis]
+    parts[axis] = ((-coord - 1) % n if kind == STICK else -coord % n, kind)
+    return join_code(parts, lattice)
 
 
 def _permute_code(code: int, perm: tuple[int, ...], lattice: LatticeSpec) -> tuple[int, int]:
-    """Apply an axis permutation; returns (new code, Koszul sign).
+    """Apply an axis permutation (new axis i takes old axis perm[i]); returns
+    (new code, Koszul sign).
 
     The sign counts inversions of the permutation restricted to the point
     factors (odd in the codimension grading).
     """
-    fcs = []
-    for n in lattice.periods:
-        code, fc = divmod(code, 3 * n)
-        fcs.append(fc)
-    new_fcs = [fcs[perm[i]] for i in range(len(perm))]
-    pts_positions = [i for i, fc in enumerate(fcs) if fc % 3 == POINT]
-    # positions of those factors after permuting
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    images = [inv[p] for p in pts_positions]
+    parts = split_code(code, lattice)
+    # new positions of the point factors, in their old order
+    images = [perm.index(i) for i, (_, kind) in enumerate(parts) if kind == POINT]
     inversions = sum(
         1 for x in range(len(images)) for y in range(x + 1, len(images)) if images[x] > images[y]
     )
-    out = 0
-    place = 1
-    for fc, n in zip(new_fcs, lattice.periods):
-        out += fc * place
-        place *= 3 * n
-    return out, (-1 if inversions % 2 else 1)
+    return join_code([parts[p] for p in perm], lattice), (-1 if inversions % 2 else 1)
 
 
 def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
@@ -345,7 +311,7 @@ def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
     axis permutations (the latter with the Koszul sign of the permuted
     point factors)."""
     kernel = kernel_for(lattice.periods)
-    cells = _window_codes(lattice, window)
+    cells = window_codes(lattice, window)
     d = lattice.d
     report = CheckReport(
         "D",
@@ -394,7 +360,7 @@ def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
 def check_transversality(lattice: LatticeSpec, window: int) -> CheckReport:
     """Product nonzero exactly on transverse pairs of basis cells."""
     kernel = kernel_for(lattice.periods)
-    cells = _window_codes(lattice, window)
+    cells = window_codes(lattice, window)
     report = CheckReport(
         "E",
         "product is nonzero exactly when supports meet and directions span",
@@ -483,7 +449,7 @@ def check_pairing(lattice: LatticeSpec, window: int) -> CheckReport:
     report.checked, bad = _assoc_scan(kernel, window)
 
     def aug(terms) -> int:
-        return sum(num for u, num in terms if _codim(u, lattice) == lattice.d)
+        return sum(num for u, num in terms if code_codim(u, lattice) == lattice.d)
 
     for a, b, c in bad:
         lhs = sum(num * aug(kernel.mult(u, c)) for u, num in kernel.mult(a, b))
@@ -538,8 +504,7 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
     kernel = kernel_for(lattice.periods)
     scale = 4 ** lattice.d
     closed = kind_closure(3, 2)
-    member_cells = window_cells_of_kinds(closed, lattice.periods, window)
-    codes = sorted(encode_cell(c, lattice) for c in member_cells)
+    codes = window_codes(lattice, window, closed)
     report.details["member_kinds"] = sorted(
         "".join("psi"[int(k)] for k in t) for t in closed
     )
@@ -547,7 +512,7 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
         for b in codes:
             # closure: every product cell stays in the subalgebra's span
             for c, _num in kernel.mult(a, b):
-                if decode_cell(c, lattice).kinds not in closed:
+                if code_kinds(c, lattice) not in closed:
                     report.violate(
                         "closure",
                         **_cells(lattice, a, b, replay=False),
@@ -579,49 +544,36 @@ def check_crumbling(lattice: LatticeSpec, window: int, k: int) -> CheckReport:
     scale = 4 ** lattice.d
 
     @lru_cache(maxsize=None)
-    def crumble_code(code: int) -> tuple[int, ...]:
-        images = [0]
-        place = 1
-        c = code
-        for n, fn in zip(lattice.periods, fine_lattice.periods):
-            c, fc = divmod(c, 3 * n)
-            coord, kind = divmod(fc, 3)
-            base = coord * k
-            if kind == STICK:
-                choices = [((base + j) % fn) * 3 + STICK for j in range(k)]
-            else:
-                choices = [(base % fn) * 3 + kind]
-            images = [img + ch * place for img in images for ch in choices]
-            place *= 3 * fn
-        return tuple(images)
+    def crumbled(code: int) -> list[int]:
+        return crumble_code(code, lattice, k)
 
-    cells = _window_codes(lattice, window)
+    cells = window_codes(lattice, window)
     # chain map: boundary commutes
     for a in cells:
         lhs: dict[int, int] = {}
-        for img in crumble_code(a):
+        for img in crumbled(a):
             for bc, sgn in fine.boundary(img):
                 lhs[bc] = lhs.get(bc, 0) + sgn
         rhs: dict[int, int] = {}
         for bc, sgn in kernel.boundary(a):
-            for img in crumble_code(bc):
+            for img in crumbled(bc):
                 rhs[img] = rhs.get(img, 0) + sgn
         report.checked += 1
         if _nonzero(lhs) != _nonzero(rhs):
             report.violate("crumble-boundary", **_cells(lattice, a, replay=False))
     # algebra map: product commutes
     for i, a in enumerate(cells):
-        ca = crumble_code(a)
+        ca = crumbled(a)
         for b in cells[i:]:
             if not kernel.supports_intersect(a, b):
                 continue
             coarse: dict[int, int] = {}
             for c, num in kernel.mult(a, b):
-                for img in crumble_code(c):
+                for img in crumbled(c):
                     coarse[img] = coarse.get(img, 0) + num
             fine_side: dict[int, int] = {}
             for ua in ca:
-                for ub in crumble_code(b):
+                for ub in crumbled(b):
                     for c, num in fine.mult(ua, ub):
                         fine_side[c] = fine_side.get(c, 0) + num
             report.checked += 1
@@ -629,15 +581,15 @@ def check_crumbling(lattice: LatticeSpec, window: int, k: int) -> CheckReport:
                 report.violate("crumble-product", **_cells(lattice, a, b))
     # telescoping identity for a refined self-overlapping stick, one dimension
     if lattice.d == 1:
-        a = STICK  # s@0
+        a = join_code([(0, STICK)], lattice)
         fine_side = {}
-        for ua in crumble_code(a):
-            for ub in crumble_code(a):
+        for ua in crumbled(a):
+            for ub in crumbled(a):
                 for c, num in fine.mult(ua, ub):
                     fine_side[c] = fine_side.get(c, 0) + num
-        expected = {(j * 3 + STICK): scale for j in range(k)}
-        expected[0 * 3 + INF] = -scale
-        expected[(k % fine_lattice.periods[0]) * 3 + INF] = -scale
+        expected = {join_code([(j, STICK)], fine_lattice): scale for j in range(k)}
+        expected[join_code([(0, INF)], fine_lattice)] = -scale
+        expected[join_code([(k % fine_lattice.periods[0], INF)], fine_lattice)] = -scale
         report.details["telescoping"] = _chain_str(fine_side, fine_lattice, scale)
         if _nonzero(fine_side) != expected:
             report.violate(
@@ -680,10 +632,7 @@ def check_truncation(seed: int) -> CheckReport:
             report.violate(
                 "ideal-dimension-bound", n=n, m=m, max_ideal_dimension=ideal_dim, bound=bound
             )
-        cells = sorted(
-            encode_cell(c, lattice)
-            for c in window_cells_of_kinds(closed, lattice.periods, 2)
-        )
+        cells = window_codes(lattice, 2, closed)
         if sample is not None:
             pairs = []
             attempts = 0
@@ -694,8 +643,8 @@ def check_truncation(seed: int) -> CheckReport:
                     pairs.append((a, b))
         elif expect_failure:
             # ideal cells first: the product rule breaks on pairs touching them
-            ideal = [c for c in cells if _is_ideal_code(c, lattice)]
-            plain = [c for c in cells if not _is_ideal_code(c, lattice)]
+            ideal = [c for c in cells if code_is_ideal(c, lattice)]
+            plain = [c for c in cells if not code_is_ideal(c, lattice)]
             pairs = [(a, b) for a in ideal + plain for b in cells]
         else:
             pairs = [(a, b) for a in cells for b in cells]
@@ -704,7 +653,7 @@ def check_truncation(seed: int) -> CheckReport:
             case["pairs"] += 1
             report.checked += 1
             for c, _num in kernel.mult(a, b):
-                if decode_cell(c, lattice).kinds not in closed:
+                if code_kinds(c, lattice) not in closed:
                     report.violate(
                         "closure",
                         n=n,
@@ -734,7 +683,7 @@ def check_truncation(seed: int) -> CheckReport:
             # sampled commutativity and associativity
             triple_pool = pairs if sample is None else pairs[: max(1, len(pairs) // 4)]
             for a, b in triple_pool:
-                sign = -1 if (_codim(a, lattice) * _codim(b, lattice)) % 2 else 1
+                sign = -1 if (code_codim(a, lattice) * code_codim(b, lattice)) % 2 else 1
                 if dict(kernel.mult(a, b)) != {
                     c: sign * v for c, v in kernel.mult(b, a)
                 }:
@@ -989,12 +938,16 @@ def verify_axioms(
             lattice.periods,
             window,
             seed,
-            len(_I_DEPENDS_ON),
         )
         rep.details["depends_on"] = list(_I_DEPENDS_ON)
-        failed = [d for d in _I_DEPENDS_ON if not reports[d].passed]
+        failed = [d for d in _I_DEPENDS_ON if reports[d].status == "failed"]
         if failed:
             rep.violate("dependency-failed", checks=failed)
+        skipped = [d for d in _I_DEPENDS_ON if reports[d].status == "skipped"]
+        if skipped:
+            rep.details["skipped"] = f"depends on skipped checks: {','.join(skipped)}"
+        else:
+            rep.checked = len(_I_DEPENDS_ON)
         rep.elapsed = time.perf_counter() - t0
         reports["I"] = rep
     return [reports[i] for i in sorted(reports)]

@@ -7,7 +7,7 @@ import pytest
 
 from cubalg._backend import available_backends, kernel_for
 from cubalg.lattice import LatticeSpec
-from cubalg.verify import _window_codes
+from cubalg.cells import window_codes
 
 needs_compiled = pytest.mark.skipif(
     "compiled" not in available_backends(),
@@ -21,7 +21,7 @@ def test_mult_boundary_parity(periods):
     lattice = LatticeSpec(periods)
     pure = kernel_for(periods, "pure")
     fast = kernel_for(periods, "compiled")
-    cells = _window_codes(lattice, 2)
+    cells = window_codes(lattice, 2)
     for a in cells:
         assert sorted(pure.boundary(a)) == sorted(fast.boundary(a))
         for b in cells:
@@ -33,7 +33,7 @@ def test_mult_boundary_parity(periods):
 @needs_compiled
 def test_scan_assoc_parity():
     lattice = LatticeSpec((5, 5, 5))
-    cells = _window_codes(lattice, 2)
+    cells = window_codes(lattice, 2)
     pure = kernel_for((5, 5, 5), "pure").scan_assoc(cells)
     fast = kernel_for((5, 5, 5), "compiled").scan_assoc(cells)
     assert pure == fast

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubalg import (
+    Cell,
     Chain,
     Factor,
     FactorKind,
@@ -12,10 +13,13 @@ from cubalg import (
     augment,
     boundary,
     make_cell,
+    mult1,
     parse_chain,
+    point,
+    product,
+    stick,
 )
-from cubalg.verify import _window_codes
-from cubalg.cells import decode_cell
+from cubalg.cells import decode_cell, encode_cell, window_codes
 
 
 def all_basis_cells(lattice):
@@ -39,6 +43,10 @@ def test_boundary_point_and_inf_vanish(L5):
 
 
 def independent_boundary(cell, lattice):
+    return Chain(lattice, boundary_terms(cell, lattice))
+
+
+def boundary_terms(cell, lattice):
     """Per-axis rule applied directly: stick axis i contributes
     (-1)**(points before i) * (upper endpoint - lower endpoint)."""
     out = {}
@@ -55,7 +63,7 @@ def independent_boundary(cell, lattice):
             factors[i] = Factor(FactorKind.POINT, coord)
             new = make_cell(factors, lattice)
             out[new] = out.get(new, 0) + s
-    return Chain(lattice, out)
+    return out
 
 
 def test_boundary_3d_square_matches_per_axis_rule(L3):
@@ -83,7 +91,7 @@ def test_boundary_squared_zero_exhaustive():
 
 
 def test_boundary_codimension_shift(L3):
-    for code in _window_codes(L3, 2):
+    for code in window_codes(L3, 2):
         cell = decode_cell(code, L3)
         chain = Chain.from_cell(cell, L3)
         b = boundary(chain)
@@ -166,3 +174,128 @@ def test_chain_arithmetic_exact(a, b):
 def test_boundary_linear_and_nilpotent(a):
     assert boundary(boundary(a)).is_zero()
     assert boundary(2 * a) == 2 * boundary(a)
+
+
+# -- canonical cells at the boundary -------------------------------------------
+
+
+@st.composite
+def raw_cells(draw, lattice):
+    """Cells with unreduced, possibly negative coordinates."""
+    return Cell(
+        tuple(
+            Factor(draw(st.sampled_from(list(FactorKind))), draw(st.integers(-40, 40)))
+            for _ in lattice.periods
+        )
+    )
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_codes_canonicalise_like_make_cell(data):
+    periods = tuple(data.draw(st.lists(st.integers(3, 7), min_size=1, max_size=3)))
+    lattice = LatticeSpec(periods)
+    raw = data.draw(
+        st.dictionaries(
+            raw_cells(lattice), st.fractions(-3, 3, max_denominator=8), max_size=12
+        )
+    )
+    for cell in raw:
+        canonical = make_cell(cell.factors, lattice)
+        assert decode_cell(encode_cell(cell, lattice), lattice) == canonical
+        assert encode_cell(canonical, lattice) == encode_cell(cell, lattice)
+    reference = {}
+    for cell, coef in raw.items():
+        key = make_cell(cell.factors, lattice)
+        reference[key] = reference.get(key, 0) + coef
+    reference = {c: v for c, v in reference.items() if v}
+    chain = Chain(lattice, raw)
+    assert dict(chain.terms) == reference
+    assert len(chain) == len(reference)
+    for cell in raw:
+        assert chain.coefficient(cell) == reference.get(make_cell(cell.factors, lattice), 0)
+
+
+def test_unreduced_coordinates_are_reduced():
+    lattice = LatticeSpec((5, 5))
+    raw = Chain(lattice, {Cell((point(7), stick(0))): 1})
+    reduced = parse_chain("[p@2,s@0]", lattice)
+    assert raw == reduced
+    # one point factor precedes the stick axis, so the endpoint difference flips
+    assert boundary(raw) == boundary(reduced) == parse_chain("[p@2,p@0] - [p@2,p@1]", lattice)
+
+
+def test_wrong_arity_rejected():
+    lattice = LatticeSpec((5, 5))
+    one_factor = Cell((point(0),))
+    with pytest.raises(ValueError):
+        Chain(lattice, {one_factor: 1})
+    with pytest.raises(ValueError):
+        Chain.from_cell(one_factor, lattice)
+    with pytest.raises(ValueError):
+        Chain.zero(lattice).coefficient(one_factor)
+
+
+def test_cells_equal_after_reduction_merge():
+    lattice = LatticeSpec((5, 5))
+    a, b = Cell((point(5), point(0))), Cell((point(0), point(0)))
+    total = Chain.from_cell(a, lattice) + Chain.from_cell(b, lattice)
+    assert dict(total.terms) == {b: 2}
+    assert Chain(lattice, {a: 1, b: 1}) == total
+    assert total.coefficient(a) == 2
+
+
+def reference_product(ta, tb, lattice):
+    """Cell-keyed product: mult1 on every axis, weighted by the Koszul sign
+    (-1)**(pairs i > j with factor i of a and factor j of b both points)."""
+    out = {}
+    for ca, va in ta.items():
+        for cb, vb in tb.items():
+            inversions = sum(
+                1
+                for i, fa in enumerate(ca.factors)
+                for fb in cb.factors[:i]
+                if fa.kind is FactorKind.POINT and fb.kind is FactorKind.POINT
+            )
+            per_axis = [
+                list(mult1(fa, fb, LatticeSpec((n,))).terms.items())
+                for fa, fb, n in zip(ca.factors, cb.factors, lattice.periods)
+            ]
+            for combo in iterproduct(*per_axis):
+                cell = Cell(tuple(c.factors[0] for c, _ in combo))
+                coef = va * vb * (-1) ** inversions
+                for _, w in combo:
+                    coef *= w
+                out[cell] = out.get(cell, 0) + coef
+    return {c: v for c, v in out.items() if v}
+
+
+def reference_sum(ta, tb, sign=1):
+    out = dict(ta)
+    for cell, coef in tb.items():
+        out[cell] = out.get(cell, 0) + sign * coef
+    return {c: v for c, v in out.items() if v}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(5,), (3, 4), (3, 3, 3)]).flatmap(
+        lambda periods: st.tuples(
+            chains(periods, max_terms=4),
+            chains(periods, max_terms=4),
+            st.fractions(-3, 3, max_denominator=6),
+        )
+    )
+)
+def test_arithmetic_matches_cell_keyed_reference(args):
+    a, b, q = args
+    lattice = a.lattice
+    ta, tb = dict(a.terms), dict(b.terms)
+    assert dict((a + b).terms) == reference_sum(ta, tb)
+    assert dict((a - b).terms) == reference_sum(ta, tb, -1)
+    assert dict((q * a).terms) == {c: q * v for c, v in ta.items() if q * v}
+    bd = {}
+    for cell, coef in ta.items():
+        bd = reference_sum(bd, {c: coef * v for c, v in boundary_terms(cell, lattice).items()})
+    assert dict(boundary(a).terms) == bd
+    assert dict(product(a, b).terms) == reference_product(ta, tb, lattice)

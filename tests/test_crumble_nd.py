@@ -4,7 +4,7 @@ import pytest
 
 from cubalg import Chain, LatticeSpec, boundary, crumble, parse_cell, parse_chain, product
 from cubalg.cells import decode_cell
-from cubalg.verify import _window_codes
+from cubalg.cells import window_codes
 
 
 def cell_chain(text, lattice):
@@ -41,7 +41,7 @@ def test_product_commutes_for_vertex_squares(L3):
 
 
 def test_crumble_commutes_window_sample(L3):
-    codes = _window_codes(L3, 2)
+    codes = window_codes(L3, 2)
     kernel_pairs = [(codes[i], codes[j]) for i in range(0, len(codes), 17) for j in range(0, len(codes), 13)]
     for ca, cb in kernel_pairs:
         a = Chain.from_cell(decode_cell(ca, L3), L3)

@@ -18,7 +18,7 @@ from cubalg import (
     product,
 )
 from cubalg.cells import decode_cell
-from cubalg.verify import _window_codes
+from cubalg.cells import window_codes
 
 
 def cell_chain(text, lattice):
@@ -101,9 +101,9 @@ def test_output_codimension_adds(L3):
 
 def test_locality_support_containment(L3):
     # output supports lie inside the intersection of the input supports
-    for code_a in _window_codes(L3, 2):
+    for code_a in window_codes(L3, 2):
         ca = decode_cell(code_a, L3)
-        for code_b in _window_codes(L3, 2):
+        for code_b in window_codes(L3, 2):
             cb = decode_cell(code_b, L3)
             got = product(Chain.from_cell(ca, L3), Chain.from_cell(cb, L3))
             sup_a, sup_b = ca.support(L3), cb.support(L3)
@@ -114,17 +114,17 @@ def test_locality_support_containment(L3):
 
 
 def test_nonzero_iff_transverse_window(L3):
-    for code_a in _window_codes(L3, 2):
+    for code_a in window_codes(L3, 2):
         ca = decode_cell(code_a, L3)
         a = Chain.from_cell(ca, L3)
-        for code_b in _window_codes(L3, 2):
+        for code_b in window_codes(L3, 2):
             cb = decode_cell(code_b, L3)
             got = product(a, Chain.from_cell(cb, L3))
             assert bool(got) == cells_transverse(ca, cb, L3)
 
 
 def test_graded_commutativity_window(L3):
-    codes = _window_codes(L3, 2)
+    codes = window_codes(L3, 2)
     for code_a in codes[::7]:
         ca = decode_cell(code_a, L3)
         a = Chain.from_cell(ca, L3)
@@ -136,7 +136,7 @@ def test_graded_commutativity_window(L3):
 
 
 def test_leibniz_3d_non_ideal_pairs(L3):
-    codes = [c for c in _window_codes(L3, 2) if not decode_cell(c, L3).is_ideal]
+    codes = [c for c in window_codes(L3, 2) if not decode_cell(c, L3).is_ideal]
     for code_a in codes[::5]:
         ca = decode_cell(code_a, L3)
         a = Chain.from_cell(ca, L3)

@@ -86,9 +86,9 @@ def test_pairing_matrix_graded_symmetry(L333):
 
 def test_frobenius_associativity_window(L3):
     from cubalg.cells import decode_cell
-    from cubalg.verify import _window_codes
+    from cubalg.cells import window_codes
 
-    codes = _window_codes(L3, 2)
+    codes = window_codes(L3, 2)
     chains = {c: Chain.from_cell(decode_cell(c, L3), L3) for c in codes}
     picked = codes[::23]
     for a in picked:

@@ -261,3 +261,53 @@ def test_frobenius_violation_read_off_the_associativity_scan(monkeypatch):
     # <s*s,p> = 8/16 but <s,s*p> = 9/16
     assert {"kind": "frobenius", "a": "[s@0]", "b": "[s@0]", "c": "[p@0]"} in frobenius
     assert rep.violation_count == len(frobenius)
+
+
+def test_report_that_examined_nothing_is_skipped():
+    from cubalg.verify import CheckReport
+
+    rep = CheckReport("X", "nothing", (5, 5))
+    assert rep.status == "skipped" and not rep.passed
+    assert rep.to_json_dict()["status"] == "skipped"
+    rep.checked = 1
+    assert rep.status == "passed" and rep.passed
+    rep.violate("x")
+    assert rep.status == "failed" and not rep.passed
+
+
+SKIPPED_OFF_3D = {"BETTI", "F", "H", "I", "STAR"}
+
+
+@pytest.mark.parametrize(
+    "periods, exit_code",
+    [("2", 2), ("5,5", 1), ("5,5,5", 0)],
+)
+def test_verify_status_and_exit_code(capsys, periods, exit_code):
+    from cubalg.cli import main
+
+    argv = ["verify", "--axioms", "H,BETTI,STAR,F,I", "--periods", periods, "--window", "1"]
+    if exit_code == 2:
+        # a period below 3 is a usage error, rejected before any check runs
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--json"])
+        assert exc.value.code == 2
+        return
+    assert main(argv + ["--json"]) == exit_code
+    data = json.loads(capsys.readouterr().out)
+    statuses = {r["check"]: r["status"] for r in data["reports"]}
+    assert set(statuses) == {"A", "B", "C", "D", "E"} | SKIPPED_OFF_3D
+    three_d = len(periods.split(",")) == 3
+    for check_id, status in statuses.items():
+        skipped = check_id in SKIPPED_OFF_3D and not three_d
+        assert status == ("skipped" if skipped else "passed"), check_id
+    assert all(r["passed"] == (r["status"] == "passed") for r in data["reports"])
+    assert data["passed"] is three_d
+
+
+def test_verify_text_marks_skipped_checks(capsys):
+    from cubalg.cli import main
+
+    assert main(["verify", "--axioms", "H,BETTI,STAR", "--periods", "5,5"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("[SKIP]") == 3 and "[PASS]" not in out
+    assert "all checks passed" not in out
