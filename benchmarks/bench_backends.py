@@ -13,13 +13,9 @@ import argparse
 import time
 
 from cubalg._backend import available_backends, kernel_for
+from cubalg.cells import window_codes
 from cubalg.lattice import LatticeSpec
-from cubalg.verify import (
-    _window_codes,
-    check_commutativity,
-    check_leibniz,
-    check_transversality,
-)
+from cubalg.verify import check_commutativity, check_leibniz, check_transversality
 
 
 def time_once(fn):
@@ -32,7 +28,7 @@ def bench_backend(backend, lattice, window):
     periods = lattice.periods
     kernel_for.cache_clear()  # fresh kernel: no warm memo carried over
     kernel = kernel_for(periods, backend)
-    cells = _window_codes(lattice, window)
+    cells = window_codes(lattice, window)
     rows = {}
 
     def all_pair_products():

@@ -35,7 +35,10 @@ def _parse_periods(text: str) -> LatticeSpec:
         periods = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"periods must be comma-separated integers: {text!r}")
-    return LatticeSpec(periods)
+    try:
+        return LatticeSpec(periods)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_two_h(text: str) -> TwoHCell:

@@ -94,23 +94,45 @@ def _arc_starts(s: frozenset[int], n: int) -> list[int]:
     return [x for x in s if (x - 1) % n not in s]
 
 
+def _axis_bits(entry: AxisEntry, n: int) -> tuple[int, int]:
+    """Closed support and endpoint set of an axis entry, as bit masks over Z/n."""
+    if isinstance(entry, tuple):
+        a, b = entry
+        run = (1 << min(b - a + 1, n)) - 1
+        r = a % n
+        return ((run << r) | (run >> (n - r))) & ((1 << n) - 1), (1 << r) | (1 << (b % n))
+    bit = 1 << (entry % n)
+    return bit, bit
+
+
 def in_general_position(q1: Cuboid, q2: Cuboid, lattice: LatticeSpec) -> bool:
-    """Transverse, every axis meets in one arc short of the whole circle (so
-    the intersection is a cuboid), and every pair of generalised faces is
-    disjoint or transverse."""
-    if not is_transverse(q1, q2, lattice):
-        return False
+    """Transverse, the intersection is a cuboid, and every pair of
+    generalised faces is disjoint or transverse; decided axis by axis.
+
+    On each axis the closed supports must meet in one arc short of the
+    whole circle (so the intersection is a cuboid entry), and the endpoint
+    sets, {a % n, b % n} of an interval and {p % n} of a point, must be
+    disjoint.  The second condition also rules out two points on one axis,
+    so at least one entry is an interval and the pair is transverse.
+
+    This equals the test over all face pairs: the generalised faces of a
+    cuboid are the product of per-axis options (the entry, or an endpoint
+    of an interval), and a face pair fails exactly when its supports meet
+    on every axis while some axis holds two points.  Since the full
+    entries already meet on every axis, such a pair exists exactly when
+    some axis has a point option of q1 equal to a point option of q2.
+    """
+    _check(q1, lattice)
+    _check(q2, lattice)
     for e1, e2, n in zip(q1.axes, q2.axes, lattice.periods):
-        if len(_arc_starts(_axis_support(e1, n) & _axis_support(e2, n), n)) != 1:
+        support1, ends1 = _axis_bits(e1, n)
+        support2, ends2 = _axis_bits(e2, n)
+        meet = support1 & support2
+        # arc starts: points of the meet whose predecessor is not in it
+        starts = meet & ~(meet << 1 | meet >> (n - 1))
+        if ends1 & ends2 or not starts or starts & (starts - 1):
             return False
-    # both cuboids are checked above, and faces of a valid cuboid are valid
-    fam1 = [q1] + generalised_faces(q1)
-    fam2 = [q2] + generalised_faces(q2)
-    return not any(
-        _supports_meet(f1, f2, lattice) and not _directions_span(f1, f2)
-        for f1 in fam1
-        for f2 in fam2
-    )
+    return True
 
 
 def cuboid_to_chain(q: Cuboid, lattice: LatticeSpec) -> Chain:

@@ -18,17 +18,23 @@ from .pairing import c_basis_codes
 from .twoh import TwoHCell, abstract_boundary, expand, two_h_basis
 
 
-def _boundary_matrix(p: int, lattice: LatticeSpec) -> list[list[int]]:
-    """Matrix of the h-complex boundary C_p -> C_{p-1} (integer entries)."""
-    domain = c_basis_codes(p, lattice)
-    index = {code: i for i, code in enumerate(c_basis_codes(p - 1, lattice))}
+def _boundary_columns(columns: list[dict[int, int]], lattice: LatticeSpec) -> list[dict[int, int]]:
+    """Apply the h-complex boundary to chains given as {cell code: coefficient}."""
     kernel = kernel_for(lattice.periods)
-    # rows: codomain cells; cols: domain cells
-    mat = [[0] * len(domain) for _ in index]
-    for j, code in enumerate(domain):
-        for bcode, sign in kernel.boundary(code):
-            mat[index[bcode]][j] += sign
-    return mat
+    images = []
+    for column in columns:
+        image: dict[int, int] = {}
+        for code, coef in column.items():
+            for bcode, sign in kernel.boundary(code):
+                image[bcode] = image.get(bcode, 0) + coef * sign
+        images.append({code: x for code, x in image.items() if x})
+    return images
+
+
+def _boundary_matrix(p: int, lattice: LatticeSpec) -> list[dict[int, int]]:
+    """The h-complex boundary C_p -> C_{p-1}, one sparse column per domain
+    cell, keyed by codomain cell code."""
+    return _boundary_columns([{code: 1} for code in c_basis_codes(p, lattice)], lattice)
 
 
 def betti_full(lattice: LatticeSpec) -> tuple[int, ...]:
@@ -37,19 +43,17 @@ def betti_full(lattice: LatticeSpec) -> tuple[int, ...]:
     dims = [len(c_basis_codes(p, lattice)) for p in range(d + 1)]
     ranks = [0] * (d + 2)
     for p in range(1, d + 1):
+        # rank of the transpose: the columns are passed as rows
         ranks[p] = linalg.rank(_boundary_matrix(p, lattice))
     return tuple(dims[p] - ranks[p] - ranks[p + 1] for p in range(d + 1))
 
 
-def _expansion_matrix(p: int, lattice: LatticeSpec) -> tuple[list[list[int]], list[TwoHCell]]:
-    """Columns: expanded 2h p-cells written in the h-cell basis."""
-    basis = two_h_basis(p, lattice)
-    index = {code: i for i, code in enumerate(c_basis_codes(p, lattice))}
-    mat = [[0] * len(basis) for _ in index]
-    for j, cell in enumerate(basis):
-        for code, coef in expand(cell, lattice)._terms.items():
-            mat[index[code]][j] = int(coef)
-    return mat, basis
+def _expansion_matrix(p: int, lattice: LatticeSpec) -> list[dict[int, int]]:
+    """Expanded 2h p-cells, one sparse column per cell keyed by h-cell code."""
+    return [
+        {code: int(coef) for code, coef in expand(cell, lattice)._terms.items()}
+        for cell in two_h_basis(p, lattice)
+    ]
 
 
 def betti_two_h_span(lattice: LatticeSpec) -> tuple[int, ...]:
@@ -64,11 +68,10 @@ def betti_two_h_span(lattice: LatticeSpec) -> tuple[int, ...]:
     span_dim = []
     bdry_rank = [0] * 5
     for p in range(4):
-        m, _ = _expansion_matrix(p, lattice)
+        m = _expansion_matrix(p, lattice)
         span_dim.append(linalg.rank(m))
         if p >= 1:
-            d_p = _boundary_matrix(p, lattice)
-            bdry_rank[p] = linalg.rank(linalg.mat_mul(d_p, m))
+            bdry_rank[p] = linalg.rank(_boundary_columns(m, lattice))
     return tuple(span_dim[p] - bdry_rank[p] - bdry_rank[p + 1] for p in range(4))
 
 
@@ -87,13 +90,13 @@ def betti_two_h_free(lattice: LatticeSpec) -> tuple[int, ...]:
         basis = two_h_basis(p, lattice)
         dims.append(len(basis))
         if p >= 1:
-            codomain = two_h_basis(p - 1, lattice)
-            index = {c: i for i, c in enumerate(codomain)}
-            mat = [[0] * len(basis) for _ in codomain]
-            for j, cell in enumerate(basis):
-                for fc, coef in abstract_boundary(cell, lattice):
-                    mat[index[fc]][j] += coef
-            ranks[p] = linalg.rank(mat)
+            columns = []
+            for cell in basis:
+                column: dict[TwoHCell, int] = {}
+                for face, coef in abstract_boundary(cell, lattice):
+                    column[face] = column.get(face, 0) + coef
+                columns.append(column)
+            ranks[p] = linalg.rank(columns)
     return tuple(dims[p] - ranks[p] - ranks[p + 1] for p in range(4))
 
 

@@ -1,17 +1,26 @@
 """Exact rational linear algebra: rank and determinant.
 
-Fraction-free (Bareiss) elimination over integers after clearing row
-denominators, so every division is exact and no floating point appears.
-Matrix sizes here stay in the low hundreds, which this handles easily.
+`rank` is sparse exact elimination over the integers (Dumas, Saunders and
+Villard, JSC 2001): each row is scaled to integers by the lcm of its
+denominators, the sparsest remaining row is taken as the pivot, and every
+updated row is divided by its content, so no `Fraction` enters the inner
+loop and no floating point appears anywhere.  The boundary, expansion and
+pairing matrices here are mostly zeros, so work follows the nonzeros, not
+the shape.
+
+`det` keeps dense fraction-free (Bareiss) elimination, whose last pivot
+is the determinant; `_eliminate` also serves the tests as a rank oracle.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
+from math import gcd, lcm
+from typing import Hashable, Mapping, Sequence
 
 Number = Fraction | int
+Row = Sequence[Number] | Mapping[Hashable, Number]
 
 
 def _integer_rows(mat: Sequence[Sequence[Number]]) -> tuple[list[list[int]], Fraction]:
@@ -63,9 +72,68 @@ def _eliminate(rows: list[list[int]]) -> tuple[int, int, int]:
     return rank, sign, prev
 
 
-def rank(mat: Sequence[Sequence[Number]]) -> int:
-    rows, _ = _integer_rows(mat)
-    r, _, _ = _eliminate(rows)
+def _sparse_integer_row(row: Row) -> dict[Hashable, int]:
+    """Nonzero entries of one row, scaled to integers by their denominator lcm."""
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    entries = {c: x for c, x in items if x}
+    mult = lcm(*(x.denominator for x in entries.values()))
+    return {c: int(x * mult) for c, x in entries.items()}
+
+
+def rank(mat: Sequence[Row]) -> int:
+    """Rank of a matrix given by its rows.
+
+    A row is a sequence of entries or a {column: entry} mapping; column
+    labels may be any hashable values shared between rows.
+    """
+    rows = dict(enumerate(filter(None, map(_sparse_integer_row, mat))))
+    holders: dict[Hashable, set[int]] = {}  # column -> ids of rows nonzero there
+    for rid, row in rows.items():
+        for c in row:
+            holders.setdefault(c, set()).add(rid)
+    heap = [(len(row), rid) for rid, row in rows.items()]
+    heapq.heapify(heap)
+    r = 0
+    while heap:
+        size, pid = heapq.heappop(heap)
+        prow = rows.get(pid)
+        if prow is None or len(prow) != size:
+            continue  # stale heap entry: the row was eliminated or changed
+        del rows[pid]
+        r += 1
+        # smallest entry, then the column fewest other rows must clear
+        col = min(prow, key=lambda c: (abs(prow[c]), len(holders[c])))
+        pv = prow[col]
+        for c in prow:
+            holders[c].discard(pid)
+        for rid in holders.pop(col):
+            row = rows[rid]
+            g = gcd(pv, row[col])
+            a, b = pv // g, row[col] // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                for c in row:
+                    row[c] *= a
+            # row <- a*row - b*prow; the pivot column cancels
+            for c, v in prow.items():
+                x = row.get(c, 0) - b * v
+                if x:
+                    if c not in row:
+                        holders[c].add(rid)
+                    row[c] = x
+                elif c in row:
+                    del row[c]
+                    if c != col:
+                        holders[c].discard(rid)
+            if not row:
+                del rows[rid]
+                continue
+            content = gcd(*row.values())
+            if content != 1:
+                for c in row:
+                    row[c] //= content
+            heapq.heappush(heap, (len(row), rid))
     return r
 
 
@@ -82,8 +150,9 @@ def det(mat: Sequence[Sequence[Number]]) -> Fraction:
     return Fraction(sign * last_pivot) / scaling
 
 
+# unused by the package; kept as a traced site, see perfbench/tracing.py
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Integer matrix product (used to restrict boundary maps to subspaces)."""
+    """Dense integer matrix product."""
     if not a:
         return []
     inner = len(b)

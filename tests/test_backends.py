@@ -83,3 +83,14 @@ def test_speedups_source_is_pinned():
         "_speedups.pyx changed: regenerate _speedups.cpp from it with Cython, "
         "then update SPEEDUPS_PYX_SHA256 in this test"
     )
+
+
+def test_bench_backends_script_runs():
+    import importlib.util
+
+    script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_backends.py"
+    spec = importlib.util.spec_from_file_location("bench_backends", script)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    rows = bench.bench_backend("pure", LatticeSpec((3, 3, 3)), 1)
+    assert rows and all(t >= 0 for t in rows.values())

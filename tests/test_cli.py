@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cubalg.cli import main
 
 
@@ -106,3 +108,10 @@ def test_verify_unknown_axiom(capsys):
     code, _, err = run_cli(capsys, "verify", "--axioms", "Z", "--periods", "5,5,5")
     assert code == 2
     assert "unknown axiom" in err
+
+
+def test_period_below_three_reports_its_reason(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--periods", "2"])
+    assert exc.value.code == 2
+    assert "every period must be >= 3" in capsys.readouterr().err

@@ -16,7 +16,8 @@ from cubalg import (
     parse_chain,
     product,
 )
-from cubalg.verify import random_cuboid
+from cubalg.cuboid import _directions_span, _supports_meet
+from cubalg.verify import check_general_position, random_cuboid
 
 
 def test_to_chain_1d():
@@ -97,6 +98,63 @@ def test_vertex_touching_squares_not_general_position(L3):
 def test_cuboid_not_in_general_position_with_itself(L3):
     q = Cuboid(((0, 2), (0, 2), 1))
     assert not in_general_position(q, q, L3)
+
+
+def face_loop_general_position(q1, q2, lattice):
+    """The definition, face pair by face pair: transverse, one short arc per
+    axis, and no pair of generalised faces that meet without spanning."""
+    if not is_transverse(q1, q2, lattice):
+        return False
+    for e1, e2, n in zip(q1.axes, q2.axes, lattice.periods):
+        meet = support(e1, n) & support(e2, n)
+        starts = [x for x in meet if (x - 1) % n not in meet]
+        if len(starts) != 1:
+            return False
+    fam1 = [q1] + generalised_faces(q1)
+    fam2 = [q2] + generalised_faces(q2)
+    return not any(
+        _supports_meet(f1, f2, lattice) and not _directions_span(f1, f2)
+        for f1 in fam1
+        for f2 in fam2
+    )
+
+
+def support(entry, n):
+    if isinstance(entry, tuple):
+        a, b = entry
+        return {(a + j) % n for j in range(b - a + 1)}
+    return {entry % n}
+
+
+def any_cuboid(rng, lattice):
+    """Random cuboid with any anchor and edges up to the period, per axis."""
+    axes = []
+    for n in lattice.periods:
+        anchor = rng.randrange(-n, 2 * n)
+        axes.append((anchor, anchor + rng.randint(1, n)) if rng.randrange(4) else anchor)
+    return Cuboid(tuple(axes))
+
+
+@pytest.mark.parametrize(
+    "periods", [(3, 3, 3), (4, 4, 4), (5, 5, 5), (3, 3, 5), (5, 5), (3, 3, 3, 3)]
+)
+def test_general_position_matches_face_loop(periods):
+    lattice = LatticeSpec(periods)
+    rng = random.Random(sum(periods))
+    accepted = 0
+    for _ in range(6000):
+        q1, q2 = any_cuboid(rng, lattice), any_cuboid(rng, lattice)
+        expected = face_loop_general_position(q1, q2, lattice)
+        assert in_general_position(q1, q2, lattice) == expected, (q1, q2)
+        accepted += expected
+    assert 0 < accepted < 6000
+
+
+def test_general_position_sampling_is_unchanged():
+    rep = check_general_position(LatticeSpec((5, 5, 5)), seed=0)
+    assert rep.passed
+    assert rep.checked == 200
+    assert rep.details["attempts"] == 29023
 
 
 # -- the oracle -------------------------------------------------------------------

@@ -8,6 +8,7 @@ of the one-dimensional ones (computed here from scratch).
 
 from cubalg import LatticeSpec, betti, betti_full, betti_two_h_free, betti_two_h_span
 from cubalg.linalg import mat_mul, rank
+from cubalg.verify import check_betti
 
 
 def one_d_two_h_betti(n):
@@ -63,9 +64,15 @@ def test_one_d_two_h_oracle_values():
 
 
 def test_two_h_span_even_periods_match_kunneth_oracle():
-    for periods in [(4, 3, 3), (4, 4, 3)]:
+    for periods in [(4, 3, 3), (4, 4, 3), (4, 4, 4), (6, 3, 5)]:
         expected = kunneth_product([one_d_two_h_betti(n) for n in periods])
         assert betti_two_h_span(LatticeSpec(periods)) == expected
+
+
+def test_betti_check_at_period_seven():
+    rep = check_betti(LatticeSpec((7, 7, 7)))
+    assert rep.passed
+    assert rep.details["full_h"] == rep.details["two_h_span"] == [1, 3, 3, 1]
 
 
 def test_two_h_span_431_value():
