@@ -83,6 +83,18 @@ def _mult1(ka: int, a: int, kb: int, b: int, n: int):
     return None
 
 
+def _koszul_signs(d: int) -> list[int]:
+    """Koszul sign of a product, at (pa << d) | pb for the point-axis masks
+    pa, pb of the two factors: (-1) for every pair i > j with a_i and b_j
+    both points (codimension-1 factors moving past each other)."""
+    signs = []
+    for pa in range(1 << d):
+        for pb in range(1 << d):
+            inversions = sum((pb & ((1 << i) - 1)).bit_count() for i in range(d) if pa >> i & 1)
+            signs.append(-1 if inversions & 1 else 1)
+    return signs
+
+
 class PyKernel:
     """Basis-cell product, boundary and the associativity scan, in Python."""
 
@@ -100,15 +112,28 @@ class PyKernel:
         self.code_bound = p
         self._tables = [_axis_table(n) for n in periods]
         self._mult_cache: dict[int, tuple[tuple[int, int], ...]] = {}
+        # one shared object per distinct product value; far fewer than keys
+        self._values: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
+        self._boundary_cache: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._factor_cache: dict[int, tuple[tuple[int, ...], int]] = {}
+        self._signs = _koszul_signs(self.d)
 
     # -- helpers -----------------------------------------------------------
 
-    def _factors(self, code: int) -> list[int]:
-        out = []
-        for r in self.radices:
-            code, fc = divmod(code, r)
-            out.append(fc)
-        return out
+    def _factors(self, code: int) -> tuple[tuple[int, ...], int]:
+        """Per-axis factor codes of a cell and the mask of its point axes, memoized."""
+        cached = self._factor_cache.get(code)
+        if cached is None:
+            out = []
+            points = 0
+            rest = code
+            for i, r in enumerate(self.radices):
+                rest, fc = divmod(rest, r)
+                out.append(fc)
+                if fc % 3 == POINT:
+                    points |= 1 << i
+            cached = self._factor_cache[code] = (tuple(out), points)
+        return cached
 
     def supports_intersect(self, a: int, b: int) -> bool:
         """Closed supports meet on every axis."""
@@ -147,18 +172,9 @@ class PyKernel:
         cached = self._mult_cache.get(key)
         if cached is not None:
             return cached
-        fa = self._factors(a)
-        fb = self._factors(b)
-        # Koszul sign: product of (-1) for every pair i>j with a_i and b_j
-        # both points (codimension-1 factors moving past each other).
-        pts_b_before = 0
-        inversions = 0
-        for i in range(self.d):
-            if fa[i] % 3 == POINT:
-                inversions += pts_b_before
-            if fb[i] % 3 == POINT:
-                pts_b_before += 1
-        sign = -1 if inversions & 1 else 1
+        fa, pa = self._factors(a)
+        fb, pb = self._factors(b)
+        sign = self._signs[(pa << self.d) | pb]
         per_axis = []
         for i in range(self.d):
             terms = self._tables[i][fa[i] * self.radices[i] + fb[i]]
@@ -176,17 +192,24 @@ class PyKernel:
                 num *= w
             out[code] = out.get(code, 0) + num
         result = tuple((c, v) for c, v in out.items() if v)
-        self._mult_cache[key] = result
+        result = self._mult_cache[key] = self._values.setdefault(result, result)
         return result
 
     def boundary(self, code: int) -> tuple[tuple[int, int], ...]:
-        """Boundary of a basis cell as (code, sign) pairs.
+        """Boundary of a basis cell as (code, sign) pairs, memoized."""
+        cached = self._boundary_cache.get(code)
+        if cached is None:
+            cached = self._boundary_cache[code] = self._boundary(code)
+        return cached
+
+    def _boundary(self, code: int) -> tuple[tuple[int, int], ...]:
+        """Boundary of a basis cell, computed afresh.
 
         Per stick axis i, emits point cells at both stick ends with sign
         (-1)**(number of point factors on axes < i); infinitesimal sticks
         and points have zero boundary.
         """
-        fs = self._factors(code)
+        fs, _ = self._factors(code)
         out = []
         prefix_pts = 0
         for i, fc in enumerate(fs):
@@ -209,7 +232,24 @@ class PyKernel:
         """Check (a*b)*c == a*(b*c) over all ordered triples from `cells`
         whose closed supports pairwise intersect.
 
-        Returns (number of triples checked, violating triples).
+        Returns (number of triples checked, violating triples), the
+        violations in the order a, then b, then c of their positions in
+        `cells`.
+
+        Each side is computed once per value it depends on.  (a*b)*c is the
+        sum of w*(u*c) over the terms (u, w) of a*b, so it is a function of
+        the value of a*b and of c alone; a*(b*c) is likewise a function of
+        a and the value of b*c.  Every distinct product of two cells gets
+        an integer id, keyed on the exact tuple `mult` returned, so a
+        repeated or reordered term can split one value over two ids but
+        never merge two values.  The left side is memoized by
+        (id(a*b), c), the right side by id(b*c) for the current a, and each
+        side's nonzero result is interned to an integer, so equal ids mean
+        equal nonzero sums.  The triples are exactly those the support masks
+        give, visited a, then b, then c by position, and `self.mult` is the
+        only product used, so each triple gets the verdict a fresh
+        computation of both sides would give, also for a kernel that
+        overrides `mult`.
         """
         n = len(cells)
         masks = [0] * n
@@ -218,35 +258,67 @@ class PyKernel:
                 if self.supports_intersect(cells[i], cells[j]):
                     masks[i] |= 1 << j
                     masks[j] |= 1 << i
+        # a mask depends only on the cell's support, so there are few
+        # distinct masks; each one's list of positions is built once
+        positions: dict[int, list[int]] = {}
+
+        def bits(mask: int) -> list[int]:
+            found = positions.get(mask)
+            if found is None:
+                found = positions[mask] = [k for k in range(n) if mask >> k & 1]
+            return found
+
         mult = self.mult
+        # pid[i*n + j]: id of the value cells[i]*cells[j], for meeting pairs
+        prod_ids: dict[tuple[tuple[int, int], ...], int] = {}
+        prods: list[tuple[tuple[int, int], ...]] = []
+        pid = [0] * (n * n)
+        for i in range(n):
+            a = cells[i]
+            for j in bits(masks[i]):
+                p = mult(a, cells[j])
+                q = prod_ids.get(p)
+                if q is None:
+                    q = prod_ids[p] = len(prods)
+                    prods.append(p)
+                pid[i * n + j] = q
+
+        results: dict[frozenset[tuple[int, int]], int] = {}
+
+        def result_id(acc: dict[int, int]) -> int:
+            key = frozenset([item for item in acc.items() if item[1]])
+            return results.setdefault(key, len(results))
+
+        left = [-1] * (len(prods) * n)  # (a*b)*c by id(a*b)*n + k
         checked = 0
         violations: list[tuple[int, int, int]] = []
         for i in range(n):
             a = cells[i]
+            right = [-1] * len(prods)  # a*(b*c) by id(b*c)
             mi = masks[i]
-            mj = mi
-            while mj:
-                jbit = mj & -mj
-                mj ^= jbit
-                j = jbit.bit_length() - 1
-                b = cells[j]
-                p_ab = mult(a, b)
-                mk = mi & masks[j]
-                while mk:
-                    kbit = mk & -mk
-                    mk ^= kbit
-                    c = cells[kbit.bit_length() - 1]
-                    lhs: dict[int, int] = {}
-                    for u, w1 in p_ab:
-                        for v, w2 in mult(u, c):
-                            lhs[v] = lhs.get(v, 0) + w1 * w2
-                    rhs: dict[int, int] = {}
-                    for u, w1 in mult(b, c):
-                        for v, w2 in mult(a, u):
-                            rhs[v] = rhs.get(v, 0) + w1 * w2
-                    checked += 1
-                    if {k: v for k, v in lhs.items() if v} != {
-                        k: v for k, v in rhs.items() if v
-                    }:
-                        violations.append((a, b, c))
+            for j in bits(mi):
+                q_ab = pid[i * n + j]
+                base = q_ab * n
+                row = j * n
+                ks = bits(mi & masks[j])
+                checked += len(ks)
+                for k in ks:
+                    lhs = left[base + k]
+                    if lhs < 0:
+                        acc: dict[int, int] = {}
+                        c = cells[k]
+                        for u, w1 in prods[q_ab]:
+                            for v, w2 in mult(u, c):
+                                acc[v] = acc.get(v, 0) + w1 * w2
+                        lhs = left[base + k] = result_id(acc)
+                    q_bc = pid[row + k]
+                    rhs = right[q_bc]
+                    if rhs < 0:
+                        acc = {}
+                        for u, w1 in prods[q_bc]:
+                            for v, w2 in mult(a, u):
+                                acc[v] = acc.get(v, 0) + w1 * w2
+                        rhs = right[q_bc] = result_id(acc)
+                    if lhs != rhs:
+                        violations.append((a, cells[j], cells[k]))
         return checked, violations

@@ -178,3 +178,20 @@ def window_codes(lattice: LatticeSpec, window: int, kinds=None) -> list[int]:
     return sorted(
         join_code(zip(pos, pattern), lattice) for pattern in patterns for pos in anchors
     )
+
+
+def near_codes(code: int, lattice: LatticeSpec, kinds=_KINDS) -> list[int]:
+    """Codes of the cells whose factors all have a kind in `kinds`, anchored
+    within one step of the anchor of `code` on every axis: these include
+    every cell whose closed support meets that of `code`.  Each axis
+    contributes a set of factor codes, so a period-3 axis, where the three
+    anchors cover the whole circle, yields no cell twice."""
+    near = [0]
+    place = 1
+    for n in lattice.periods:
+        code, fc = divmod(code, 3 * n)
+        x = fc // 3
+        axis = {((x + step) % n * 3 + kind) * place for step in (-1, 0, 1) for kind in kinds}
+        near = [c + f for c in near for f in axis]
+        place *= 3 * n
+    return near

@@ -15,7 +15,7 @@ from itertools import combinations, product as _iterproduct
 
 from . import linalg
 from ._backend import kernel_for
-from .cells import Cell, FactorKind, decode_cell, join_code, split_code
+from .cells import Cell, FactorKind, decode_cell, join_code, near_codes, split_code
 from .chain import Chain, augment
 from .lattice import LatticeSpec
 from .product import product
@@ -65,19 +65,29 @@ class PairingMatrix:
 
 
 def pairing_matrix(p: int, lattice: LatticeSpec) -> PairingMatrix:
-    """Matrix of the pairing on C_p x C_{d-p} over the non-ideal bases."""
+    """Matrix of the pairing on C_p x C_{d-p} over the non-ideal bases.
+
+    Only cells anchored within one step of each other on every axis are
+    multiplied: no other pair of supports meets, so every other entry is
+    zero."""
     rows = c_basis_codes(p, lattice)
     cols = c_basis_codes(lattice.d - p, lattice)
+    position = {code: k for k, code in enumerate(cols)}
     kernel = kernel_for(lattice.periods)
     scale = 4 ** lattice.d
-    # complementary codimensions: every term of r*c is a point cell, so
-    # augmenting the product sums all of its numerators
-    entries = tuple(
-        tuple(Fraction(sum(num for _, num in kernel.mult(r, c)), scale) for c in cols)
-        for r in rows
-    )
+    zero = Fraction(0)
+    entries = []
+    for r in rows:
+        row = [zero] * len(cols)
+        for c in near_codes(r, lattice, (FactorKind.POINT, FactorKind.STICK)):
+            k = position.get(c)
+            if k is not None:
+                # complementary codimensions: every term of r*c is a point
+                # cell, so augmenting the product sums all of its numerators
+                row[k] = Fraction(sum(num for _, num in kernel.mult(r, c)), scale)
+        entries.append(tuple(row))
     return PairingMatrix(
-        p, tuple(c_basis(p, lattice)), tuple(c_basis(lattice.d - p, lattice)), entries
+        p, tuple(c_basis(p, lattice)), tuple(c_basis(lattice.d - p, lattice)), tuple(entries)
     )
 
 

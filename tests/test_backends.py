@@ -1,13 +1,21 @@
-"""Parity between the pure-Python kernel and the compiled extension."""
+"""Parity between the pure-Python kernel and the compiled extension, and the
+pure kernel against its oracles."""
 
 import hashlib
+import random
+from fractions import Fraction
+from itertools import product as iterproduct
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubalg._backend import available_backends, kernel_for
+from cubalg._kernel_py import PyKernel
+from cubalg.cells import Cell, FactorKind, decode_cell, encode_cell, window_codes
 from cubalg.lattice import LatticeSpec
-from cubalg.cells import window_codes
+from cubalg.table1d import mult1
 
 needs_compiled = pytest.mark.skipif(
     "compiled" not in available_backends(),
@@ -94,3 +102,169 @@ def test_bench_backends_script_runs():
     spec.loader.exec_module(bench)
     rows = bench.bench_backend("pure", LatticeSpec((3, 3, 3)), 1)
     assert rows and all(t >= 0 for t in rows.values())
+    assert {"boundaries of all 729 cells (cold)", "boundaries of all 729 cells (memoized)"} <= set(rows)
+
+
+# -- the pure kernel's memoized scan, products and boundaries ---------------
+
+
+def per_triple_scan(kernel, cells):
+    """The associativity scan as one independent loop per triple: the
+    oracle for the value-keyed scan_assoc."""
+    n = len(cells)
+    masks = [0] * n
+    for i in range(n):
+        for j in range(i, n):
+            if kernel.supports_intersect(cells[i], cells[j]):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    checked = 0
+    violations = []
+    for i, a in enumerate(cells):
+        for j, b in enumerate(cells):
+            if not masks[i] >> j & 1:
+                continue
+            p_ab = kernel.mult(a, b)
+            for k, c in enumerate(cells):
+                if not (masks[i] & masks[j]) >> k & 1:
+                    continue
+                lhs, rhs = {}, {}
+                for u, w1 in p_ab:
+                    for v, w2 in kernel.mult(u, c):
+                        lhs[v] = lhs.get(v, 0) + w1 * w2
+                for u, w1 in kernel.mult(b, c):
+                    for v, w2 in kernel.mult(a, u):
+                        rhs[v] = rhs.get(v, 0) + w1 * w2
+                checked += 1
+                if {v: w for v, w in lhs.items() if w} != {v: w for v, w in rhs.items() if w}:
+                    violations.append((a, b, c))
+    return checked, violations
+
+
+def doubled_entry_kernel(periods, window, seed):
+    """A pure kernel with one seeded nonzero 1-d table entry doubled, among
+    the entries of two factors anchored in the window."""
+    kernel = PyKernel(periods)
+    rng = random.Random(seed)
+    axis = rng.randrange(len(periods))
+    table, size = kernel._tables[axis], 3 * periods[axis]
+    slot = rng.choice(
+        [k for k, terms in enumerate(table) if terms and max(k // size, k % size) < 3 * window]
+    )
+    table[slot] = tuple((fc, 2 * w) for fc, w in table[slot])
+    return kernel
+
+
+class Rewritten(PyKernel):
+    """Same products, but some come back reordered or with a term split into
+    two equal halves under one repeated code."""
+
+    def mult(self, a, b):
+        terms = super().mult(a, b)
+        if (a + b) % 3 == 1:
+            return terms[::-1]
+        if (a + b) % 3 == 2 and terms and terms[0][1] % 2 == 0:
+            (u, w), rest = terms[0], terms[1:]
+            return ((u, w // 2), (u, w // 2)) + rest
+        return terms
+
+
+class RewrittenDoubled(Rewritten):
+    def __init__(self, periods, window, seed):
+        super().__init__(periods)
+        self._tables = doubled_entry_kernel(periods, window, seed)._tables
+
+
+SCAN_CASES = [((3, 3, 3), 1), ((3, 5), 2), ((4, 3, 3), 1)]
+
+
+@pytest.mark.parametrize("periods,window", SCAN_CASES)
+def test_scan_matches_per_triple_loop(periods, window):
+    cells = window_codes(LatticeSpec(periods), window)
+    expected = per_triple_scan(PyKernel(periods), cells)
+    assert expected[0] > 0 and expected[1] == []
+    assert PyKernel(periods).scan_assoc(cells) == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("periods,window", SCAN_CASES)
+def test_scan_matches_per_triple_loop_on_broken_tables(periods, window, seed):
+    cells = window_codes(LatticeSpec(periods), window)
+    checked, violations = per_triple_scan(doubled_entry_kernel(periods, window, seed), cells)
+    assert violations  # every seeded entry here breaks associativity
+    assert doubled_entry_kernel(periods, window, seed).scan_assoc(cells) == (checked, violations)
+
+
+@pytest.mark.parametrize("periods,window", [((3,), 3), ((3, 5), 2), ((4, 3, 3), 1)])
+def test_scan_keys_products_on_their_exact_terms(periods, window):
+    # a repeated code must not merge with the single term of half the weight
+    cells = window_codes(LatticeSpec(periods), window)
+    assert Rewritten(periods).scan_assoc(cells) == per_triple_scan(Rewritten(periods), cells)
+    assert Rewritten(periods).scan_assoc(cells) == PyKernel(periods).scan_assoc(cells)
+    broken = RewrittenDoubled(periods, window, 1)
+    expected = per_triple_scan(RewrittenDoubled(periods, window, 1), cells)
+    assert expected[1] and broken.scan_assoc(cells) == expected
+
+
+@pytest.mark.parametrize("periods", [(3, 3, 3), (3, 5)])
+def test_memoized_boundary_equals_fresh(periods):
+    kernel = PyKernel(periods)
+    cells = window_codes(LatticeSpec(periods), 3)
+    first = {c: kernel.boundary(c) for c in cells}
+    for c in cells:
+        assert kernel.boundary(c) is first[c]
+        assert first[c] == PyKernel(periods)._boundary(c)
+
+
+def test_equal_products_share_one_object():
+    kernel = PyKernel((3, 3, 3))
+    cells = window_codes(LatticeSpec((3, 3, 3)), 2)
+    kernel.scan_assoc(cells)
+    shared = {}
+    for value in kernel._mult_cache.values():
+        assert shared.setdefault(value, value) is value
+    assert len(shared) < len(kernel._mult_cache) // 10
+
+
+def reference_mult(a, b, lattice):
+    """{code: numerator at scale 4**d} from mult1 on every axis, weighted by
+    the Koszul sign (-1)**(pairs i > j with a_i and b_j both points)."""
+    ca, cb = decode_cell(a, lattice), decode_cell(b, lattice)
+    inversions = sum(
+        1
+        for i, fa in enumerate(ca.factors)
+        for fb in cb.factors[:i]
+        if fa.kind is FactorKind.POINT and fb.kind is FactorKind.POINT
+    )
+    per_axis = [
+        list(mult1(fa, fb, LatticeSpec((n,))).terms.items())
+        for fa, fb, n in zip(ca.factors, cb.factors, lattice.periods)
+    ]
+    out = {}
+    for combo in iterproduct(*per_axis):
+        cell = Cell(tuple(c.factors[0] for c, _ in combo))
+        coef = Fraction((-1) ** inversions * 4**lattice.d)
+        for _, w in combo:
+            coef *= w
+        code = encode_cell(cell, lattice)
+        out[code] = out.get(code, 0) + coef
+    return {c: v for c, v in out.items() if v}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(5,), (3, 4), (3, 3, 3), (4, 3, 5, 3)]).flatmap(
+        lambda periods: st.tuples(
+            st.just(periods),
+            # cells near the origin, so that most pairs meet
+            st.lists(st.sampled_from(window_codes(LatticeSpec(periods), 2)), min_size=2, max_size=8),
+        )
+    )
+)
+def test_mult_matches_table1d_reference(args):
+    periods, codes = args
+    lattice = LatticeSpec(periods)
+    kernel = PyKernel(periods)
+    for a in codes:
+        for b in codes:
+            assert dict(kernel.mult(a, b)) == reference_mult(a, b, lattice)

@@ -92,3 +92,20 @@ def test_encode_decode_roundtrip():
         for coords in product(range(5), range(3), range(4)):
             cell = make_cell([Factor(k, c) for k, c in zip(kinds, coords)], lat)
             assert decode_cell(encode_cell(cell, lat), lat) == cell
+
+
+@pytest.mark.parametrize("periods,stride", [((3,), 1), ((3, 4), 1), ((3, 5, 4), 13)])
+def test_near_codes_cover_every_meeting_cell_once(periods, stride):
+    from cubalg._kernel_py import PyKernel
+    from cubalg.cells import code_kinds, near_codes
+
+    lattice = LatticeSpec(periods)
+    kernel = PyKernel(periods)
+    kinds = (FactorKind.POINT, FactorKind.STICK)
+    every = range(kernel.code_bound)
+    for a in every[::stride]:
+        near = near_codes(a, lattice, kinds)
+        assert len(near) == len(set(near)) == (3 * len(kinds)) ** lattice.d
+        assert all(set(code_kinds(c, lattice)) <= set(kinds) for c in near)
+        meeting = {b for b in every if kernel.supports_intersect(a, b)}
+        assert {b for b in meeting if set(code_kinds(b, lattice)) <= set(kinds)} <= set(near)

@@ -120,3 +120,26 @@ def test_pairing_values_3d(L333):
     a = Chain.from_cell(c_basis(0, L333)[0], L333)
     cube = parse_chain("[s@0,s@0,s@0]", L333)
     assert pairing(a, cube) == Fraction(1, 8)
+
+
+@pytest.mark.parametrize("periods", [(3, 3, 5), (5, 5, 5), (5,)])
+def test_pairing_matrix_equals_all_pairs_assembly(periods):
+    # the matrix multiplies only nearby cells; every product it skips is zero
+    from cubalg._backend import kernel_for
+    from cubalg.linalg import det
+    from cubalg.pairing import c_basis_codes
+
+    lattice = LatticeSpec(periods)
+    kernel = kernel_for(periods)
+    scale = 4**lattice.d
+    for p in range(lattice.d + 1):
+        rows, cols = c_basis_codes(p, lattice), c_basis_codes(lattice.d - p, lattice)
+        all_pairs = tuple(
+            tuple(Fraction(sum(num for _, num in kernel.mult(r, c)), scale) for c in cols)
+            for r in rows
+        )
+        mat = pairing_matrix(p, lattice)
+        assert mat.entries == all_pairs
+        assert len(mat.entries) == len(rows) and all(len(row) == len(cols) for row in mat.entries)
+        if lattice.d == 1:
+            assert mat.determinant == det(all_pairs) != 0
