@@ -13,6 +13,9 @@ from __future__ import annotations
 
 from itertools import product as _iterproduct
 
+from .cells import meet_masks
+from .lattice import LatticeSpec
+
 POINT, STICK, INF = 0, 1, 2
 
 
@@ -236,29 +239,32 @@ class PyKernel:
         violations in the order a, then b, then c of their positions in
         `cells`.
 
-        Each side is computed once per value it depends on.  (a*b)*c is the
-        sum of w*(u*c) over the terms (u, w) of a*b, so it is a function of
-        the value of a*b and of c alone; a*(b*c) is likewise a function of
-        a and the value of b*c.  Every distinct product of two cells gets
+        Each side is computed from the values it depends on.  (a*b)*c is
+        the sum of w*(u*c) over the terms (u, w) of a*b, so it is a function
+        of the value of a*b and of c alone; a*(b*c) is likewise a function
+        of a and the value of b*c.  Every distinct product of two cells gets
         an integer id, keyed on the exact tuple `mult` returned, so a
         repeated or reordered term can split one value over two ids but
-        never merge two values.  The left side is memoized by
-        (id(a*b), c), the right side by id(b*c) for the current a, and each
-        side's nonzero result is interned to an integer, so equal ids mean
-        equal nonzero sums.  The triples are exactly those the support masks
+        never merge two values.  Each side's nonzero result is interned to
+        an integer, so equal ids mean equal nonzero sums.  A side whose
+        product value is a single term (u, w) is w times one product, and
+        its id is also kept by (w, that product), which many sides share.
+
+        The scan compares whole rows.  For one pair (a, b) the third cells c
+        are the positions in the AND of the two cells' support masks
+        (`cells.meet_masks`).  The left row over them depends only on
+        id(a*b) and that mask, and is built once per pair of the two; the
+        right row maps the row of id(b*c) through a memo of a*(b*c) by
+        id(b*c), kept for the current a.  Only a row that differs is walked
+        to find its violating c.  The triples are exactly those the masks
         give, visited a, then b, then c by position, and `self.mult` is the
         only product used, so each triple gets the verdict a fresh
         computation of both sides would give, also for a kernel that
         overrides `mult`.
         """
         n = len(cells)
-        masks = [0] * n
-        for i in range(n):
-            for j in range(i, n):
-                if self.supports_intersect(cells[i], cells[j]):
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
-        # a mask depends only on the cell's support, so there are few
+        masks = meet_masks(cells, LatticeSpec(self.periods))
+        # a mask depends only on the cells' supports, so there are few
         # distinct masks; each one's list of positions is built once
         positions: dict[int, list[int]] = {}
 
@@ -269,7 +275,9 @@ class PyKernel:
             return found
 
         mult = self.mult
-        # pid[i*n + j]: id of the value cells[i]*cells[j], for meeting pairs
+        # pid[i*n + j]: id of the value cells[i]*cells[j], for meeting pairs;
+        # kept flat (a list per row left more memory behind after the scan),
+        # and the right rows slice out the row they need
         prod_ids: dict[tuple[tuple[int, int], ...], int] = {}
         prods: list[tuple[tuple[int, int], ...]] = []
         pid = [0] * (n * n)
@@ -286,39 +294,85 @@ class PyKernel:
         results: dict[frozenset[tuple[int, int]], int] = {}
 
         def result_id(acc: dict[int, int]) -> int:
-            key = frozenset([item for item in acc.items() if item[1]])
+            if 0 in acc.values():
+                key = frozenset([item for item in acc.items() if item[1]])
+            else:
+                key = frozenset(acc.items())
             return results.setdefault(key, len(results))
 
-        left = [-1] * (len(prods) * n)  # (a*b)*c by id(a*b)*n + k
+        def scaled_id(key: tuple[int, tuple[tuple[int, int], ...]]) -> int:
+            w1, p = key
+            acc: dict[int, int] = {}
+            for v, w2 in p:
+                acc[v] = acc.get(v, 0) + w1 * w2
+            return result_id(acc)
+
+        scaled = _Filled(scaled_id)  # (w, p) -> id of w*p
+
+        def left_row(terms: tuple[tuple[int, int], ...], ks: list[int]) -> list[int]:
+            # ids of (a*b)*cells[k] over ks, for the value a*b = terms
+            if len(terms) == 1:
+                ((u, w),) = terms
+                return [scaled[w, mult(u, cells[k])] for k in ks]
+            row = []
+            for k in ks:
+                acc: dict[int, int] = {}
+                c = cells[k]
+                for u, w1 in terms:
+                    for v, w2 in mult(u, c):
+                        acc[v] = acc.get(v, 0) + w1 * w2
+                row.append(result_id(acc))
+            return row
+
+        def right_side(a: int) -> _Filled:
+            # id(b*c) -> id of a*(b*c)
+            def fill(q_bc: int) -> int:
+                terms = prods[q_bc]
+                if len(terms) == 1:
+                    ((u, w),) = terms
+                    return scaled[w, mult(a, u)]
+                acc: dict[int, int] = {}
+                for u, w1 in terms:
+                    for v, w2 in mult(a, u):
+                        acc[v] = acc.get(v, 0) + w1 * w2
+                return result_id(acc)
+
+            return _Filled(fill)
+
+        # (id(a*b), mask of the c positions) -> left row over those positions
+        left_rows: dict[tuple[int, int], list[int]] = {}
         checked = 0
         violations: list[tuple[int, int, int]] = []
         for i in range(n):
             a = cells[i]
-            right = [-1] * len(prods)  # a*(b*c) by id(b*c)
+            right = right_side(a).__getitem__
             mi = masks[i]
             for j in bits(mi):
-                q_ab = pid[i * n + j]
-                base = q_ab * n
-                row = j * n
-                ks = bits(mi & masks[j])
+                mask = mi & masks[j]
+                ks = bits(mask)
                 checked += len(ks)
-                for k in ks:
-                    lhs = left[base + k]
-                    if lhs < 0:
-                        acc: dict[int, int] = {}
-                        c = cells[k]
-                        for u, w1 in prods[q_ab]:
-                            for v, w2 in mult(u, c):
-                                acc[v] = acc.get(v, 0) + w1 * w2
-                        lhs = left[base + k] = result_id(acc)
-                    q_bc = pid[row + k]
-                    rhs = right[q_bc]
-                    if rhs < 0:
-                        acc = {}
-                        for u, w1 in prods[q_bc]:
-                            for v, w2 in mult(a, u):
-                                acc[v] = acc.get(v, 0) + w1 * w2
-                        rhs = right[q_bc] = result_id(acc)
-                    if lhs != rhs:
-                        violations.append((a, cells[j], cells[k]))
+                q_ab = pid[i * n + j]
+                lhs = left_rows.get((q_ab, mask))
+                if lhs is None:
+                    lhs = left_rows[q_ab, mask] = left_row(prods[q_ab], ks)
+                rhs = list(map(right, map(pid[j * n : j * n + n].__getitem__, ks)))
+                if lhs != rhs:
+                    b = cells[j]
+                    for k, x, y in zip(ks, lhs, rhs):
+                        if x != y:
+                            violations.append((a, b, cells[k]))
         return checked, violations
+
+
+class _Filled(dict):
+    """A memo that computes a missing key's value by `fill(key)`, once."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import reduce
 from itertools import product as _iterproduct
+from operator import or_
 from typing import Iterable
 
 from .lattice import LatticeSpec
@@ -178,6 +180,40 @@ def window_codes(lattice: LatticeSpec, window: int, kinds=None) -> list[int]:
     return sorted(
         join_code(zip(pos, pattern), lattice) for pattern in patterns for pos in anchors
     )
+
+
+def meet_masks(codes: list[int], lattice: LatticeSpec) -> list[int]:
+    """Bit j of entry i is set when the closed supports of codes[i] and
+    codes[j] meet, that is, when on every axis their factors share a
+    lattice point.
+
+    Per axis the positions are grouped by factor code, and each factor code
+    gets the bitset of positions whose factor shares a point with it; a
+    cell's mask is the AND of its factors' bitsets over the axes.  No pair
+    of cells is tested on its own."""
+    size = len(codes)
+    masks = [(1 << size) - 1] * size
+    rest = list(codes)
+    for n in lattice.periods:
+        factors = []
+        groups: dict[int, int] = {}
+        for pos, code in enumerate(rest):
+            rest[pos], fc = divmod(code, 3 * n)
+            factors.append(fc)
+            groups[fc] = groups.get(fc, 0) | 1 << pos
+
+        def support(fc: int) -> set[int]:
+            coord, kind = divmod(fc, 3)
+            return {coord, (coord + 1) % n} if kind == FactorKind.STICK else {coord}
+
+        # positions whose factor's closed support holds the lattice point x
+        at_point: dict[int, int] = {}
+        for fc, group in groups.items():
+            for x in support(fc):
+                at_point[x] = at_point.get(x, 0) | group
+        meets = {fc: reduce(or_, [at_point[x] for x in support(fc)]) for fc in groups}
+        masks = [mask & meets[fc] for mask, fc in zip(masks, factors)]
+    return masks
 
 
 def near_codes(code: int, lattice: LatticeSpec, kinds=_KINDS) -> list[int]:

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from itertools import permutations, product as _iterproduct
+from typing import Iterator, NamedTuple
 
 from ._backend import kernel_for
 from .cells import (
@@ -31,6 +33,7 @@ from .cells import (
     code_kinds,
     decode_cell,
     join_code,
+    meet_masks,
     split_code,
     window_codes,
 )
@@ -134,20 +137,26 @@ def _nonzero(acc: dict[int, int]) -> dict[int, int]:
     return {c: v for c, v in acc.items() if v}
 
 
-def _leibniz_residual(kernel, a: int, b: int, lattice: LatticeSpec) -> dict[int, int]:
-    """(boundary(a)*b + (-1)**codim(a) * a*boundary(b)) - boundary(a*b), scaled 4**d."""
+def _leibniz_residual(kernel, a: int, b: int, sign_a: int) -> dict[int, int]:
+    """(boundary(a)*b + sign_a * a*boundary(b)) - boundary(a*b), scaled 4**d;
+    sign_a is (-1)**codim(a)."""
+    mult, boundary = kernel.mult, kernel.boundary
     acc: dict[int, int] = {}
-    for cell, num in kernel.mult(a, b):
-        for bc, sgn in kernel.boundary(cell):
+    for cell, num in mult(a, b):
+        for bc, sgn in boundary(cell):
             acc[bc] = acc.get(bc, 0) - num * sgn
-    for u, sgn in kernel.boundary(a):
-        for v, num in kernel.mult(u, b):
+    for u, sgn in boundary(a):
+        for v, num in mult(u, b):
             acc[v] = acc.get(v, 0) + sgn * num
-    sign_a = -1 if code_codim(a, lattice) % 2 else 1
-    for u, sgn in kernel.boundary(b):
-        for v, num in kernel.mult(a, u):
+    for u, sgn in boundary(b):
+        for v, num in mult(a, u):
             acc[v] = acc.get(v, 0) + sign_a * sgn * num
     return _nonzero(acc)
+
+
+def _sign(codim: int) -> int:
+    """(-1)**codim."""
+    return -1 if codim % 2 else 1
 
 
 def _cells(lattice: LatticeSpec, *codes: int, replay: bool = True) -> dict:
@@ -171,13 +180,58 @@ def _assoc_scan(kernel, window: int) -> tuple[int, list[tuple[int, int, int]]]:
     return kernel.scan_assoc(window_codes(LatticeSpec(kernel.periods), window))
 
 
+class _Window(NamedTuple):
+    """Per-cell facts of a window, indexed by position in `codes`."""
+
+    codes: tuple[int, ...]
+    masks: tuple[int, ...]  # bit j: the closed supports of codes[i] and codes[j] meet
+    near: tuple[tuple[int, ...], ...]  # the positions of those bits, ascending
+    codims: tuple[int, ...]
+    points: tuple[int, ...]  # bit k: the factor on axis k is a point
+    ideal: tuple[bool, ...]
+
+
+@lru_cache(maxsize=1)
+def _window(lattice: LatticeSpec, window: int) -> _Window:
+    """The window table, built once and shared by the pair checks."""
+    codes = window_codes(lattice, window)
+    masks = meet_masks(codes, lattice)
+    rows: dict[int, tuple[int, ...]] = {}
+    for mask in masks:
+        if mask not in rows:
+            rows[mask] = tuple(j for j in range(len(codes)) if mask >> j & 1)
+    points, ideal = [], []
+    for code in codes:
+        kinds = [kind for _, kind in split_code(code, lattice)]
+        points.append(sum(1 << axis for axis, kind in enumerate(kinds) if kind == POINT))
+        ideal.append(INF in kinds)
+    return _Window(
+        tuple(codes),
+        tuple(masks),
+        tuple(rows[mask] for mask in masks),
+        tuple(p.bit_count() for p in points),
+        tuple(points),
+        tuple(ideal),
+    )
+
+
+def _meeting_pairs(win: _Window) -> Iterator[tuple[int, int]]:
+    """Positions (i, j), j >= i, of the window cells whose supports meet;
+    i ascending, then j."""
+    for i, row in enumerate(win.near):
+        for j in row[bisect_left(row, i) :]:
+            yield i, j
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 
 
 def check_commutativity(lattice: LatticeSpec, window: int) -> CheckReport:
     kernel = kernel_for(lattice.periods)
-    cells = window_codes(lattice, window)
+    win = _window(lattice, window)
+    codes, codims = win.codes, win.codims
+    mult = kernel.mult
     scale = 4 ** lattice.d
     report = CheckReport(
         "A",
@@ -185,24 +239,22 @@ def check_commutativity(lattice: LatticeSpec, window: int) -> CheckReport:
         lattice.periods,
         window,
     )
-    codims = {c: code_codim(c, lattice) for c in cells}
-    for i, a in enumerate(cells):
-        for b in cells[i:]:
-            if not kernel.supports_intersect(a, b):
-                continue
-            sign = -1 if (codims[a] * codims[b]) % 2 else 1
-            ab = dict(kernel.mult(a, b))
-            ba = kernel.mult(b, a)
-            report.checked += 1
-            if ab != {c: sign * v for c, v in ba}:
-                report.violate(
-                    "commutativity",
-                    **_cells(lattice, a, b),
-                    **{
-                        "a*b": lambda: _chain_str(ab, lattice, scale),
-                        "b*a": lambda: _chain_str(dict(ba), lattice, scale),
-                    },
-                )
+    for i, j in _meeting_pairs(win):
+        a, b = codes[i], codes[j]
+        sign = _sign(codims[i] * codims[j])
+        ab, ba = mult(a, b), mult(b, a)
+        report.checked += 1
+        if sign == 1 and ab is ba:
+            continue  # one product object: equal terms
+        if dict(ab) != {c: sign * v for c, v in ba}:
+            report.violate(
+                "commutativity",
+                **_cells(lattice, a, b),
+                **{
+                    "a*b": lambda: _chain_str(dict(ab), lattice, scale),
+                    "b*a": lambda: _chain_str(dict(ba), lattice, scale),
+                },
+            )
     return report
 
 
@@ -234,17 +286,19 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
         lattice.periods,
         window,
     )
-    cells = window_codes(lattice, window)
+    win = _window(lattice, window)
+    codes, ideal = win.codes, win.ideal
     ideal_failures = 0
-    for a in cells:
-        for b in cells:
-            residual = _leibniz_residual(kernel, a, b, lattice)
+    for i, a in enumerate(codes):
+        sign_a = _sign(win.codims[i])
+        for j, b in enumerate(codes):
+            residual = _leibniz_residual(kernel, a, b, sign_a)
             report.checked += 1
             if not residual:
                 continue
             fields = _cells(lattice, a, b)
             fields["residual"] = lambda: _chain_str(residual, lattice, scale)
-            if code_is_ideal(a, lattice) or code_is_ideal(b, lattice):
+            if ideal[i] or ideal[j]:
                 ideal_failures += 1
                 report.witness("leibniz-failure-on-ideal-cells", **fields)
             else:
@@ -259,7 +313,7 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
     if lattice.d == 1:
         a = join_code([(0, INF)], lattice)
         b = join_code([(0, STICK)], lattice)
-        residual = _leibniz_residual(kernel, a, b, lattice)
+        residual = _leibniz_residual(kernel, a, b, _sign(code_codim(a, lattice)))
         report.details["canonical_witness"] = {
             "a": _cell_str(a, lattice),
             "b": _cell_str(b, lattice),
@@ -311,7 +365,7 @@ def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
     axis permutations (the latter with the Koszul sign of the permuted
     point factors)."""
     kernel = kernel_for(lattice.periods)
-    cells = window_codes(lattice, window)
+    win = _window(lattice, window)
     d = lattice.d
     report = CheckReport(
         "D",
@@ -319,12 +373,7 @@ def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
         lattice.periods,
         window,
     )
-    pairs = [
-        (a, b)
-        for i, a in enumerate(cells)
-        for b in cells[i:]
-        if kernel.supports_intersect(a, b)
-    ]
+    pairs = [(win.codes[i], win.codes[j]) for i, j in _meeting_pairs(win)]
     shifts = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
     shifts.append(tuple(1 for _ in range(d)))
 
@@ -358,19 +407,23 @@ def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
 
 
 def check_transversality(lattice: LatticeSpec, window: int) -> CheckReport:
-    """Product nonzero exactly on transverse pairs of basis cells."""
+    """Product nonzero exactly on transverse pairs of basis cells: the closed
+    supports meet and no axis is a point axis of both cells."""
     kernel = kernel_for(lattice.periods)
-    cells = window_codes(lattice, window)
+    win = _window(lattice, window)
+    codes, points = win.codes, win.points
+    mult = kernel.mult
     report = CheckReport(
         "E",
         "product is nonzero exactly when supports meet and directions span",
         lattice.periods,
         window,
     )
-    for a in cells:
-        for b in cells:
-            nonzero = bool(kernel.mult(a, b))
-            expected = kernel.transverse(a, b)
+    for i, a in enumerate(codes):
+        mask, points_a = win.masks[i], points[i]
+        for j, b in enumerate(codes):
+            nonzero = bool(mult(a, b))
+            expected = bool(mask >> j & 1) and not (points_a & points[j])
             report.checked += 1
             if nonzero != expected:
                 report.violate(
@@ -509,6 +562,7 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
         "".join("psi"[int(k)] for k in t) for t in closed
     )
     for a in codes:
+        sign_a = _sign(code_codim(a, lattice))
         for b in codes:
             # closure: every product cell stays in the subalgebra's span
             for c, _num in kernel.mult(a, b):
@@ -518,7 +572,7 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
                         **_cells(lattice, a, b, replay=False),
                         escapes=lambda: _cell_str(c, lattice),
                     )
-            residual = _leibniz_residual(kernel, a, b, lattice)
+            residual = _leibniz_residual(kernel, a, b, sign_a)
             report.checked += 1
             if residual:
                 report.violate(
@@ -547,9 +601,9 @@ def check_crumbling(lattice: LatticeSpec, window: int, k: int) -> CheckReport:
     def crumbled(code: int) -> list[int]:
         return crumble_code(code, lattice, k)
 
-    cells = window_codes(lattice, window)
+    win = _window(lattice, window)
     # chain map: boundary commutes
-    for a in cells:
+    for a in win.codes:
         lhs: dict[int, int] = {}
         for img in crumbled(a):
             for bc, sgn in fine.boundary(img):
@@ -562,23 +616,20 @@ def check_crumbling(lattice: LatticeSpec, window: int, k: int) -> CheckReport:
         if _nonzero(lhs) != _nonzero(rhs):
             report.violate("crumble-boundary", **_cells(lattice, a, replay=False))
     # algebra map: product commutes
-    for i, a in enumerate(cells):
-        ca = crumbled(a)
-        for b in cells[i:]:
-            if not kernel.supports_intersect(a, b):
-                continue
-            coarse: dict[int, int] = {}
-            for c, num in kernel.mult(a, b):
-                for img in crumbled(c):
-                    coarse[img] = coarse.get(img, 0) + num
-            fine_side: dict[int, int] = {}
-            for ua in ca:
-                for ub in crumbled(b):
-                    for c, num in fine.mult(ua, ub):
-                        fine_side[c] = fine_side.get(c, 0) + num
-            report.checked += 1
-            if _nonzero(coarse) != _nonzero(fine_side):
-                report.violate("crumble-product", **_cells(lattice, a, b))
+    for i, j in _meeting_pairs(win):
+        a, b = win.codes[i], win.codes[j]
+        coarse: dict[int, int] = {}
+        for c, num in kernel.mult(a, b):
+            for img in crumbled(c):
+                coarse[img] = coarse.get(img, 0) + num
+        fine_side: dict[int, int] = {}
+        for ua in crumbled(a):
+            for ub in crumbled(b):
+                for c, num in fine.mult(ua, ub):
+                    fine_side[c] = fine_side.get(c, 0) + num
+        report.checked += 1
+        if _nonzero(coarse) != _nonzero(fine_side):
+            report.violate("crumble-product", **_cells(lattice, a, b))
     # telescoping identity for a refined self-overlapping stick, one dimension
     if lattice.d == 1:
         a = join_code([(0, STICK)], lattice)
@@ -633,6 +684,7 @@ def check_truncation(seed: int) -> CheckReport:
                 "ideal-dimension-bound", n=n, m=m, max_ideal_dimension=ideal_dim, bound=bound
             )
         cells = window_codes(lattice, 2, closed)
+        codims = {c: code_codim(c, lattice) for c in cells}
         if sample is not None:
             pairs = []
             attempts = 0
@@ -645,7 +697,8 @@ def check_truncation(seed: int) -> CheckReport:
             # ideal cells first: the product rule breaks on pairs touching them
             ideal = [c for c in cells if code_is_ideal(c, lattice)]
             plain = [c for c in cells if not code_is_ideal(c, lattice)]
-            pairs = [(a, b) for a in ideal + plain for b in cells]
+            # streamed: the case stops at its first witness
+            pairs = ((a, b) for a in ideal + plain for b in cells)
         else:
             pairs = [(a, b) for a in cells for b in cells]
         witnessed = False
@@ -662,7 +715,7 @@ def check_truncation(seed: int) -> CheckReport:
                         escapes=lambda: _cell_str(c, lattice),
                     )
                     break
-            residual = _leibniz_residual(kernel, a, b, lattice)
+            residual = _leibniz_residual(kernel, a, b, _sign(codims[a]))
             if residual:
                 fields = _cells(lattice, a, b, replay=expect_failure)
                 fields["residual"] = lambda: _chain_str(residual, lattice, scale)
@@ -683,7 +736,7 @@ def check_truncation(seed: int) -> CheckReport:
             # sampled commutativity and associativity
             triple_pool = pairs if sample is None else pairs[: max(1, len(pairs) // 4)]
             for a, b in triple_pool:
-                sign = -1 if (code_codim(a, lattice) * code_codim(b, lattice)) % 2 else 1
+                sign = _sign(codims[a] * codims[b])
                 if dict(kernel.mult(a, b)) != {
                     c: sign * v for c, v in kernel.mult(b, a)
                 }:

@@ -109,3 +109,26 @@ def test_near_codes_cover_every_meeting_cell_once(periods, stride):
         assert all(set(code_kinds(c, lattice)) <= set(kinds) for c in near)
         meeting = {b for b in every if kernel.supports_intersect(a, b)}
         assert {b for b in meeting if set(code_kinds(b, lattice)) <= set(kinds)} <= set(near)
+
+
+@pytest.mark.parametrize(
+    "periods,window",
+    [((3, 3, 3), 2), ((3, 5), 2), ((4, 3, 3), 1), ((5,), 3), ((3, 3, 3, 3), 1)],
+)
+def test_meet_masks_equal_the_per_pair_support_test(periods, window):
+    from cubalg._kernel_py import PyKernel
+    from cubalg.cells import meet_masks, window_codes
+
+    lattice = LatticeSpec(periods)
+    kernel = PyKernel(periods)
+    codes = window_codes(lattice, window)
+    masks = meet_masks(codes, lattice)
+    assert len(masks) == len(codes)
+    for i, a in enumerate(codes):
+        supports = decode_cell(a, lattice).support(lattice)
+        for j, b in enumerate(codes):
+            meets = bool(masks[i] >> j & 1)
+            assert meets == kernel.supports_intersect(a, b), (i, j)
+            # the same, from the closed supports as lattice-point sets
+            other = decode_cell(b, lattice).support(lattice)
+            assert meets == all(set(x) & set(y) for x, y in zip(supports, other))

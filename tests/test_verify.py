@@ -1,6 +1,7 @@
 """The verification harness: reports, expected failures, determinism, replay."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -311,3 +312,261 @@ def test_verify_text_marks_skipped_checks(capsys):
     out = capsys.readouterr().out
     assert out.count("[SKIP]") == 3 and "[PASS]" not in out
     assert "all checks passed" not in out
+
+
+# -- A, C and E read the window table; per-pair loops are their oracle -------
+
+
+def _reference_report(check_id, lattice, window):
+    from cubalg.verify import CheckReport
+
+    return CheckReport(check_id, "", lattice.periods, window)
+
+
+def reference_commutativity(kernel, lattice, window):
+    """Check A as one independent test per pair, supports tested pair by pair."""
+    from cubalg.cells import code_codim, window_codes
+    from cubalg.verify import _cells, _chain_str
+
+    cells = window_codes(lattice, window)
+    scale = 4**lattice.d
+    report = _reference_report("A", lattice, window)
+    for i, a in enumerate(cells):
+        for b in cells[i:]:
+            if not kernel.supports_intersect(a, b):
+                continue
+            sign = (-1) ** (code_codim(a, lattice) * code_codim(b, lattice))
+            ab, ba = dict(kernel.mult(a, b)), dict(kernel.mult(b, a))
+            report.checked += 1
+            if ab != {c: sign * v for c, v in ba.items()}:
+                report.violate(
+                    "commutativity",
+                    **_cells(lattice, a, b),
+                    **{"a*b": _chain_str(ab, lattice, scale), "b*a": _chain_str(ba, lattice, scale)},
+                )
+    return report
+
+
+def reference_residual(kernel, a, b, lattice):
+    """boundary(a)*b + (-1)**codim(a) * a*boundary(b) - boundary(a*b), scaled 4**d."""
+    from cubalg.cells import code_codim
+
+    acc = {}
+
+    def add(terms, weight):
+        for c, v in terms:
+            acc[c] = acc.get(c, 0) + weight * v
+
+    for cell, num in kernel.mult(a, b):
+        add(kernel.boundary(cell), -num)
+    for u, sgn in kernel.boundary(a):
+        add(kernel.mult(u, b), sgn)
+    for u, sgn in kernel.boundary(b):
+        add(kernel.mult(a, u), (-1) ** code_codim(a, lattice) * sgn)
+    return {c: v for c, v in acc.items() if v}
+
+
+def reference_leibniz(kernel, lattice, window):
+    """Check C's pair loop, each pair's codimension and ideal flags derived afresh."""
+    from cubalg.cells import code_is_ideal, window_codes
+    from cubalg.verify import _cells, _chain_str
+
+    cells = window_codes(lattice, window)
+    scale = 4**lattice.d
+    report = _reference_report("C", lattice, window)
+    ideal_failures = 0
+    for a in cells:
+        for b in cells:
+            residual = reference_residual(kernel, a, b, lattice)
+            report.checked += 1
+            if not residual:
+                continue
+            fields = {**_cells(lattice, a, b), "residual": _chain_str(residual, lattice, scale)}
+            if code_is_ideal(a, lattice) or code_is_ideal(b, lattice):
+                ideal_failures += 1
+                report.witness("leibniz-failure-on-ideal-cells", **fields)
+            else:
+                report.violate("leibniz", **fields)
+    report.details["ideal_pair_failures"] = ideal_failures
+    if ideal_failures == 0:
+        report.violate(
+            "expected-failure-missing",
+            note="no ideal pair broke the product rule; the enlarged complex must",
+        )
+    return report
+
+
+def reference_transversality(kernel, lattice, window):
+    """Check E with the kernel's own per-pair transversality test."""
+    from cubalg.cells import window_codes
+    from cubalg.verify import _cells
+
+    cells = window_codes(lattice, window)
+    report = _reference_report("E", lattice, window)
+    for a in cells:
+        for b in cells:
+            nonzero = bool(kernel.mult(a, b))
+            expected = kernel.transverse(a, b)
+            report.checked += 1
+            if nonzero != expected:
+                report.violate(
+                    "transversality",
+                    **_cells(lattice, a, b),
+                    product_nonzero=nonzero,
+                    transverse=expected,
+                )
+    return report
+
+
+def _seeded_pair(lattice, window, seed, keep):
+    """A seeded pair (a, b), a != b, of window cells for which keep(a, b) holds."""
+    from cubalg.cells import window_codes
+
+    cells = window_codes(lattice, window)
+    pairs = [(a, b) for a in cells for b in cells if a != b and keep(a, b)]
+    return random.Random(seed).choice(pairs)
+
+
+def flipped_sign_kernel(periods, window, seed):
+    """mult(b, a) of one seeded meeting pair with a nonzero product has the
+    sign of its first term flipped."""
+    from cubalg._kernel_py import PyKernel
+
+    class FlippedSign(PyKernel):
+        target = None
+
+        def mult(self, a, b):
+            terms = super().mult(a, b)
+            if (a, b) == self.target:
+                (u, w), rest = terms[0], terms[1:]
+                return ((u, -w),) + rest
+            return terms
+
+    kernel = FlippedSign(periods)
+    b, a = _seeded_pair(
+        LatticeSpec(periods),
+        window,
+        seed,
+        lambda a, b: kernel.supports_intersect(a, b) and kernel.mult(a, b),
+    )
+    kernel.target = (b, a)
+    return kernel
+
+
+def ghost_product_kernel(periods, window, seed):
+    """One seeded pair whose closed supports do not meet gets a nonzero product."""
+    from cubalg._kernel_py import PyKernel
+
+    class GhostProduct(PyKernel):
+        target = None
+
+        def mult(self, a, b):
+            if (a, b) == self.target:
+                return ((a, 4**self.d),)
+            return super().mult(a, b)
+
+    kernel = GhostProduct(periods)
+    kernel.target = _seeded_pair(
+        LatticeSpec(periods), window, seed, lambda a, b: not kernel.supports_intersect(a, b)
+    )
+    return kernel
+
+
+def corrupted_boundary_kernel(periods, window, seed):
+    """The boundary of one seeded window cell with a stick factor has the
+    sign of its first entry flipped."""
+    from cubalg._kernel_py import PyKernel
+    from cubalg.cells import window_codes
+
+    class CorruptedBoundary(PyKernel):
+        target = None
+
+        def boundary(self, code):
+            terms = super().boundary(code)
+            if code == self.target:
+                (u, s), rest = terms[0], terms[1:]
+                return ((u, -s),) + rest
+            return terms
+
+    kernel = CorruptedBoundary(periods)
+    cells = window_codes(LatticeSpec(periods), window)
+    kernel.target = random.Random(seed).choice([c for c in cells if kernel.boundary(c)])
+    return kernel
+
+
+def shared_product_kernel(periods, window, seed):
+    """For one seeded meeting pair of odd-codimension cells, b*a returns the
+    very object a*b, where graded commutativity asks for its negative."""
+    from cubalg._kernel_py import PyKernel
+    from cubalg.cells import code_codim
+
+    class SharedProduct(PyKernel):
+        target = None
+
+        def mult(self, a, b):
+            if (a, b) == self.target:
+                return super().mult(b, a)
+            return super().mult(a, b)
+
+    kernel = SharedProduct(periods)
+    lattice = LatticeSpec(periods)
+
+    def odd_meeting(a, b):
+        odd = code_codim(a, lattice) % 2 and code_codim(b, lattice) % 2
+        return odd and kernel.supports_intersect(a, b) and kernel.mult(a, b)
+
+    b, a = _seeded_pair(lattice, window, seed, odd_meeting)
+    kernel.target = (b, a)
+    return kernel
+
+
+BROKEN = {
+    "flipped-sign": (flipped_sign_kernel, "A"),
+    "shared-product": (shared_product_kernel, "A"),
+    "ghost-product": (ghost_product_kernel, "E"),
+    "corrupted-boundary": (corrupted_boundary_kernel, "C"),
+}
+
+
+@pytest.mark.parametrize("periods,window,seed", [((3, 5), 2, 0), ((3, 5), 2, 1), ((3, 3, 3), 2, 0)])
+@pytest.mark.parametrize("broken", sorted(BROKEN))
+def test_window_table_checks_match_per_pair_loops_on_broken_kernels(
+    monkeypatch, broken, periods, window, seed
+):
+    make, flagged_by = BROKEN[broken]
+    lattice = LatticeSpec(periods)
+    reports = {}
+    for check_id, check, reference in (
+        ("A", check_commutativity, reference_commutativity),
+        ("C", check_leibniz, reference_leibniz),
+        ("E", check_transversality, reference_transversality),
+    ):
+        _patch_kernel(monkeypatch, make(periods, window, seed))
+        got = check(lattice, window)
+        expected = reference(make(periods, window, seed), lattice, window)
+        assert got.checked == expected.checked
+        assert got.violation_count == expected.violation_count
+        assert got.violations == expected.violations
+        assert got.witnesses == expected.witnesses
+        monkeypatch.undo()
+        reports[check_id] = got
+    assert reports[flagged_by].violation_count > 0
+
+
+def test_truncation_streams_its_expected_failure_pairs():
+    # n=4 m=3 stops at its first witness, the 1,370th of 350,464 pairs; a
+    # list of every pair took 26.8 MB of the peak, a stream about 9.5 MB
+    import tracemalloc
+
+    from cubalg._backend import kernel_for
+
+    kernel_for.cache_clear()  # the kernels' memos count as they fill
+    tracemalloc.start()
+    try:
+        rep = check_truncation(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert rep.details["n4m3"]["pairs"] == 1370
+    assert peak < 16 * 2**20
