@@ -7,7 +7,6 @@ augmentation pairing, 2h star duality, and a harness that machine-checks
 every algebraic law.
 """
 
-from ._backend import available_backends, backend_name
 from .cells import Cell, Factor, FactorKind, inf_stick, make_cell, point, stick
 from .chain import Chain, augment, boundary
 from .cuboid import (
@@ -43,8 +42,14 @@ from .verify import CheckReport, verify_axioms
 
 __version__ = "0.1.0"
 
+
+def backend_name() -> str:
+    """The kernel that computes: always the pure-Python one.  Every
+    benchmark run records it (perfbench/child.py)."""
+    return "pure"
+
+
 __all__ = [
-    "available_backends",
     "backend_name",
     "Cell",
     "Factor",

@@ -3,14 +3,13 @@
 Operates on integer-encoded basis cells (see cells.encode_cell).  Product
 coefficients are returned as integer numerators at the fixed scale 4**d:
 a returned pair (code, num) stands for the term (num / 4**d) * cell.
-Boundary coefficients are plain signs.
-
-The compiled kernel in _speedups.pyx implements the same interface; the
-two must agree exactly (covered by the backend parity tests).
+Boundary coefficients are plain signs.  `kernel_for` hands out one
+kernel per lattice, so every caller shares its memos.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product as _iterproduct
 
 from .cells import meet_masks
@@ -100,8 +99,6 @@ def _koszul_signs(d: int) -> list[int]:
 
 class PyKernel:
     """Basis-cell product, boundary and the associativity scan, in Python."""
-
-    name = "pure"
 
     def __init__(self, periods: tuple[int, ...]):
         self.periods = tuple(periods)
@@ -376,3 +373,20 @@ class _Filled(dict):
     def __missing__(self, key):
         value = self[key] = self.fill(key)
         return value
+
+
+@lru_cache(maxsize=None)
+def _kernel(periods: tuple[int, ...]) -> PyKernel:
+    return PyKernel(periods)
+
+
+def kernel_for(periods, backend=None) -> PyKernel:
+    """The kernel of the lattice with these periods, built once."""
+    # There is one kernel.  `backend` stays because perfbench/tracing.py's
+    # wrapper passes it on positionally, as None.
+    if backend is not None:
+        raise ValueError(f"unknown backend {backend!r}: the pure kernel is the only one")
+    return _kernel(tuple(periods))
+
+
+kernel_for.cache_clear = _kernel.cache_clear

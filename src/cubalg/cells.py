@@ -110,8 +110,7 @@ def make_cell(factors: Iterable[Factor], lattice: LatticeSpec) -> Cell:
 #
 # Per axis, a factor is encoded as coord*3 + kind; a cell is the mixed-radix
 # combination of its factor codes with radix 3*period, axis 0 least
-# significant.  The kernels in _kernel_py.py and _speedups.pyx read the
-# same layout.
+# significant.  The kernel in _kernel_py.py reads the same layout.
 
 _KINDS = tuple(FactorKind)
 _POINT = int(FactorKind.POINT)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._backend import kernel_for
+from ._kernel_py import kernel_for
 from .cells import Cell, code_codim, code_is_ideal, decode_cell, encode_cell
 from .lattice import LatticeSpec
 

@@ -11,7 +11,7 @@ diagnostic.
 from __future__ import annotations
 
 from . import linalg
-from ._backend import kernel_for
+from ._kernel_py import kernel_for
 from .chain import boundary  # noqa: F401  (a traced site, see perfbench/tracing.py)
 from .lattice import LatticeSpec
 from .pairing import c_basis_codes

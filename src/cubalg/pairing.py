@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import combinations, product as _iterproduct
 
 from . import linalg
-from ._backend import kernel_for
+from ._kernel_py import kernel_for
 from .cells import Cell, FactorKind, decode_cell, join_code, near_codes, split_code
 from .chain import Chain, augment
 from .lattice import LatticeSpec

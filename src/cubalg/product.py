@@ -12,19 +12,19 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as _iterproduct
 
-from ._backend import kernel_for
+from ._kernel_py import kernel_for
 from .cells import Cell, FactorKind, encode_cell, join_code, split_code
 from .cells import decode_cell  # noqa: F401  (a traced site, see perfbench/tracing.py)
 from .chain import Chain
 from .lattice import LatticeSpec
 
 
-def product(a: Chain, b: Chain, backend: str | None = None) -> Chain:
+def product(a: Chain, b: Chain) -> Chain:
     """Bilinear extension of the basis-cell product."""
     if a.lattice != b.lattice:
         raise ValueError(f"mismatched lattices: {a.lattice} vs {b.lattice}")
     lattice = a.lattice
-    kernel = kernel_for(lattice.periods, backend)
+    kernel = kernel_for(lattice.periods)
     out: dict[int, Fraction] = {}
     for ca, va in a._terms.items():
         for cb, vb in b._terms.items():

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import permutations, product as _iterproduct
 from typing import Iterator, NamedTuple
 
-from ._backend import kernel_for
+from ._kernel_py import kernel_for
 from .cells import (
     FactorKind,
     code_codim,

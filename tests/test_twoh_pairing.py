@@ -125,7 +125,7 @@ def test_pairing_values_3d(L333):
 @pytest.mark.parametrize("periods", [(3, 3, 5), (5, 5, 5), (5,)])
 def test_pairing_matrix_equals_all_pairs_assembly(periods):
     # the matrix multiplies only nearby cells; every product it skips is zero
-    from cubalg._backend import kernel_for
+    from cubalg._kernel_py import kernel_for
     from cubalg.linalg import det
     from cubalg.pairing import c_basis_codes
 

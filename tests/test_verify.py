@@ -558,7 +558,7 @@ def test_truncation_streams_its_expected_failure_pairs():
     # list of every pair took 26.8 MB of the peak, a stream about 9.5 MB
     import tracemalloc
 
-    from cubalg._backend import kernel_for
+    from cubalg._kernel_py import kernel_for
 
     kernel_for.cache_clear()  # the kernels' memos count as they fill
     tracemalloc.start()
