@@ -9,92 +9,47 @@ kernel per lattice, so every caller shares its memos.
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from functools import lru_cache
 from itertools import product as _iterproduct
 
 from .cells import meet_masks
 from .lattice import LatticeSpec
+from .table1d import CoefficientTable, mult1_terms
 
 POINT, STICK, INF = 0, 1, 2
+
+
+# the standard constants at the kernel's scale 4, as integers
+_SCALED = CoefficientTable(*(int(4 * c) for c in astuple(CoefficientTable.standard())))
 
 
 def _axis_table(n: int) -> list[tuple[tuple[int, int], ...] | None]:
     """Scaled 1-D multiplication table over factor codes modulo n.
 
-    Entry at fa*(3n)+fb is a tuple of (factor_code, numerator-at-scale-4)
-    pairs, or None when the product is zero.  The nonzero cases:
-
-      p@a * s@a     = 1/2 p@a        p@a * s@{a-1} = 1/2 p@a
-      p@a * i@a     = 1/4 p@a
-      s@{a-1} * s@a = i@a            (glancing endpoint contact)
-      s@a * s@a     = -i@a + s@a - i@{a+1}
-      i@a * s@a     = 1/2 i@a        i@a * s@{a-1} = 1/2 i@a
-      i@a * i@a     = 1/4 i@a
-
-    symmetric in the two arguments; points never multiply points.
+    Entry fa*(3n)+fb holds the terms of `table1d.mult1_terms` for the
+    factor codes fa and fb as (factor_code, numerator-at-scale-4) pairs,
+    or None when the product is zero.
     """
     size = 3 * n
     table: list[tuple[tuple[int, int], ...] | None] = [None] * (size * size)
-    for a in range(n):
-        for b in range(n):
-            for ka in (POINT, STICK, INF):
-                for kb in (POINT, STICK, INF):
-                    terms = _mult1(ka, a, kb, b, n)
-                    if terms:
-                        table[(a * 3 + ka) * size + (b * 3 + kb)] = terms
+    for fa in range(size):
+        for fb in range(size):
+            terms = mult1_terms(fa % 3, fa // 3, fb % 3, fb // 3, n, _SCALED)
+            if terms:
+                table[fa * size + fb] = tuple((c * 3 + k, w) for k, c, w in terms)
     return table
 
 
-def _mult1(ka: int, a: int, kb: int, b: int, n: int):
-    if ka > kb:
-        ka, a, kb, b = kb, b, ka, a
-    succ_ab = (a + 1) % n == b
-    succ_ba = (b + 1) % n == a
-    if ka == POINT:
-        if kb == POINT:
-            return None
-        if kb == STICK:
-            # point at either endpoint of the stick
-            if a == b or succ_ba:
-                return ((a * 3 + POINT, 2),)
-            return None
-        # kb == INF
-        if a == b:
-            return ((a * 3 + POINT, 1),)
-        return None
-    if ka == STICK:
-        if kb == STICK:
-            if a == b:
-                return (
-                    (a * 3 + INF, -4),
-                    (a * 3 + STICK, 4),
-                    (((a + 1) % n) * 3 + INF, -4),
-                )
-            if succ_ab:
-                return ((b * 3 + INF, 4),)
-            if succ_ba:
-                return ((a * 3 + INF, 4),)
-            return None
-        # kb == INF: nonzero when the infinitesimal sits on an endpoint
-        if b == a or b == (a + 1) % n:
-            return ((b * 3 + INF, 2),)
-        return None
-    # ka == kb == INF
-    if a == b:
-        return ((a * 3 + INF, 1),)
-    return None
-
-
-def _koszul_signs(d: int) -> list[int]:
-    """Koszul sign of a product, at (pa << d) | pb for the point-axis masks
-    pa, pb of the two factors: (-1) for every pair i > j with a_i and b_j
-    both points (codimension-1 factors moving past each other)."""
-    signs = []
-    for pa in range(1 << d):
-        for pb in range(1 << d):
-            inversions = sum((pb & ((1 << i) - 1)).bit_count() for i in range(d) if pa >> i & 1)
-            signs.append(-1 if inversions & 1 else 1)
-    return signs
+def koszul_sign_of_points(pa: int, pb: int) -> int:
+    """Koszul sign of the product of two cells whose point axes are the bits
+    of pa and pb: (-1) for every pair i > j with factor i of the first cell
+    and factor j of the second both points (codimension-1 factors moving
+    past each other)."""
+    inversions = sum(
+        (pb & ((1 << i) - 1)).bit_count() for i in range(pa.bit_length()) if pa >> i & 1
+    )
+    return -1 if inversions & 1 else 1
 
 
 class PyKernel:
@@ -116,7 +71,9 @@ class PyKernel:
         self._values: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
         self._boundary_cache: dict[int, tuple[tuple[int, int], ...]] = {}
         self._factor_cache: dict[int, tuple[tuple[int, ...], int]] = {}
-        self._signs = _koszul_signs(self.d)
+        # at (pa << d) | pb for the point-axis masks pa, pb of the two factors
+        masks = range(1 << self.d)
+        self._signs = [koszul_sign_of_points(pa, pb) for pa in masks for pb in masks]
 
     # -- helpers -----------------------------------------------------------
 

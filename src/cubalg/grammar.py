@@ -138,13 +138,17 @@ class _Parser:
         return Chain(self.lattice, terms)
 
 
-def parse_cell(text: str, lattice: LatticeSpec) -> Cell:
+def _parse_whole(text: str, lattice: LatticeSpec | None, what: str, parse):
     p = _Parser(text, lattice)
-    cell = p.parse_cell()
+    value = parse(p)
     p.skip_ws()
     if p.pos != len(text):
-        raise p.error("trailing input after cell")
-    return cell
+        raise p.error(f"trailing input after {what}")
+    return value
+
+
+def parse_cell(text: str, lattice: LatticeSpec) -> Cell:
+    return _parse_whole(text, lattice, "cell", _Parser.parse_cell)
 
 
 def parse_chain(text: str, lattice: LatticeSpec) -> Chain:
@@ -188,10 +192,28 @@ def chain_to_json_dict(chain: Chain) -> dict:
     return {"lattice": {"periods": list(chain.lattice.periods)}, "terms": terms}
 
 
+def _json_coord(coord) -> int:
+    if type(coord) is not int:  # a float would be truncated, a bool is no coordinate
+        raise ValueError(f"coordinate must be an integer, got {coord!r}")
+    return coord
+
+
+def _json_coef(coef) -> Fraction:
+    if type(coef) is int:
+        return Fraction(coef)
+    if isinstance(coef, str):
+        return _parse_whole(coef, None, "rational", _Parser.parse_rational)
+    # a float would become its binary fraction
+    raise ValueError(f"coefficient must be an integer or a rational string, got {coef!r}")
+
+
 def chain_from_json_dict(data: dict) -> Chain:
+    """Inverse of chain_to_json_dict.  Coordinates must be integers and
+    coefficients integers or rational strings ("n" or "n/d"); anything else,
+    floats included, raises ValueError."""
     lattice = LatticeSpec(tuple(data["lattice"]["periods"]))
     terms: dict[Cell, Fraction] = {}
     for entry in data["terms"]:
-        cell = Cell(tuple(Factor(CHAR_KINDS[k], int(c)) for k, c in entry["cell"]))
-        terms[cell] = terms.get(cell, Fraction(0)) + Fraction(entry["coef"])
+        cell = Cell(tuple(Factor(CHAR_KINDS[k], _json_coord(c)) for k, c in entry["cell"]))
+        terms[cell] = terms.get(cell, Fraction(0)) + _json_coef(entry["coef"])
     return Chain(lattice, terms)

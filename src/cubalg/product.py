@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as _iterproduct
 
-from ._kernel_py import kernel_for
+from ._kernel_py import kernel_for, koszul_sign_of_points
 from .cells import Cell, FactorKind, encode_cell, join_code, split_code
 from .cells import decode_cell  # noqa: F401  (a traced site, see perfbench/tracing.py)
 from .chain import Chain
@@ -37,14 +37,11 @@ def product(a: Chain, b: Chain) -> Chain:
 
 def koszul_sign(a: Cell, b: Cell) -> int:
     """Sign for the tensor product of the per-axis factors of a and b."""
-    inversions = 0
-    pts_b = 0
-    for fa, fb in zip(a.factors, b.factors):
-        if fa.kind is FactorKind.POINT:
-            inversions += pts_b
-        if fb.kind is FactorKind.POINT:
-            pts_b += 1
-    return -1 if inversions % 2 else 1
+
+    def points(cell: Cell) -> int:
+        return sum(1 << i for i, f in enumerate(cell.factors) if f.kind is FactorKind.POINT)
+
+    return koszul_sign_of_points(points(a), points(b))
 
 
 def cells_transverse(a: Cell, b: Cell, lattice: LatticeSpec) -> bool:

@@ -1,21 +1,27 @@
 """The one-dimensional transverse intersection product.
 
 This is the generator for every higher dimension: the n-dimensional
-product is the tensor power of this table.  The seven product constants
-are hard-coded at their unique values (with the infinitesimal stick
-scaled so that alpha = 1) and re-verified against the defining
-associativity equations by `CoefficientTable.equations`.
+product is the tensor power of this table.  `mult1_terms` states the
+product rule once.  The seven product constants are hard-coded at their
+unique values (with the infinitesimal stick scaled so that alpha = 1)
+and re-verified against the defining equations by
+`CoefficientTable.associativity_equations` and
+`CoefficientTable.normalization_equations`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .cells import Cell, Factor, FactorKind
-from .chain import Chain
 from .lattice import LatticeSpec
 
+if TYPE_CHECKING:  # chain imports the kernel, which imports this module
+    from .chain import Chain
+
+P, S, I = FactorKind.POINT, FactorKind.STICK, FactorKind.INF_STICK
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
@@ -80,75 +86,65 @@ class CoefficientTable:
         return all(lhs == rhs for _, lhs, rhs in eqs)
 
 
+def mult1_terms(ka: int, a: int, kb: int, b: int, n: int, table: CoefficientTable):
+    """The one-dimensional product rule, the only statement of the table.
+
+    Returns the terms (kind, coord, coefficient) of the product of the
+    factors (ka, a) and (kb, b), coordinates reduced modulo the period n,
+    with the coefficients read from `table`; () when the product is zero:
+
+      p@a * s@a     = s p@a            p@a * s@{a-1} = s p@a
+      p@a * i@a     = t p@a
+      s@{a-1} * s@a = alpha i@a        (glancing endpoint contact)
+      s@a * s@a     = beta i@a + gamma s@a + beta i@{a+1}
+      i@a * s@a     = delta i@a        i@a * s@{a-1} = delta i@a
+      i@a * i@a     = epsilon i@a
+
+    symmetric in the two factors; points never multiply points.  The
+    kernel, `mult1` and the truncation kind table are all built from it.
+    """
+    if ka > kb:
+        ka, a, kb, b = kb, b, ka, a
+    if ka == P:
+        if kb == S and (a == b or a == (b + 1) % n):
+            return ((P, a, table.s),)
+        if kb == I and a == b:
+            return ((P, a, table.t),)
+        return ()
+    if ka == S and kb == S:
+        if a == b:
+            return ((I, a, table.beta), (S, a, table.gamma), (I, (a + 1) % n, table.beta))
+        if (a + 1) % n == b:
+            return ((I, b, table.alpha),)
+        if (b + 1) % n == a:
+            return ((I, a, table.alpha),)
+        return ()
+    if ka == S:  # kb is an infinitesimal, nonzero on either end of the stick
+        return ((I, b, table.delta),) if b == a or b == (a + 1) % n else ()
+    return ((I, a, table.epsilon),) if a == b else ()
+
+
 def mult1(
     f: Factor,
     g: Factor,
     lattice: LatticeSpec,
     table: CoefficientTable | None = None,
 ) -> Chain:
-    """Product of two one-dimensional basis factors, straight from the table.
+    """Product of two one-dimensional basis factors: `mult1_terms` as a chain."""
+    from .chain import Chain
 
-    This is the readable reference implementation; the kernels carry the
-    same table in scaled-integer form and are tested against it.
-    """
     if lattice.d != 1:
         raise ValueError("mult1 works on one-dimensional lattices")
-    tab = table or CoefficientTable.standard()
     n = lattice.periods[0]
-    a, b = f.coord % n, g.coord % n
-    ka, kb = f.kind, g.kind
-    if ka > kb:  # the table is symmetric
-        ka, kb, a, b = kb, ka, b, a
-
-    def chain(*terms: tuple[Factor, Fraction]) -> Chain:
-        # the factors are distinct; Chain reduces their coordinates
-        return Chain(lattice, {Cell((factor,)): coef for factor, coef in terms})
-
-    P, S, I = FactorKind.POINT, FactorKind.STICK, FactorKind.INF_STICK
-    if ka is P and kb is P:
-        return Chain.zero(lattice)
-    if ka is P and kb is S:
-        if a == b or a == (b + 1) % n:
-            return chain((Factor(P, a), tab.s))
-        return Chain.zero(lattice)
-    if ka is P and kb is I:
-        if a == b:
-            return chain((Factor(P, a), tab.t))
-        return Chain.zero(lattice)
-    if ka is S and kb is S:
-        if a == b:
-            return chain(
-                (Factor(I, a), tab.beta),
-                (Factor(S, a), tab.gamma),
-                (Factor(I, (a + 1) % n), tab.beta),
-            )
-        if (a + 1) % n == b:
-            return chain((Factor(I, b), tab.alpha))
-        if (b + 1) % n == a:
-            return chain((Factor(I, a), tab.alpha))
-        return Chain.zero(lattice)
-    if ka is S and kb is I:
-        if b == a or b == (a + 1) % n:
-            return chain((Factor(I, b), tab.delta))
-        return Chain.zero(lattice)
-    # both infinitesimal
-    if a == b:
-        return chain((Factor(I, a), tab.epsilon))
-    return Chain.zero(lattice)
+    tab = table or CoefficientTable.standard()
+    terms = mult1_terms(f.kind, f.coord % n, g.kind, g.coord % n, n, tab)
+    return Chain(lattice, {Cell((Factor(kind, coord),)): coef for kind, coord, coef in terms})
 
 
 def crumble1(f: Factor, k: int, lattice: LatticeSpec) -> Chain:
-    """Refine one factor onto the k-fold finer lattice (k odd).
+    """Refine one factor onto the k-fold finer lattice (k odd): `crumble`
+    of the chain of that one factor."""
+    from .chain import Chain
+    from .product import crumble
 
-    Points and infinitesimal sticks map to their image coordinate; a unit
-    stick becomes the sum of the k fine sticks covering it.
-    """
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"refinement factor must be odd, got {k}")
-    if lattice.d != 1:
-        raise ValueError("crumble1 works on one-dimensional lattices")
-    fine = lattice.refined(k)
-    base = (f.coord % lattice.periods[0]) * k
-    if f.kind is FactorKind.STICK:
-        return Chain(fine, {Cell((Factor(FactorKind.STICK, base + j),)): 1 for j in range(k)})
-    return Chain(fine, {Cell((Factor(f.kind, base),)): 1})
+    return crumble(Chain.from_cell(Cell((f,)), lattice), k)

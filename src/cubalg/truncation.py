@@ -17,23 +17,23 @@ from itertools import combinations, product as _iterproduct
 
 from .cells import Cell, FactorKind, decode_cell, window_codes
 from .lattice import LatticeSpec
+from .table1d import CoefficientTable, mult1_terms
 
 P, S, I = FactorKind.POINT, FactorKind.STICK, FactorKind.INF_STICK
 
-# Per-axis output kinds of the one-dimensional product; None marks the
-# always-zero point*point case.
-_AXIS_OUTPUTS: dict[tuple[FactorKind, FactorKind], frozenset[FactorKind] | None] = {
-    (P, P): None,
-    (P, S): frozenset({P}),
-    (P, I): frozenset({P}),
-    (S, S): frozenset({S, I}),
-    (S, I): frozenset({I}),
-    (I, I): frozenset({I}),
+# Per-axis output kinds of the one-dimensional product, for every ordered
+# pair of factor kinds; empty for the always-zero point*point case.
+_AXIS_OUTPUTS: dict[tuple[FactorKind, FactorKind], frozenset[FactorKind]] = {
+    (ka, kb): frozenset(
+        kind
+        for a in range(3)
+        for b in range(3)
+        for kind, _, coef in mult1_terms(ka, a, kb, b, 3, CoefficientTable.standard())
+        if coef
+    )
+    for ka in FactorKind
+    for kb in FactorKind
 }
-
-
-def _axis_outputs(ka: FactorKind, kb: FactorKind):
-    return _AXIS_OUTPUTS[(ka, kb) if ka <= kb else (kb, ka)]
 
 
 KindTuple = tuple[FactorKind, ...]
@@ -65,10 +65,8 @@ def kind_closure(n: int, m: int) -> frozenset[KindTuple]:
             (a, b) for a in closed - frontier for b in frontier
         ]
         for ta, tb in pairs:
-            per_axis = [_axis_outputs(ka, kb) for ka, kb in zip(ta, tb)]
-            if any(o is None for o in per_axis):
-                continue  # a point*point axis kills the product
-            for combo in _iterproduct(*per_axis):
+            # a point*point axis has no outputs and kills the product
+            for combo in _iterproduct(*[_AXIS_OUTPUTS[kinds] for kinds in zip(ta, tb)]):
                 if combo not in closed:
                     new.add(combo)
         closed |= new

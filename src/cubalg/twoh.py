@@ -70,15 +70,16 @@ def two_h_basis(p: int, lattice: LatticeSpec) -> list[TwoHCell]:
 
 
 def star(cell: TwoHCell, lattice: LatticeSpec) -> TwoHCell:
-    """Complementary-direction cell at the same barycenter (sign +1).
+    """Complementary-direction cell at the same barycenter (sign +1), its
+    center reduced modulo the periods.
 
     An involution pairing dimensions p and 3-p.
     """
     _check_3d(lattice)
     if len(cell.center) != 3:
         raise ValueError("star requires a three-dimensional 2h cell")
-    complement = frozenset(range(3)) - cell.directions
-    return TwoHCell(cell.center, complement)
+    center = tuple(lattice.reduce(i, c) for i, c in enumerate(cell.center))
+    return TwoHCell(center, frozenset(range(3)) - cell.directions)
 
 
 def abstract_boundary(cell: TwoHCell, lattice: LatticeSpec) -> list[tuple[TwoHCell, int]]:

@@ -76,6 +76,15 @@ def test_star_command(capsys):
     assert json.loads(out) == {"center": [1, 2, 0], "dirs": "xyz"}
 
 
+def test_star_reduces_its_center(capsys):
+    code, out, _ = run_cli(capsys, "star", "7,0,0:x", "--periods", "3,3,3")
+    assert code == 0
+    assert out.strip() == "1,0,0:yz"
+    code, out, _ = run_cli(capsys, "star", "4,5,3:-", "--periods", "3,4,3", "--json")
+    assert code == 0
+    assert json.loads(out) == {"center": [1, 1, 0], "dirs": "xyz"}
+
+
 def test_parse_error_reports_position(capsys):
     code, _, err = run_cli(capsys, "product", "[s@0,q@0]", "[s@0,s@0]", "--periods", "5,5")
     assert code == 2

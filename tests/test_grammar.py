@@ -64,6 +64,31 @@ def test_json_rendering(L3):
     assert chain_from_json_dict(json.loads(json.dumps(data))) == c
 
 
+@pytest.mark.parametrize(
+    "cell, coef, message",
+    [
+        ([["p", 0]], 0.1, "coefficient"),  # would read 3602879701896397/36028797018963968
+        ([["p", 0]], True, "coefficient"),
+        ([["p", 0]], "0.1", "trailing input after rational"),
+        ([["p", 0]], [1, 2], "coefficient"),
+        ([["p", 1.7]], "1", "coordinate"),  # would be truncated to p@1
+        ([["p", True]], "1", "coordinate"),
+    ],
+)
+def test_json_rejects_inexact_values(cell, coef, message):
+    data = {"lattice": {"periods": [5]}, "terms": [{"cell": cell, "coef": coef}]}
+    with pytest.raises(ValueError, match=message):
+        chain_from_json_dict(data)
+
+
+def test_json_reads_integer_and_rational_coefficients():
+    data = {
+        "lattice": {"periods": [5]},
+        "terms": [{"cell": [["p", 6]], "coef": 2}, {"cell": [["s", 0]], "coef": "-3/6"}],
+    }
+    assert format_chain(chain_from_json_dict(data)) == "-1/2*[s@0] + 2*[p@1]"
+
+
 def test_canonical_order_is_stable(L3):
     a = parse_chain("[s@0,p@0,p@0] + 2*[p@0,s@0,p@0]", L3)
     b = parse_chain("2*[p@0,s@0,p@0] + [s@0,p@0,p@0]", L3)

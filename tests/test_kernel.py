@@ -1,8 +1,10 @@
 """The pure kernel against its oracles, and one kernel per lattice."""
 
+import importlib.util
 import random
 from fractions import Fraction
 from itertools import product as iterproduct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -211,3 +213,30 @@ def test_mult_matches_table1d_reference(args):
     for a in codes:
         for b in codes:
             assert dict(kernel.mult(a, b)) == reference_mult(a, b, lattice)
+
+
+CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+
+
+def _load_checks():
+    spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_axis_tables_match_the_papers_identities():
+    # mult1 and the kernel read one rule, so the oracle here is the
+    # benchmark's reference product, written from the paper's identities
+    reference_mult1 = _load_checks().reference_mult1
+    pairs = 0
+    for n in range(3, 8):
+        kernel = kernel_for((n,))
+        factors = [(k, c) for c in range(n) for k in "psi"]  # in factor-code order
+        for fa, f in enumerate(factors):
+            for fb, g in enumerate(factors):
+                terms = reference_mult1(f, g, n).items()
+                expected = {factors.index(h): 4 * v for h, v in terms}
+                assert dict(kernel.mult(fa, fb)) == expected, (f, g, n)
+                pairs += 1
+    assert pairs == 1215
