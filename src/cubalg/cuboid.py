@@ -124,15 +124,22 @@ def in_general_position(q1: Cuboid, q2: Cuboid, lattice: LatticeSpec) -> bool:
     """
     _check(q1, lattice)
     _check(q2, lattice)
-    for e1, e2, n in zip(q1.axes, q2.axes, lattice.periods):
-        support1, ends1 = _axis_bits(e1, n)
-        support2, ends2 = _axis_bits(e2, n)
-        meet = support1 & support2
-        # arc starts: points of the meet whose predecessor is not in it
-        starts = meet & ~(meet << 1 | meet >> (n - 1))
-        if ends1 & ends2 or not starts or starts & (starts - 1):
-            return False
-    return True
+    return all(
+        axis_in_general_position(e1, e2, n)
+        for e1, e2, n in zip(q1.axes, q2.axes, lattice.periods)
+    )
+
+
+def axis_in_general_position(e1: AxisEntry, e2: AxisEntry, n: int) -> bool:
+    """The per-axis rule of in_general_position for two valid entries on an
+    n-circle: the closed supports meet in one arc short of the whole circle
+    and the endpoint sets are disjoint."""
+    support1, ends1 = _axis_bits(e1, n)
+    support2, ends2 = _axis_bits(e2, n)
+    meet = support1 & support2
+    # arc starts: points of the meet whose predecessor is not in it
+    starts = meet & ~(meet << 1 | meet >> (n - 1))
+    return not (ends1 & ends2 or not starts or starts & (starts - 1))
 
 
 def cuboid_to_chain(q: Cuboid, lattice: LatticeSpec) -> Chain:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cells import CHAR_KINDS, KIND_CHARS, Cell, Factor, make_cell
+from .cells import CHAR_KINDS, KIND_CHARS, Cell, Factor, FactorKind, make_cell
 from .chain import Chain
 from .lattice import LatticeSpec
 
@@ -207,13 +207,29 @@ def _json_coef(coef) -> Fraction:
     raise ValueError(f"coefficient must be an integer or a rational string, got {coef!r}")
 
 
+def _json_key(data, key: str):
+    try:
+        return data[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"chain JSON has no {key!r} key") from None
+
+
+def _json_kind(kind) -> FactorKind:
+    if not isinstance(kind, str) or kind not in CHAR_KINDS:
+        raise ValueError(f"factor kind must be 'p', 's' or 'i', got {kind!r}")
+    return CHAR_KINDS[kind]
+
+
 def chain_from_json_dict(data: dict) -> Chain:
-    """Inverse of chain_to_json_dict.  Coordinates must be integers and
-    coefficients integers or rational strings ("n" or "n/d"); anything else,
-    floats included, raises ValueError."""
-    lattice = LatticeSpec(tuple(data["lattice"]["periods"]))
+    """Inverse of chain_to_json_dict.  Coordinates must be integers,
+    coefficients integers or rational strings ("n" or "n/d") and kinds
+    "p", "s" or "i"; anything else, floats and missing keys included,
+    raises ValueError."""
+    lattice = LatticeSpec(tuple(_json_key(_json_key(data, "lattice"), "periods")))
     terms: dict[Cell, Fraction] = {}
-    for entry in data["terms"]:
-        cell = Cell(tuple(Factor(CHAR_KINDS[k], _json_coord(c)) for k, c in entry["cell"]))
-        terms[cell] = terms.get(cell, Fraction(0)) + _json_coef(entry["coef"])
+    for entry in _json_key(data, "terms"):
+        cell = Cell(
+            tuple(Factor(_json_kind(k), _json_coord(c)) for k, c in _json_key(entry, "cell"))
+        )
+        terms[cell] = terms.get(cell, Fraction(0)) + _json_coef(_json_key(entry, "coef"))
     return Chain(lattice, terms)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _iterproduct
+from math import lcm
 
 from ._kernel_py import kernel_for, koszul_sign_of_points
 from .cells import Cell, FactorKind, encode_cell, join_code, split_code
@@ -19,20 +20,29 @@ from .chain import Chain
 from .lattice import LatticeSpec
 
 
+def _integer_terms(chain: Chain) -> tuple[list[tuple[int, int]], int]:
+    """The chain's terms as (code, integer numerator) over one common
+    denominator, the lcm of its coefficients' denominators."""
+    den = lcm(*(v.denominator for v in chain._terms.values()))
+    return [(c, v.numerator * (den // v.denominator)) for c, v in chain._terms.items()], den
+
+
 def product(a: Chain, b: Chain) -> Chain:
-    """Bilinear extension of the basis-cell product."""
+    """Bilinear extension of the basis-cell product, accumulated in integers."""
     if a.lattice != b.lattice:
         raise ValueError(f"mismatched lattices: {a.lattice} vs {b.lattice}")
     lattice = a.lattice
-    kernel = kernel_for(lattice.periods)
-    out: dict[int, Fraction] = {}
-    for ca, va in a._terms.items():
-        for cb, vb in b._terms.items():
+    mult = kernel_for(lattice.periods).mult
+    terms_a, den_a = _integer_terms(a)
+    terms_b, den_b = _integer_terms(b)
+    out: dict[int, int] = {}
+    for ca, va in terms_a:
+        for cb, vb in terms_b:
             w = va * vb
-            for code, num in kernel.mult(ca, cb):
+            for code, num in mult(ca, cb):
                 out[code] = out.get(code, 0) + w * num
-    scale = 4 ** lattice.d
-    return Chain._from_codes(lattice, {c: v / scale for c, v in out.items()})
+    scale = 4**lattice.d * den_a * den_b
+    return Chain._from_codes(lattice, {c: Fraction(v, scale) for c, v in out.items() if v})
 
 
 def koszul_sign(a: Cell, b: Cell) -> int:

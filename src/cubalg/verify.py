@@ -39,7 +39,14 @@ from .cells import (
 )
 from .cells import encode_cell  # noqa: F401  (a traced site, see perfbench/tracing.py)
 from .chain import Chain, augment
-from .cuboid import Cuboid, cuboid_to_chain, geometric_intersection, in_general_position
+from .cuboid import (
+    AxisEntry,
+    Cuboid,
+    axis_in_general_position,
+    cuboid_to_chain,
+    geometric_intersection,
+    in_general_position,
+)
 from .grammar import format_chain, format_rational
 from .homology import betti_full, betti_two_h_free, betti_two_h_span
 from .lattice import LatticeSpec
@@ -53,6 +60,9 @@ POINT, STICK, INF = FactorKind.POINT, FactorKind.STICK, FactorKind.INF_STICK
 CHECK_ORDER = ["A", "B", "C", "D", "E", "F", "G", "H", "I", "J", "S6", "BETTI", "STAR"]
 
 _MAX_RECORDED = 10
+
+# F draws at most this many cuboid pairs
+_MAX_ATTEMPTS = 100000
 
 
 @dataclass
@@ -435,16 +445,67 @@ def check_transversality(lattice: LatticeSpec, window: int) -> CheckReport:
     return report
 
 
-def random_cuboid(rng: random.Random, lattice: LatticeSpec, max_edge: int = 3) -> Cuboid:
-    axes: list = []
-    for n in lattice.periods:
-        anchor = rng.randrange(n)
-        if rng.randrange(3):
-            length = rng.randrange(1, max_edge + 1)
-            axes.append((anchor, anchor + length))
-        else:
-            axes.append(anchor)
-    return Cuboid(tuple(axes))
+def _axis_entries(n: int, max_edge: int) -> list[AxisEntry]:
+    """Every axis entry a draw can produce, by entry index: the points 0..n-1,
+    then the intervals (a, a + length) by anchor a and length 1..max_edge."""
+    return [*range(n), *((a, a + length) for a in range(n) for length in range(1, max_edge + 1))]
+
+
+def general_position_pairs(
+    lattice: LatticeSpec, seed: int, count: int, max_edge: int = 3
+) -> tuple[list[tuple[Cuboid, Cuboid]], int]:
+    """The first `count` seeded cuboid pairs in general position, and the
+    number of pairs drawn for them (at most _MAX_ATTEMPTS).
+
+    A cuboid is drawn axis by axis: an anchor below the period, then with
+    probability 2/3 an interval of length 1..max_edge from it, else the
+    point at the anchor.  Each draw repeats getrandbits(k), k the bit length
+    of its bound, until the value is below the bound, as Random.randrange
+    does, so Random(seed) yields the pairs randrange draws would.  Draws are
+    indices into per-axis tables of `axis_in_general_position`: a pair that
+    fails on some axis builds no Cuboid, and `in_general_position` decides
+    each pair that every axis accepts.
+    """
+    if not 1 <= max_edge <= min(lattice.periods):
+        raise ValueError(f"max_edge must be in 1..{min(lattice.periods)}, got {max_edge}")
+    getrandbits = random.Random(seed).getrandbits
+    edge_bits = max_edge.bit_length()
+    bounds = [(n, n.bit_length()) for n in lattice.periods]
+    entries = [_axis_entries(n, max_edge) for n in lattice.periods]
+    tables = [
+        [[axis_in_general_position(e1, e2, n) for e2 in axis] for e1 in axis]
+        for n, axis in zip(lattice.periods, entries)
+    ]
+
+    def draw() -> list[int]:
+        picks = []
+        for n, bits in bounds:
+            anchor = getrandbits(bits)
+            while anchor >= n:
+                anchor = getrandbits(bits)
+            kind = getrandbits(2)
+            while kind >= 3:
+                kind = getrandbits(2)
+            if kind:
+                length = getrandbits(edge_bits)
+                while length >= max_edge:
+                    length = getrandbits(edge_bits)
+                picks.append(n + anchor * max_edge + length)
+            else:
+                picks.append(anchor)
+        return picks
+
+    pairs: list[tuple[Cuboid, Cuboid]] = []
+    attempts = 0
+    while len(pairs) < count and attempts < _MAX_ATTEMPTS:
+        attempts += 1
+        picks1, picks2 = draw(), draw()
+        if all(table[i][j] for table, i, j in zip(tables, picks1, picks2)):
+            q1 = Cuboid(tuple(axis[i] for axis, i in zip(entries, picks1)))
+            q2 = Cuboid(tuple(axis[j] for axis, j in zip(entries, picks2)))
+            if in_general_position(q1, q2, lattice):
+                pairs.append((q1, q2))
+    return pairs, attempts
 
 
 def check_general_position(
@@ -461,14 +522,8 @@ def check_general_position(
     if lattice.d != 3:
         report.details["skipped"] = "general-position sampling is defined for 3-d lattices"
         return report
-    rng = random.Random(seed)
-    attempts = 0
-    while report.checked < count and attempts < 100000:
-        attempts += 1
-        q1 = random_cuboid(rng, lattice, max_edge)
-        q2 = random_cuboid(rng, lattice, max_edge)
-        if not in_general_position(q1, q2, lattice):
-            continue
+    pairs, attempts = general_position_pairs(lattice, seed, count, max_edge)
+    for q1, q2 in pairs:
         got = product(cuboid_to_chain(q1, lattice), cuboid_to_chain(q2, lattice))
         expected = geometric_intersection(q1, q2, lattice)
         report.checked += 1
@@ -869,8 +924,8 @@ def check_star(lattice: LatticeSpec, k: int) -> CheckReport:
     c = TwoHCell((1, 1, 1), frozenset({0}))
     coarse_then_star = crumble(expand(star(c, lattice), lattice), k)
     fine_chain = crumble(expand(c, lattice), k)
-    # decompose the crumbled cell into fine 2h cells (a 3**p grid of them)
-    offsets = [-2, 0, 2]
+    # decompose the crumbled cell into fine 2h cells (a k**p grid of them)
+    offsets = range(1 - k, k, 2)
     fine_center = tuple(v * k for v in c.center)
     fine_cells = []
     for combo in _iterproduct(*(offsets if i in c.directions else [0] for i in range(3))):

@@ -16,8 +16,9 @@ from cubalg import (
     parse_chain,
     product,
 )
-from cubalg.cuboid import _directions_span, _supports_meet
-from cubalg.verify import check_general_position, random_cuboid
+from cubalg import verify
+from cubalg.cuboid import _directions_span, _supports_meet, axis_in_general_position
+from cubalg.verify import _axis_entries, check_general_position, general_position_pairs
 
 
 def test_to_chain_1d():
@@ -155,6 +156,78 @@ def test_general_position_sampling_is_unchanged():
     assert rep.passed
     assert rep.checked == 200
     assert rep.details["attempts"] == 29023
+
+
+# -- the sampler against the draw-and-test loop it replaced --------------------
+
+
+def random_cuboid(rng, lattice, max_edge=3):
+    axes: list = []
+    for n in lattice.periods:
+        anchor = rng.randrange(n)
+        if rng.randrange(3):
+            length = rng.randrange(1, max_edge + 1)
+            axes.append((anchor, anchor + length))
+        else:
+            axes.append(anchor)
+    return Cuboid(tuple(axes))
+
+
+def drawn_general_position_pairs(lattice, seed, count, max_edge=3):
+    """Draw cuboid pairs with randrange and keep those in general position."""
+    rng = random.Random(seed)
+    pairs = []
+    attempts = 0
+    while len(pairs) < count and attempts < verify._MAX_ATTEMPTS:
+        attempts += 1
+        q1 = random_cuboid(rng, lattice, max_edge)
+        q2 = random_cuboid(rng, lattice, max_edge)
+        if in_general_position(q1, q2, lattice):
+            pairs.append((q1, q2))
+    return pairs, attempts
+
+
+@pytest.mark.parametrize("periods", [(3, 3, 3), (4, 4, 4), (5, 5, 5), (3, 3, 5), (7, 5, 3)])
+def test_sampler_reads_the_stream_as_randrange(periods, monkeypatch):
+    # a lower cap keeps the max_edge values that never or rarely accept cheap
+    monkeypatch.setattr(verify, "_MAX_ATTEMPTS", 2000)
+    lattice = LatticeSpec(periods)
+    for max_edge in range(1, min(periods) + 1):
+        for seed in range(5):
+            expected = drawn_general_position_pairs(lattice, seed, 20, max_edge)
+            assert general_position_pairs(lattice, seed, 20, max_edge) == expected, (
+                max_edge,
+                seed,
+            )
+
+
+def test_sampler_matches_full_f_sample():
+    lattice = LatticeSpec((5, 5, 5))
+    pairs, attempts = general_position_pairs(lattice, 0, 200)
+    assert (pairs, attempts) == drawn_general_position_pairs(lattice, 0, 200)
+    assert attempts == 29023
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_axis_table_matches_general_position(n):
+    lattice = LatticeSpec((n,))
+    entries = _axis_entries(n, n)
+    assert len(entries) == n * (n + 1)
+    for e1 in entries:
+        for e2 in entries:
+            q1, q2 = Cuboid((e1,)), Cuboid((e2,))
+            expected = face_loop_general_position(q1, q2, lattice)
+            assert in_general_position(q1, q2, lattice) == expected, (e1, e2)
+            assert axis_in_general_position(e1, e2, n) == expected, (e1, e2)
+
+
+@pytest.mark.parametrize("max_edge", [0, -1, 4])
+def test_sampler_rejects_max_edge_out_of_range(max_edge):
+    lattice = LatticeSpec((5, 3, 5))
+    with pytest.raises(ValueError, match="max_edge"):
+        general_position_pairs(lattice, 0, 10, max_edge)
+    with pytest.raises(ValueError, match="max_edge"):
+        check_general_position(lattice, 0, max_edge=max_edge)
 
 
 # -- the oracle -------------------------------------------------------------------

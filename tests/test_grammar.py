@@ -81,6 +81,24 @@ def test_json_rejects_inexact_values(cell, coef, message):
         chain_from_json_dict(data)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"lattice": {"periods": [5]}, "terms": [{"cell": [["q", 0]], "coef": 1}]}, "kind"),
+        ({"lattice": {"periods": [5]}, "terms": [{"cell": [[["p"], 0]], "coef": 1}]}, "kind"),
+        ({"terms": []}, "'lattice'"),
+        ({"lattice": {}, "terms": []}, "'periods'"),
+        ({"lattice": {"periods": [5]}}, "'terms'"),
+        ({"lattice": {"periods": [5]}, "terms": [{"coef": 1}]}, "'cell'"),
+        ({"lattice": {"periods": [5]}, "terms": [{"cell": [["p", 0]]}]}, "'coef'"),
+        ({"lattice": {"periods": [5]}, "terms": [[["p", 0]]]}, "'cell'"),
+    ],
+)
+def test_json_rejects_unknown_kinds_and_missing_keys(data, message):
+    with pytest.raises(ValueError, match=message):
+        chain_from_json_dict(data)
+
+
 def test_json_reads_integer_and_rational_coefficients():
     data = {
         "lattice": {"periods": [5]},

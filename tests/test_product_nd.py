@@ -1,6 +1,7 @@
 """The tensor-power product in higher dimensions: derived coefficients,
 Koszul signs, grading, locality, and the algebraic laws on windows."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from cubalg import (
     parse_chain,
     product,
 )
+from cubalg._kernel_py import kernel_for
 from cubalg.cells import decode_cell
 from cubalg.cells import window_codes
 
@@ -190,3 +192,65 @@ def test_six_dimensional_product_smoke():
     # six endpoint contacts, each weighted 1/2; the Koszul sign is even
     assert got.codimension() == 6
     assert augment(got) == Fraction(1, 64)
+
+
+# -- integer accumulation against Fraction arithmetic ---------------------------
+
+
+def fraction_product(a, b):
+    """The product accumulated term by term in Fractions."""
+    lattice = a.lattice
+    mult = kernel_for(lattice.periods).mult
+    out = {}
+    for ca, va in a._terms.items():
+        for cb, vb in b._terms.items():
+            for code, num in mult(ca, cb):
+                out[code] = out.get(code, 0) + va * vb * Fraction(num, 4**lattice.d)
+    return Chain._from_codes(lattice, out)
+
+
+def test_product_with_mixed_denominators(L3):
+    a = parse_chain("1/2*[s@0,s@0,p@0] - 5/7*[s@4,s@0,p@0] + 2/3*[s@0,s@1,p@1]", L3)
+    b = parse_chain("2/3*[p@0,s@0,s@0] - 5/7*[p@1,s@4,i@0] + 1/2*[p@0,p@1,s@0]", L3)
+    got = product(a, b)
+    assert not got.is_zero()
+    assert got == fraction_product(a, b)
+
+
+def test_product_terms_that_cancel(L3):
+    # x*y = -y*x for the two codimension-1 squares, and x*x = y*y = 0
+    x = cell_chain("[s@0,s@0,p@0]", L3)
+    y = cell_chain("[p@0,s@0,s@0]", L3)
+    assert not product(x, y).is_zero()
+    c = Fraction(1, 2) * x + Fraction(2, 3) * y
+    assert fraction_product(c, c).is_zero()
+    got = product(c, c)
+    assert got.is_zero() and got._terms == {}
+
+
+def test_product_with_empty_chain(L3):
+    a = parse_chain("-5/7*[s@0,p@0,s@4]", L3)
+    zero = Chain.zero(L3)
+    assert product(zero, a)._terms == {}
+    assert product(a, zero)._terms == {}
+    assert product(zero, zero)._terms == {}
+
+
+@pytest.mark.parametrize("periods", [(5,), (3, 5), (5, 5, 5)])
+def test_product_matches_fraction_accumulation(periods):
+    lattice = LatticeSpec(periods)
+    rng = random.Random(len(periods))
+    codes = window_codes(lattice, 2)
+
+    def random_chain():
+        return Chain._from_codes(
+            lattice,
+            {
+                rng.choice(codes): Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 12]))
+                for _ in range(8)
+            },
+        )
+
+    for _ in range(40):
+        a, b = random_chain(), random_chain()
+        assert product(a, b) == fraction_product(a, b)

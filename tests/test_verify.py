@@ -112,11 +112,19 @@ def test_betti_check_flags_paper_claim_discrepancy():
     assert disc[0]["free_basis_variant"] == [2, 6, 6, 2]
 
 
-def test_star_check_emits_non_commutation_witness():
-    rep = check_star(LatticeSpec((3, 3, 3)), k=3)
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_star_check_emits_non_commutation_witness(k):
+    rep = check_star(LatticeSpec((3, 3, 3)), k=k)
     assert rep.passed
     kinds = [w["kind"] for w in rep.witnesses]
     assert "star-crumble-non-commutation" in kinds
+
+
+def test_star_commutes_with_trivial_crumbling():
+    # k = 1 crumbles nothing, so the expected failure must be reported missing
+    rep = check_star(LatticeSpec((3, 3, 3)), k=1)
+    assert rep.status == "failed"
+    assert [v["kind"] for v in rep.violations] == ["expected-failure-missing"]
 
 
 def test_verify_axioms_sorted_and_selectable(L3m):
