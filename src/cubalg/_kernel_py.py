@@ -77,7 +77,7 @@ class PyKernel:
 
     # -- helpers -----------------------------------------------------------
 
-    def _factors(self, code: int) -> tuple[tuple[int, ...], int]:
+    def factors(self, code: int) -> tuple[tuple[int, ...], int]:
         """Per-axis factor codes of a cell and the mask of its point axes, memoized."""
         cached = self._factor_cache.get(code)
         if cached is None:
@@ -129,8 +129,8 @@ class PyKernel:
         cached = self._mult_cache.get(key)
         if cached is not None:
             return cached
-        fa, pa = self._factors(a)
-        fb, pb = self._factors(b)
+        fa, pa = self.factors(a)
+        fb, pb = self.factors(b)
         sign = self._signs[(pa << self.d) | pb]
         per_axis = []
         for i in range(self.d):
@@ -166,7 +166,7 @@ class PyKernel:
         (-1)**(number of point factors on axes < i); infinitesimal sticks
         and points have zero boundary.
         """
-        fs, _ = self._factors(code)
+        fs, _ = self.factors(code)
         out = []
         prefix_pts = 0
         for i, fc in enumerate(fs):

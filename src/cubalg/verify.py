@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
-from itertools import permutations, product as _iterproduct
+from itertools import combinations, permutations, product as _iterproduct
 from typing import Iterator, NamedTuple
 
 from ._kernel_py import kernel_for
@@ -339,44 +339,51 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
     return report
 
 
-def _translate_code(code: int, shift: tuple[int, ...], lattice: LatticeSpec) -> int:
-    parts = split_code(code, lattice)
-    return join_code(
-        (((c + s) % n, kind) for (c, kind), s, n in zip(parts, shift, lattice.periods)), lattice
-    )
+class _Symmetry(NamedTuple):
+    """A lattice symmetry acting on cell codes by one table lookup per axis."""
+
+    kind: str  # the violation kind it reports
+    label: dict  # the violation field naming it: shift, axis or perm
+    periods: tuple[int, ...]  # of the target lattice
+    axes: list  # per target axis: (source axis, source factor code -> image factor code * place)
+    signs: list[int]  # Koszul sign by the cell's point-axis mask
 
 
-def _reflect_code(code: int, axis: int, lattice: LatticeSpec) -> int:
-    parts = split_code(code, lattice)
-    coord, kind = parts[axis]
-    n = lattice.periods[axis]
-    parts[axis] = ((-coord - 1) % n if kind == STICK else -coord % n, kind)
-    return join_code(parts, lattice)
+def _symmetries(lattice: LatticeSpec) -> list[_Symmetry]:
+    """D's symmetries in report order: the unit and diagonal shifts, each
+    axis's reflection, then every axis permutation but the identity, which
+    lands on the lattice with permuted periods and is signed by its
+    inversions among the point factors (odd in the codimension grading)."""
+    out, axes = [], tuple(range(lattice.d))
+    pairs, masks = list(combinations(axes, 2)), range(1 << lattice.d)
 
+    def add(kind, label, sources, move):
+        # move(s, coord, kind) is the image coordinate of a factor on source axis s
+        periods = tuple(lattice.periods[s] for s in sources)
+        maps, place = [], 1
+        for s, n in zip(sources, periods):
+            images = [(move(s, *divmod(f, 3)) % n * 3 + f % 3) * place for f in range(3 * n)]
+            maps.append((s, images))
+            place *= 3 * n
+        to = [sources.index(s) for s in axes]
+        signs = [_sign(sum(to[x] > to[y] for x, y in pairs if m >> x & m >> y & 1)) for m in masks]
+        out.append(_Symmetry(kind, label, periods, maps, signs))
 
-def _permute_code(code: int, perm: tuple[int, ...], lattice: LatticeSpec) -> tuple[int, int]:
-    """Apply an axis permutation (new axis i takes old axis perm[i]); returns
-    (new code, Koszul sign).
-
-    The sign counts inversions of the permutation restricted to the point
-    factors (odd in the codimension grading).
-    """
-    parts = split_code(code, lattice)
-    # new positions of the point factors, in their old order
-    images = [perm.index(i) for i, (_, kind) in enumerate(parts) if kind == POINT]
-    inversions = sum(
-        1 for x in range(len(images)) for y in range(x + 1, len(images)) if images[x] > images[y]
-    )
-    return join_code([parts[p] for p in perm], lattice), (-1 if inversions % 2 else 1)
+    for shift in [tuple(int(j == i) for j in axes) for i in axes] + [(1,) * lattice.d]:
+        add("translation", {"shift": list(shift)}, axes, lambda s, c, k: c + shift[s])
+    for x in axes:
+        add("reflection", {"axis": x}, axes, lambda s, c, k: -c - (k == STICK) if s == x else c)
+    for perm in list(permutations(axes))[1:]:  # the first is the identity
+        add("permutation", {"perm": list(perm)}, perm, lambda s, c, k: c)
+    return out
 
 
 def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
     """Covariance of the product under translations, reflections and
     axis permutations (the latter with the Koszul sign of the permuted
-    point factors)."""
+    point factors): the product of the images is the image of the product."""
     kernel = kernel_for(lattice.periods)
     win = _window(lattice, window)
-    d = lattice.d
     report = CheckReport(
         "D",
         "invariance under lattice symmetries (translations, reflections, axis permutations)",
@@ -384,35 +391,25 @@ def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
         window,
     )
     pairs = [(win.codes[i], win.codes[j]) for i, j in _meeting_pairs(win)]
-    shifts = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    shifts.append(tuple(1 for _ in range(d)))
-
-    for a, b in pairs:
-        base = kernel.mult(a, b)
-        for shift in shifts:
-            ta, tb = _translate_code(a, shift, lattice), _translate_code(b, shift, lattice)
-            expected = {_translate_code(c, shift, lattice): v for c, v in base}
-            report.checked += 1
-            if dict(kernel.mult(ta, tb)) != expected:
-                report.violate("translation", **_cells(lattice, a, b), shift=list(shift))
-        for axis in range(d):
-            ra, rb = _reflect_code(a, axis, lattice), _reflect_code(b, axis, lattice)
-            expected = {_reflect_code(c, axis, lattice): v for c, v in base}
-            report.checked += 1
-            if dict(kernel.mult(ra, rb)) != expected:
-                report.violate("reflection", **_cells(lattice, a, b), axis=axis)
-        for perm in permutations(range(d)):
-            if perm == tuple(range(d)):
-                continue
-            pa, sa = _permute_code(a, perm, lattice)
-            pb, sb = _permute_code(b, perm, lattice)
+    bases = [kernel.mult(a, b) for a, b in pairs]
+    moved = {c: kernel.factors(c) for c in {*win.codes, *(c for base in bases for c, _ in base)}}
+    actions = [
+        (sym, kernel_for(sym.periods).mult, {
+            code: (sum(table[factors[s]] for s, table in sym.axes), sym.signs[points])
+            for code, (factors, points) in moved.items()
+        })
+        for sym in _symmetries(lattice)
+    ]
+    for (a, b), base in zip(pairs, bases):
+        for sym, mult, images in actions:
+            (ia, sa), (ib, sb) = images[a], images[b]
             expected = {}
             for c, v in base:
-                pc, sc = _permute_code(c, perm, lattice)
-                expected[pc] = sa * sb * sc * v
+                ic, sc = images[c]
+                expected[ic] = sa * sb * sc * v
             report.checked += 1
-            if dict(kernel.mult(pa, pb)) != expected:
-                report.violate("permutation", **_cells(lattice, a, b), perm=list(perm))
+            if dict(mult(ia, ib)) != expected:
+                report.violate(sym.kind, **_cells(lattice, a, b), **sym.label)
     return report
 
 
@@ -466,8 +463,9 @@ def general_position_pairs(
     fails on some axis builds no Cuboid, and `in_general_position` decides
     each pair that every axis accepts.
     """
-    if not 1 <= max_edge <= min(lattice.periods):
-        raise ValueError(f"max_edge must be in 1..{min(lattice.periods)}, got {max_edge}")
+    if not 2 <= max_edge <= min(lattice.periods):
+        why = "cuboids with unit edges are never in general position"
+        raise ValueError(f"max_edge must be in 2..{min(lattice.periods)} ({why}), got {max_edge}")
     getrandbits = random.Random(seed).getrandbits
     edge_bits = max_edge.bit_length()
     bounds = [(n, n.bit_length()) for n in lattice.periods]

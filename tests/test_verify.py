@@ -578,3 +578,149 @@ def test_truncation_streams_its_expected_failure_pairs():
     assert rep.passed
     assert rep.details["n4m3"]["pairs"] == 1370
     assert peak < 16 * 2**20
+
+
+# -- D acts through per-axis tables; per-code transforms are its oracle --------
+
+
+def translate_code(code, shift, lattice):
+    from cubalg.cells import join_code, split_code
+
+    parts = split_code(code, lattice)
+    return join_code(
+        (((c + s) % n, kind) for (c, kind), s, n in zip(parts, shift, lattice.periods)), lattice
+    )
+
+
+def reflect_code(code, axis, lattice):
+    from cubalg.cells import FactorKind, join_code, split_code
+
+    parts = split_code(code, lattice)
+    coord, kind = parts[axis]
+    n = lattice.periods[axis]
+    parts[axis] = ((-coord - 1) % n if kind == FactorKind.STICK else -coord % n, kind)
+    return join_code(parts, lattice)
+
+
+def permute_code(code, perm, lattice):
+    """Apply an axis permutation (new axis i takes old axis perm[i]) onto
+    the lattice with permuted periods; returns (new code, Koszul sign).
+
+    The sign counts inversions of the permutation restricted to the point
+    factors (odd in the codimension grading).
+    """
+    from cubalg.cells import FactorKind, join_code, split_code
+
+    parts = split_code(code, lattice)
+    images = [perm.index(i) for i, (_, kind) in enumerate(parts) if kind == FactorKind.POINT]
+    inversions = sum(
+        1 for x in range(len(images)) for y in range(x + 1, len(images)) if images[x] > images[y]
+    )
+    target = LatticeSpec(tuple(lattice.periods[p] for p in perm))
+    return join_code([parts[p] for p in perm], target), (-1 if inversions % 2 else 1)
+
+
+def _shifts(d):
+    return [tuple(int(j == i) for j in range(d)) for i in range(d)] + [(1,) * d]
+
+
+def _perms(d):
+    from itertools import permutations
+
+    return [p for p in permutations(range(d)) if p != tuple(range(d))]
+
+
+def reference_symmetry(kernel_of, lattice, window):
+    """Check D one pair and one symmetry at a time, supports tested pair by
+    pair and every image built by split_code/join_code; kernel_of(periods)
+    gives the kernel of a lattice."""
+    from cubalg.cells import window_codes
+    from cubalg.verify import _cells
+
+    kernel = kernel_of(lattice.periods)
+    cells = window_codes(lattice, window)
+    report = _reference_report("D", lattice, window)
+    for i, a in enumerate(cells):
+        for b in cells[i:]:
+            if not kernel.supports_intersect(a, b):
+                continue
+            base = kernel.mult(a, b)
+            for shift in _shifts(lattice.d):
+                ta, tb = translate_code(a, shift, lattice), translate_code(b, shift, lattice)
+                expected = {translate_code(c, shift, lattice): v for c, v in base}
+                report.checked += 1
+                if dict(kernel.mult(ta, tb)) != expected:
+                    report.violate("translation", **_cells(lattice, a, b), shift=list(shift))
+            for axis in range(lattice.d):
+                ra, rb = reflect_code(a, axis, lattice), reflect_code(b, axis, lattice)
+                expected = {reflect_code(c, axis, lattice): v for c, v in base}
+                report.checked += 1
+                if dict(kernel.mult(ra, rb)) != expected:
+                    report.violate("reflection", **_cells(lattice, a, b), axis=axis)
+            for perm in _perms(lattice.d):
+                (pa, sa), (pb, sb) = permute_code(a, perm, lattice), permute_code(b, perm, lattice)
+                expected = {}
+                for c, v in base:
+                    pc, sc = permute_code(c, perm, lattice)
+                    expected[pc] = sa * sb * sc * v
+                target = kernel_of(tuple(lattice.periods[p] for p in perm))
+                report.checked += 1
+                if dict(target.mult(pa, pb)) != expected:
+                    report.violate("permutation", **_cells(lattice, a, b), perm=list(perm))
+    return report
+
+
+def perturbed_image_kernel(periods, window, seed):
+    """The product of the image of one seeded meeting window pair under a
+    seeded translation or axis permutation has its first coefficient doubled."""
+    from cubalg._kernel_py import PyKernel
+
+    class PerturbedImage(PyKernel):
+        target = None
+
+        def mult(self, a, b):
+            terms = super().mult(a, b)
+            if (a, b) == self.target:
+                (u, w), rest = terms[0], terms[1:]
+                return ((u, 2 * w),) + rest
+            return terms
+
+    kernel = PerturbedImage(periods)
+    lattice = LatticeSpec(periods)
+    a, b = _seeded_pair(
+        lattice,
+        window,
+        seed,
+        lambda a, b: a < b and kernel.supports_intersect(a, b) and kernel.mult(a, b),
+    )
+    symmetry = random.Random(seed).choice(_shifts(lattice.d) + _perms(lattice.d))
+    if sorted(symmetry) == list(range(lattice.d)):  # a permutation
+        kernel.target = (permute_code(a, symmetry, lattice)[0], permute_code(b, symmetry, lattice)[0])
+    else:
+        kernel.target = (translate_code(a, symmetry, lattice), translate_code(b, symmetry, lattice))
+    return kernel
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_symmetry_matches_per_code_transforms_on_a_perturbed_kernel(monkeypatch, seed):
+    # one kernel serves every periods tuple, so the lattice is cubic
+    periods, window = (3, 3, 3), 2
+    lattice = LatticeSpec(periods)
+    _patch_kernel(monkeypatch, perturbed_image_kernel(periods, window, seed))
+    got = check_symmetry(lattice, window)
+    reference = perturbed_image_kernel(periods, window, seed)
+    expected = reference_symmetry(lambda _periods: reference, lattice, window)
+    assert got.checked == expected.checked
+    assert got.violation_count == expected.violation_count > 0
+    assert got.violations == expected.violations
+
+
+def test_symmetry_permutes_onto_the_permuted_lattice():
+    # permuting the axes of 3,5 gives 5,3: inside 3,5 itself, 149 pairs failed
+    from cubalg._kernel_py import kernel_for
+
+    lattice = LatticeSpec((3, 5))
+    rep = check_symmetry(lattice, 3)
+    assert rep.passed and rep.checked == 5508
+    expected = reference_symmetry(kernel_for, lattice, 3)
+    assert expected.passed and expected.checked == rep.checked
