@@ -28,15 +28,9 @@ from .grammar import (
 from .homology import betti, betti_full, betti_two_h_free, betti_two_h_span
 from .lattice import LatticeSpec
 from .pairing import PairingMatrix, c_basis, pairing, pairing_matrix, pairing_report
-from .product import cells_transverse, crumble, koszul_sign, product
+from .product import crumble, product
 from .table1d import CoefficientTable, crumble1, mult1
-from .truncation import (
-    fc_membership,
-    fc_truncation_generators,
-    generator_kinds,
-    kind_closure,
-    max_ideal_dimension,
-)
+from .truncation import generator_kinds, kind_closure, max_ideal_dimension
 from .twoh import TwoHCell, expand, star, two_h_basis
 from .verify import CheckReport, verify_axioms
 
@@ -83,15 +77,11 @@ __all__ = [
     "pairing",
     "pairing_matrix",
     "pairing_report",
-    "cells_transverse",
     "crumble",
-    "koszul_sign",
     "product",
     "CoefficientTable",
     "crumble1",
     "mult1",
-    "fc_membership",
-    "fc_truncation_generators",
     "generator_kinds",
     "kind_closure",
     "max_ideal_dimension",

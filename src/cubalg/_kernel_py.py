@@ -13,7 +13,7 @@ from dataclasses import astuple
 from functools import lru_cache
 from itertools import product as _iterproduct
 
-from .cells import meet_masks
+from .cells import axis_meets, meet_masks
 from .lattice import LatticeSpec
 from .table1d import CoefficientTable, mult1_terms
 
@@ -66,6 +66,7 @@ class PyKernel:
             p *= r
         self.code_bound = p
         self._tables = [_axis_table(n) for n in periods]
+        self._meets = [axis_meets(n) for n in periods]
         self._mult_cache: dict[int, tuple[tuple[int, int], ...]] = {}
         # one shared object per distinct product value; far fewer than keys
         self._values: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
@@ -93,33 +94,18 @@ class PyKernel:
         return cached
 
     def supports_intersect(self, a: int, b: int) -> bool:
-        """Closed supports meet on every axis."""
-        for i, n in enumerate(self.periods):
-            r = self.radices[i]
+        """Closed supports meet on every axis (`cells.axis_meets`)."""
+        for meets, r in zip(self._meets, self.radices):
             a, fa = divmod(a, r)
             b, fb = divmod(b, r)
-            ca, ka = divmod(fa, 3)
-            cb, kb = divmod(fb, 3)
-            if ca == cb:
-                continue
-            if ka == STICK and (ca + 1) % n == cb:
-                continue
-            if kb == STICK and (cb + 1) % n == ca:
-                continue
-            return False
+            if not meets[fa] >> fb & 1:
+                return False
         return True
 
     def transverse(self, a: int, b: int) -> bool:
-        """Supports intersect and the two direction sets span every axis."""
-        if not self.supports_intersect(a, b):
-            return False
-        for i in range(self.d):
-            r = self.radices[i]
-            a, fa = divmod(a, r)
-            b, fb = divmod(b, r)
-            if fa % 3 == POINT and fb % 3 == POINT:
-                return False
-        return True
+        """Supports intersect and the two direction sets span every axis:
+        no axis is a point axis of both cells."""
+        return self.supports_intersect(a, b) and not (self.factors(a)[1] & self.factors(b)[1])
 
     # -- products ----------------------------------------------------------
 

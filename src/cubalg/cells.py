@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import reduce
+from functools import lru_cache
 from itertools import product as _iterproduct
-from operator import or_
 from typing import Iterable
 
 from .lattice import LatticeSpec
@@ -46,9 +45,10 @@ class Factor:
 
     def support(self, period: int) -> tuple[int, ...]:
         """Closed support as lattice coordinates modulo the period."""
+        coord = self.coord % period
         if self.kind is FactorKind.STICK:
-            return (self.coord, (self.coord + 1) % period)
-        return (self.coord,)
+            return (coord, (coord + 1) % period)
+        return (coord,)
 
     def __str__(self) -> str:
         return f"{KIND_CHARS[self.kind]}@{self.coord}"
@@ -181,52 +181,72 @@ def window_codes(lattice: LatticeSpec, window: int, kinds=None) -> list[int]:
     )
 
 
+def entry_bits(entry: int | tuple[int, int], n: int) -> int:
+    """Closed support of an axis entry as a bit mask over Z/n: bit x is set
+    when the lattice point x lies in it.
+
+    An entry is a point p or an interval (a, b) with a < b <= a + n.  A
+    factor code is the point of its coordinate, or for a stick the interval
+    (c, c + 1).  This is the one statement of the closed-support rule:
+    every test of whether two closed supports meet reads it, most of them
+    through `axis_meets`."""
+    if isinstance(entry, tuple):
+        a, b = entry
+        run = (1 << min(b - a + 1, n)) - 1
+        r = a % n
+        return ((run << r) | (run >> (n - r))) & ((1 << n) - 1)
+    return 1 << (entry % n)
+
+
+@lru_cache(maxsize=None)
+def axis_meets(n: int) -> tuple[int, ...]:
+    """Entry fa: the bitset of the factor codes fb, modulo n, whose closed
+    supports meet that of fa."""
+    supports = []
+    for fc in range(3 * n):
+        coord, kind = divmod(fc, 3)
+        supports.append(entry_bits((coord, coord + 1) if kind == FactorKind.STICK else coord, n))
+    return tuple(
+        sum(1 << fb for fb, other in enumerate(supports) if support & other)
+        for support in supports
+    )
+
+
 def meet_masks(codes: list[int], lattice: LatticeSpec) -> list[int]:
     """Bit j of entry i is set when the closed supports of codes[i] and
     codes[j] meet, that is, when on every axis their factors share a
     lattice point.
 
     Per axis the positions are grouped by factor code, and each factor code
-    gets the bitset of positions whose factor shares a point with it; a
+    gets the OR of the groups whose factor codes meet it (`axis_meets`); a
     cell's mask is the AND of its factors' bitsets over the axes.  No pair
     of cells is tested on its own."""
     size = len(codes)
     masks = [(1 << size) - 1] * size
     rest = list(codes)
     for n in lattice.periods:
+        meets = axis_meets(n)
         factors = []
         groups: dict[int, int] = {}
         for pos, code in enumerate(rest):
             rest[pos], fc = divmod(code, 3 * n)
             factors.append(fc)
             groups[fc] = groups.get(fc, 0) | 1 << pos
-
-        def support(fc: int) -> set[int]:
-            coord, kind = divmod(fc, 3)
-            return {coord, (coord + 1) % n} if kind == FactorKind.STICK else {coord}
-
-        # positions whose factor's closed support holds the lattice point x
-        at_point: dict[int, int] = {}
-        for fc, group in groups.items():
-            for x in support(fc):
-                at_point[x] = at_point.get(x, 0) | group
-        meets = {fc: reduce(or_, [at_point[x] for x in support(fc)]) for fc in groups}
-        masks = [mask & meets[fc] for mask, fc in zip(masks, factors)]
+        # the groups are disjoint, so their sum is their OR
+        near = {fa: sum(g for fb, g in groups.items() if meets[fa] >> fb & 1) for fa in groups}
+        masks = [mask & near[fc] for mask, fc in zip(masks, factors)]
     return masks
 
 
 def near_codes(code: int, lattice: LatticeSpec, kinds=_KINDS) -> list[int]:
-    """Codes of the cells whose factors all have a kind in `kinds`, anchored
-    within one step of the anchor of `code` on every axis: these include
-    every cell whose closed support meets that of `code`.  Each axis
-    contributes a set of factor codes, so a period-3 axis, where the three
-    anchors cover the whole circle, yields no cell twice."""
+    """Codes of the cells whose factors all have a kind in `kinds` and whose
+    closed supports meet that of `code`, each once."""
     near = [0]
     place = 1
     for n in lattice.periods:
-        code, fc = divmod(code, 3 * n)
-        x = fc // 3
-        axis = {((x + step) % n * 3 + kind) * place for step in (-1, 0, 1) for kind in kinds}
+        code, fa = divmod(code, 3 * n)
+        meets = axis_meets(n)[fa]
+        axis = [fb * place for fb in range(3 * n) if meets >> fb & 1 and fb % 3 in kinds]
         near = [c + f for c in near for f in axis]
         place *= 3 * n
     return near

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as _iterproduct
 
-from .cells import FactorKind, join_code
+from .cells import FactorKind, entry_bits, join_code
 from .chain import Chain
 from .lattice import LatticeSpec
 
@@ -43,16 +43,9 @@ def _check(q: Cuboid, lattice: LatticeSpec):
                 raise ValueError(f"interval {entry} is longer than the period {n}")
 
 
-def _axis_support(entry: AxisEntry, n: int) -> frozenset[int]:
-    if isinstance(entry, tuple):
-        a, b = entry
-        return frozenset((a + j) % n for j in range(b - a + 1))
-    return frozenset((entry % n,))
-
-
 def _supports_meet(q1: Cuboid, q2: Cuboid, lattice: LatticeSpec) -> bool:
     return all(
-        _axis_support(e1, n) & _axis_support(e2, n)
+        entry_bits(e1, n) & entry_bits(e2, n)
         for e1, e2, n in zip(q1.axes, q2.axes, lattice.periods)
     )
 
@@ -61,15 +54,11 @@ def _directions_span(q1: Cuboid, q2: Cuboid) -> bool:
     return all(isinstance(e1, tuple) or isinstance(e2, tuple) for e1, e2 in zip(q1.axes, q2.axes))
 
 
-def supports_intersect(q1: Cuboid, q2: Cuboid, lattice: LatticeSpec) -> bool:
-    _check(q1, lattice)
-    _check(q2, lattice)
-    return _supports_meet(q1, q2, lattice)
-
-
 def is_transverse(q1: Cuboid, q2: Cuboid, lattice: LatticeSpec) -> bool:
     """Closed supports meet and the tangent directions span every axis."""
-    return supports_intersect(q1, q2, lattice) and _directions_span(q1, q2)
+    _check(q1, lattice)
+    _check(q2, lattice)
+    return _supports_meet(q1, q2, lattice) and _directions_span(q1, q2)
 
 
 def generalised_faces(q: Cuboid) -> list[Cuboid]:
@@ -88,21 +77,18 @@ def generalised_faces(q: Cuboid) -> list[Cuboid]:
     return faces
 
 
-def _arc_starts(s: frozenset[int], n: int) -> list[int]:
-    """Points of s whose predecessor on the n-circle is not in s: one per arc
-    of s, and none when s is the whole circle."""
-    return [x for x in s if (x - 1) % n not in s]
-
-
 def _axis_bits(entry: AxisEntry, n: int) -> tuple[int, int]:
     """Closed support and endpoint set of an axis entry, as bit masks over Z/n."""
     if isinstance(entry, tuple):
-        a, b = entry
-        run = (1 << min(b - a + 1, n)) - 1
-        r = a % n
-        return ((run << r) | (run >> (n - r))) & ((1 << n) - 1), (1 << r) | (1 << (b % n))
-    bit = 1 << (entry % n)
+        return entry_bits(entry, n), entry_bits(entry[0], n) | entry_bits(entry[1], n)
+    bit = entry_bits(entry, n)
     return bit, bit
+
+
+def _arc_start_bits(meet: int, n: int) -> int:
+    """The points of a bit mask over Z/n whose predecessor is not in it: one
+    per arc, and none when the mask is the whole circle."""
+    return meet & ~(meet << 1 | meet >> (n - 1))
 
 
 def in_general_position(q1: Cuboid, q2: Cuboid, lattice: LatticeSpec) -> bool:
@@ -136,9 +122,7 @@ def axis_in_general_position(e1: AxisEntry, e2: AxisEntry, n: int) -> bool:
     and the endpoint sets are disjoint."""
     support1, ends1 = _axis_bits(e1, n)
     support2, ends2 = _axis_bits(e2, n)
-    meet = support1 & support2
-    # arc starts: points of the meet whose predecessor is not in it
-    starts = meet & ~(meet << 1 | meet >> (n - 1))
+    starts = _arc_start_bits(support1 & support2, n)
     return not (ends1 & ends2 or not starts or starts & (starts - 1))
 
 
@@ -165,20 +149,17 @@ def _axis_intersection(e1: AxisEntry, e2: AxisEntry, n: int) -> AxisEntry | None
     circle or disconnected (possible only for torus-wrapping arcs, which
     in_general_position rules out).
     """
-    s = _axis_support(e1, n) & _axis_support(e2, n)
-    if not s:
+    meet = entry_bits(e1, n) & entry_bits(e2, n)
+    if not meet:
         return None
-    if len(s) == 1:
-        return next(iter(s))
-    if len(s) > n:
-        raise ValueError("unreachable")
-    if len(s) == n:
+    starts = _arc_start_bits(meet, n)
+    if not starts:
         raise ValueError("intersection covers a whole axis; not a cuboid entry")
-    starts = _arc_starts(s, n)
-    if len(starts) != 1:
+    if starts & (starts - 1):
         raise ValueError("axis intersection is disconnected")
-    start = starts[0]
-    return (start, start + len(s) - 1)
+    start = starts.bit_length() - 1
+    size = meet.bit_count()
+    return start if size == 1 else (start, start + size - 1)
 
 
 def geometric_intersection(q1: Cuboid, q2: Cuboid, lattice: LatticeSpec) -> Chain:

@@ -13,9 +13,9 @@ from fractions import Fraction
 from itertools import product as _iterproduct
 from math import lcm
 
-from ._kernel_py import kernel_for, koszul_sign_of_points
-from .cells import Cell, FactorKind, encode_cell, join_code, split_code
-from .cells import decode_cell  # noqa: F401  (a traced site, see perfbench/tracing.py)
+from ._kernel_py import kernel_for
+from .cells import FactorKind, join_code, split_code
+from .cells import decode_cell, encode_cell  # noqa: F401  (traced sites, see perfbench/tracing.py)
 from .chain import Chain
 from .lattice import LatticeSpec
 
@@ -43,25 +43,6 @@ def product(a: Chain, b: Chain) -> Chain:
                 out[code] = out.get(code, 0) + w * num
     scale = 4**lattice.d * den_a * den_b
     return Chain._from_codes(lattice, {c: Fraction(v, scale) for c, v in out.items() if v})
-
-
-def koszul_sign(a: Cell, b: Cell) -> int:
-    """Sign for the tensor product of the per-axis factors of a and b."""
-
-    def points(cell: Cell) -> int:
-        return sum(1 << i for i, f in enumerate(cell.factors) if f.kind is FactorKind.POINT)
-
-    return koszul_sign_of_points(points(a), points(b))
-
-
-def cells_transverse(a: Cell, b: Cell, lattice: LatticeSpec) -> bool:
-    """Closed supports intersect and the direction sets span every axis.
-
-    Stick and infinitesimal factors each contribute their axis as a
-    direction; two point factors on the same axis never span it.
-    """
-    kernel = kernel_for(lattice.periods)
-    return kernel.transverse(encode_cell(a, lattice), encode_cell(b, lattice))
 
 
 def crumble_code(code: int, lattice: LatticeSpec, k: int) -> list[int]:

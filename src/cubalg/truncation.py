@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations, product as _iterproduct
 
-from .cells import Cell, FactorKind, decode_cell, window_codes
-from .lattice import LatticeSpec
+from .cells import FactorKind
 from .table1d import CoefficientTable, mult1_terms
 
 P, S, I = FactorKind.POINT, FactorKind.STICK, FactorKind.INF_STICK
@@ -82,34 +81,3 @@ def max_ideal_dimension(kinds: frozenset[KindTuple]) -> int | None:
         if any(k is I for k in t)
     ]
     return max(dims) if dims else None
-
-
-def fc_membership(n: int, m: int):
-    """Predicate: does a basis cell lie in the truncation subalgebra's span?"""
-    closed = kind_closure(n, m)
-
-    def member(cell: Cell) -> bool:
-        return cell.kinds in closed
-
-    return member
-
-
-def window_cells_of_kinds(
-    kinds: frozenset[KindTuple], periods: tuple[int, ...], window: int
-) -> list[Cell]:
-    """All cells with admissible kind patterns anchored in the window."""
-    lattice = LatticeSpec(periods)
-    return [decode_cell(code, lattice) for code in window_codes(lattice, window, kinds)]
-
-
-def fc_truncation_generators(n: int, m: int, periods: tuple[int, ...], window: int = 2):
-    """Generator cells of the truncation subalgebra plus a membership test.
-
-    Returns (generators, member) where generators are the non-ideal basis
-    cells of dimension <= m anchored in the window and member(cell) says
-    whether a basis cell lies in the span of the subalgebra they generate.
-    """
-    if len(periods) != n:
-        raise ValueError(f"expected {n} periods, got {len(periods)}")
-    generators = window_cells_of_kinds(generator_kinds(n, m), periods, window)
-    return generators, fc_membership(n, m)

@@ -17,7 +17,7 @@ from cubalg import (
     product,
 )
 from cubalg import verify
-from cubalg.cuboid import _directions_span, _supports_meet, axis_in_general_position
+from cubalg.cuboid import _axis_intersection, axis_in_general_position
 from cubalg.verify import _axis_entries, check_general_position, general_position_pairs
 
 
@@ -104,27 +104,59 @@ def test_cuboid_not_in_general_position_with_itself(L3):
 def face_loop_general_position(q1, q2, lattice):
     """The definition, face pair by face pair: transverse, one short arc per
     axis, and no pair of generalised faces that meet without spanning."""
-    if not is_transverse(q1, q2, lattice):
+    if not (supports_meet(q1, q2, lattice) and directions_span(q1, q2)):
         return False
     for e1, e2, n in zip(q1.axes, q2.axes, lattice.periods):
         meet = support(e1, n) & support(e2, n)
-        starts = [x for x in meet if (x - 1) % n not in meet]
-        if len(starts) != 1:
+        if len(arc_starts(meet, n)) != 1:
             return False
     fam1 = [q1] + generalised_faces(q1)
     fam2 = [q2] + generalised_faces(q2)
     return not any(
-        _supports_meet(f1, f2, lattice) and not _directions_span(f1, f2)
+        supports_meet(f1, f2, lattice) and not directions_span(f1, f2)
         for f1 in fam1
         for f2 in fam2
     )
 
 
 def support(entry, n):
+    """Closed support of an axis entry as a set of lattice points."""
     if isinstance(entry, tuple):
         a, b = entry
         return {(a + j) % n for j in range(b - a + 1)}
     return {entry % n}
+
+
+def supports_meet(q1, q2, lattice):
+    return all(
+        support(e1, n) & support(e2, n) for e1, e2, n in zip(q1.axes, q2.axes, lattice.periods)
+    )
+
+
+def directions_span(q1, q2):
+    return all(isinstance(e1, tuple) or isinstance(e2, tuple) for e1, e2 in zip(q1.axes, q2.axes))
+
+
+def arc_starts(points, n):
+    """Points of the set whose predecessor on the n-circle is not in it: one
+    per arc, and none when the set is the whole circle."""
+    return [x for x in points if (x - 1) % n not in points]
+
+
+def set_intersection(e1, e2, n):
+    """Intersection of two axis entries as a set, reassembled as one entry;
+    None when empty, ValueError when it is the whole circle or disconnected."""
+    meet = support(e1, n) & support(e2, n)
+    if not meet:
+        return None
+    if len(meet) == 1:
+        return next(iter(meet))
+    if len(meet) == n:
+        raise ValueError("intersection covers a whole axis; not a cuboid entry")
+    starts = arc_starts(meet, n)
+    if len(starts) != 1:
+        raise ValueError("axis intersection is disconnected")
+    return (starts[0], starts[0] + len(meet) - 1)
 
 
 def any_cuboid(rng, lattice):
@@ -219,6 +251,23 @@ def test_axis_table_matches_general_position(n):
             expected = face_loop_general_position(q1, q2, lattice)
             assert in_general_position(q1, q2, lattice) == expected, (e1, e2)
             assert axis_in_general_position(e1, e2, n) == expected, (e1, e2)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_axis_intersection_matches_the_set_form(n):
+    raised = set()
+    for e1 in _axis_entries(n, n):
+        for e2 in _axis_entries(n, n):
+            try:
+                expected = set_intersection(e1, e2, n)
+            except ValueError as err:
+                raised.add(str(err))
+                with pytest.raises(ValueError, match=str(err)):
+                    _axis_intersection(e1, e2, n)
+            else:
+                assert _axis_intersection(e1, e2, n) == expected, (e1, e2)
+    assert "intersection covers a whole axis; not a cuboid entry" in raised
+    assert ("axis intersection is disconnected" in raised) == (n >= 4)
 
 
 @pytest.mark.parametrize("max_edge", [0, -1, 1, 4])

@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 
 from cubalg import Factor, FactorKind, LatticeSpec, make_cell, point, stick, inf_stick
@@ -24,6 +26,11 @@ def test_factor_grading():
     assert stick(2).support(5) == (2, 3)
     assert stick(4).support(5) == (4, 0)  # wraps
     assert inf_stick(3).support(5) == (3,)
+    # the coordinate is reduced modulo the period
+    assert stick(7).support(5) == (2, 3)
+    assert stick(-1).support(5) == (4, 0)
+    assert point(-1).support(5) == (4,)
+    assert inf_stick(8).support(5) == (3,)
 
 
 def test_make_cell_1d():
@@ -96,19 +103,59 @@ def test_encode_decode_roundtrip():
 
 @pytest.mark.parametrize("periods,stride", [((3,), 1), ((3, 4), 1), ((3, 5, 4), 13)])
 def test_near_codes_cover_every_meeting_cell_once(periods, stride):
-    from cubalg._kernel_py import PyKernel
     from cubalg.cells import code_kinds, near_codes
 
     lattice = LatticeSpec(periods)
-    kernel = PyKernel(periods)
     kinds = (FactorKind.POINT, FactorKind.STICK)
-    every = range(kernel.code_bound)
+    every = range(prod(3 * n for n in periods))
     for a in every[::stride]:
         near = near_codes(a, lattice, kinds)
-        assert len(near) == len(set(near)) == (3 * len(kinds)) ** lattice.d
-        assert all(set(code_kinds(c, lattice)) <= set(kinds) for c in near)
-        meeting = {b for b in every if kernel.supports_intersect(a, b)}
-        assert {b for b in meeting if set(code_kinds(b, lattice)) <= set(kinds)} <= set(near)
+        assert len(near) == len(set(near))
+        supports = decode_cell(a, lattice).support(lattice)
+        meeting = {
+            b
+            for b in every
+            if set(code_kinds(b, lattice)) <= set(kinds)
+            and _supports_meet(supports, decode_cell(b, lattice).support(lattice))
+        }
+        assert set(near) == meeting
+
+
+def _supports_meet(supports, other):
+    """The closed supports as lattice-point sets share a point on every axis."""
+    return all(set(x) & set(y) for x, y in zip(supports, other))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_axis_meets_is_the_support_intersection(n):
+    from cubalg.cells import axis_meets
+
+    factors = [Factor(FactorKind(fc % 3), fc // 3) for fc in range(3 * n)]
+    meets = axis_meets(n)
+    assert len(meets) == 3 * n
+    for fa, x in enumerate(factors):
+        for fb, y in enumerate(factors):
+            assert bool(meets[fa] >> fb & 1) == bool(set(x.support(n)) & set(y.support(n)))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_entry_bits_is_the_closed_support(n):
+    from cubalg.cells import entry_bits
+    from cubalg.verify import _axis_entries
+
+    entries = _axis_entries(n, n)
+    assert len(entries) == n * (n + 1)
+    for entry in entries:
+        if isinstance(entry, tuple):
+            a, b = entry
+            points = {(a + j) % n for j in range(b - a + 1)}
+        else:
+            points = {entry}
+        expected = sum(1 << x for x in points)
+        # unreduced anchors give the same support
+        for shift in (-n, 0, n):
+            moved = (a + shift, b + shift) if isinstance(entry, tuple) else entry + shift
+            assert entry_bits(moved, n) == expected, moved
 
 
 @pytest.mark.parametrize(
@@ -130,5 +177,4 @@ def test_meet_masks_equal_the_per_pair_support_test(periods, window):
             meets = bool(masks[i] >> j & 1)
             assert meets == kernel.supports_intersect(a, b), (i, j)
             # the same, from the closed supports as lattice-point sets
-            other = decode_cell(b, lattice).support(lattice)
-            assert meets == all(set(x) & set(y) for x, y in zip(supports, other))
+            assert meets == _supports_meet(supports, decode_cell(b, lattice).support(lattice))

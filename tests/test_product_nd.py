@@ -11,14 +11,12 @@ from cubalg import (
     LatticeSpec,
     augment,
     boundary,
-    cells_transverse,
-    koszul_sign,
     make_cell,
     parse_cell,
     parse_chain,
     product,
 )
-from cubalg._kernel_py import kernel_for
+from cubalg._kernel_py import kernel_for, koszul_sign_of_points
 from cubalg.cells import decode_cell
 from cubalg.cells import window_codes
 
@@ -75,18 +73,19 @@ def test_sign_flips_under_orientation_reversal(L3):
 # -- structural properties -------------------------------------------------------
 
 
-def test_koszul_sign_convention(L3):
-    a = parse_cell("[s@0,p@0,s@0]", L3)
-    b = parse_cell("[p@0,s@0,s@0]", L3)
+def test_koszul_sign_convention():
+    # point-axis masks, bit i for a point factor on axis i
+    a = 0b010  # [s@0,p@0,s@0]
+    b = 0b001  # [p@0,s@0,s@0]
     # the asymmetry carries graded commutativity: both cells have odd
     # codimension, so a*b = -b*a
-    assert koszul_sign(a, b) == -1
-    assert koszul_sign(b, a) == 1
+    assert koszul_sign_of_points(a, b) == -1
+    assert koszul_sign_of_points(b, a) == 1
     # even codimension product: both orders carry the same (positive) sign
-    c = parse_cell("[s@0,s@0,p@0]", L3)
-    d = parse_cell("[p@0,p@0,s@0]", L3)
-    assert koszul_sign(c, d) == 1
-    assert koszul_sign(d, c) == 1
+    c = 0b100  # [s@0,s@0,p@0]
+    d = 0b011  # [p@0,p@0,s@0]
+    assert koszul_sign_of_points(c, d) == 1
+    assert koszul_sign_of_points(d, c) == 1
 
 
 def test_output_codimension_adds(L3):
@@ -116,13 +115,12 @@ def test_locality_support_containment(L3):
 
 
 def test_nonzero_iff_transverse_window(L3):
+    transverse = kernel_for(L3.periods).transverse
     for code_a in window_codes(L3, 2):
-        ca = decode_cell(code_a, L3)
-        a = Chain.from_cell(ca, L3)
+        a = Chain.from_cell(decode_cell(code_a, L3), L3)
         for code_b in window_codes(L3, 2):
-            cb = decode_cell(code_b, L3)
-            got = product(a, Chain.from_cell(cb, L3))
-            assert bool(got) == cells_transverse(ca, cb, L3)
+            got = product(a, Chain.from_cell(decode_cell(code_b, L3), L3))
+            assert bool(got) == transverse(code_a, code_b)
 
 
 def test_graded_commutativity_window(L3):

@@ -1,16 +1,8 @@
 """Truncation subalgebras: kind closures, membership, the 2m-n bound."""
 
-from cubalg import (
-    Chain,
-    LatticeSpec,
-    fc_membership,
-    generator_kinds,
-    kind_closure,
-    parse_cell,
-    product,
-)
-from cubalg.cells import FactorKind
-from cubalg.truncation import max_ideal_dimension, window_cells_of_kinds
+from cubalg import Chain, LatticeSpec, generator_kinds, kind_closure, parse_cell, product
+from cubalg.cells import FactorKind, decode_cell, window_codes
+from cubalg.truncation import max_ideal_dimension
 
 P, S, I = FactorKind.POINT, FactorKind.STICK, FactorKind.INF_STICK
 
@@ -21,17 +13,18 @@ def test_generators_are_low_dimensional_plain_cells():
     assert (S, S, P) in gens
     assert (S, S, S) not in gens
     assert not any(I in t for t in gens)
+    # seven kind patterns, eight anchors in the window
+    assert len(window_codes(LatticeSpec((5, 5, 5)), 2, gens)) == 7 * 8
 
 
 def test_closure_3d_truncation_2_adds_only_ideal_sticks():
     closed = kind_closure(3, 2)
-    member = fc_membership(3, 2)
     lat = LatticeSpec((5, 5, 5))
-    assert member(parse_cell("[i@0,p@0,p@0]", lat))
-    assert member(parse_cell("[p@0,i@2,p@1]", lat))
-    assert not member(parse_cell("[i@0,i@0,p@0]", lat))  # ideal squares stay out
-    assert not member(parse_cell("[i@0,s@0,p@0]", lat))
-    assert not member(parse_cell("[s@0,s@0,s@0]", lat))
+    assert parse_cell("[i@0,p@0,p@0]", lat).kinds in closed
+    assert parse_cell("[p@0,i@2,p@1]", lat).kinds in closed
+    assert parse_cell("[i@0,i@0,p@0]", lat).kinds not in closed  # ideal squares stay out
+    assert parse_cell("[i@0,s@0,p@0]", lat).kinds not in closed
+    assert parse_cell("[s@0,s@0,s@0]", lat).kinds not in closed
     assert max_ideal_dimension(closed) == 1  # 2m-n = 1
 
 
@@ -64,7 +57,7 @@ def brute_force_closure(n, m, periods, window):
     """Close actual window cells under the product; collect kind tuples."""
     lattice = LatticeSpec(periods)
     gen_kinds = generator_kinds(n, m)
-    cells = window_cells_of_kinds(gen_kinds, periods, window)
+    cells = [decode_cell(code, lattice) for code in window_codes(lattice, window, gen_kinds)]
     seen = set(gen_kinds)
     frontier = list(cells)
     all_cells = list(cells)
@@ -92,17 +85,3 @@ def test_closure_matches_brute_force_1d_and_2d():
     assert brute_force_closure(2, 1, (5, 5), 2) == kind_closure(2, 1)
     assert brute_force_closure(2, 2, (5, 5), 2) == kind_closure(2, 2)
 
-
-def test_fc_truncation_generators_surface():
-    from cubalg import fc_truncation_generators
-
-    generators, member = fc_truncation_generators(3, 2, (5, 5, 5), window=2)
-    assert all(not g.is_ideal and g.dimension <= 2 for g in generators)
-    assert len(generators) == 7 * 8  # seven kind patterns, eight anchors
-    lat = LatticeSpec((5, 5, 5))
-    assert member(parse_cell("[i@3,p@1,p@4]", lat))
-    assert not member(parse_cell("[i@3,i@1,p@4]", lat))
-    import pytest
-
-    with pytest.raises(ValueError):
-        fc_truncation_generators(3, 2, (5, 5), window=2)
