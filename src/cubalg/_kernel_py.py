@@ -52,6 +52,24 @@ def koszul_sign_of_points(pa: int, pb: int) -> int:
     return -1 if inversions & 1 else 1
 
 
+def linear(terms, image) -> dict:
+    """Linear extension of a basis map over a sparse chain: the sum of
+    v * image(c) over the (c, v) terms, with image(c) giving (code, coef)
+    pairs; returns {code: coef} without zero coefficients."""
+    out: dict = {}
+    for c, v in terms:
+        for u, w in image(c):
+            out[u] = out.get(u, 0) + v * w
+    return {u: w for u, w in out.items() if w}
+
+
+def times(mult, x, y) -> dict:
+    """Bilinear extension of the basis product `mult` to the chains given
+    as (code, coef) terms x and y: one `mult` call per pair of terms.  y is
+    iterated once per term of x, so it must not be an iterator."""
+    return linear((((a, b), v * w) for a, v in x for b, w in y), lambda ab: mult(*ab))
+
+
 class PyKernel:
     """Basis-cell product, boundary and the associativity scan, in Python."""
 

@@ -11,8 +11,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._kernel_py import kernel_for
-from .cells import Cell, code_codim, code_is_ideal, decode_cell, encode_cell
+from ._kernel_py import kernel_for, linear
+from .cells import Cell, code_codim, decode_cell, encode_cell
 from .lattice import LatticeSpec
 
 Rational = Fraction | int
@@ -96,9 +96,6 @@ class Chain:
         codim = self.codimension()
         return None if codim is None else self.lattice.d - codim
 
-    def is_ideal_free(self) -> bool:
-        return not any(code_is_ideal(c, self.lattice) for c in self._terms)
-
     # -- arithmetic -------------------------------------------------------------
 
     def _check_same_lattice(self, other: "Chain"):
@@ -148,11 +145,7 @@ def boundary(chain: Chain) -> Chain:
     infinitesimal sticks have zero boundary.  Output codimension is the
     input codimension plus one.
     """
-    kernel = kernel_for(chain.lattice.periods)
-    out: dict[int, Fraction] = {}
-    for code, coef in chain._terms.items():
-        for bcode, sign in kernel.boundary(code):
-            out[bcode] = out.get(bcode, 0) + sign * coef
+    out = linear(chain._terms.items(), kernel_for(chain.lattice.periods).boundary)
     return Chain._from_codes(chain.lattice, out)
 
 

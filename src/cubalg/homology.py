@@ -11,24 +11,17 @@ diagnostic.
 from __future__ import annotations
 
 from . import linalg
-from ._kernel_py import kernel_for
+from ._kernel_py import kernel_for, linear
 from .chain import boundary  # noqa: F401  (a traced site, see perfbench/tracing.py)
 from .lattice import LatticeSpec
 from .pairing import c_basis_codes
-from .twoh import TwoHCell, abstract_boundary, expand, two_h_basis
+from .twoh import abstract_boundary, expand, two_h_basis
 
 
 def _boundary_columns(columns: list[dict[int, int]], lattice: LatticeSpec) -> list[dict[int, int]]:
     """Apply the h-complex boundary to chains given as {cell code: coefficient}."""
     kernel = kernel_for(lattice.periods)
-    images = []
-    for column in columns:
-        image: dict[int, int] = {}
-        for code, coef in column.items():
-            for bcode, sign in kernel.boundary(code):
-                image[bcode] = image.get(bcode, 0) + coef * sign
-        images.append({code: x for code, x in image.items() if x})
-    return images
+    return [linear(column.items(), kernel.boundary) for column in columns]
 
 
 def _boundary_matrix(p: int, lattice: LatticeSpec) -> list[dict[int, int]]:
@@ -90,12 +83,10 @@ def betti_two_h_free(lattice: LatticeSpec) -> tuple[int, ...]:
         basis = two_h_basis(p, lattice)
         dims.append(len(basis))
         if p >= 1:
-            columns = []
-            for cell in basis:
-                column: dict[TwoHCell, int] = {}
-                for face, coef in abstract_boundary(cell, lattice):
-                    column[face] = column.get(face, 0) + coef
-                columns.append(column)
+            columns = [
+                linear(abstract_boundary(cell, lattice), lambda face: ((face, 1),))
+                for cell in basis
+            ]
             ranks[p] = linalg.rank(columns)
     return tuple(dims[p] - ranks[p] - ranks[p + 1] for p in range(4))
 

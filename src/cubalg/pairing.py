@@ -46,9 +46,12 @@ def c_basis(p: int, lattice: LatticeSpec) -> list[Cell]:
 
 @dataclass(frozen=True)
 class PairingMatrix:
+    """The degree-p pairing matrix; rows and cols are the cell codes of
+    the two bases, in `c_basis_codes` order."""
+
     degree: int
-    rows: tuple[Cell, ...]
-    cols: tuple[Cell, ...]
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
     entries: tuple[tuple[Fraction, ...], ...]
 
     @cached_property
@@ -70,8 +73,8 @@ def pairing_matrix(p: int, lattice: LatticeSpec) -> PairingMatrix:
     Only cells anchored within one step of each other on every axis are
     multiplied: no other pair of supports meets, so every other entry is
     zero."""
-    rows = c_basis_codes(p, lattice)
-    cols = c_basis_codes(lattice.d - p, lattice)
+    rows = tuple(c_basis_codes(p, lattice))
+    cols = tuple(c_basis_codes(lattice.d - p, lattice))
     position = {code: k for k, code in enumerate(cols)}
     kernel = kernel_for(lattice.periods)
     scale = 4 ** lattice.d
@@ -86,9 +89,7 @@ def pairing_matrix(p: int, lattice: LatticeSpec) -> PairingMatrix:
                 # cell, so augmenting the product sums all of its numerators
                 row[k] = Fraction(sum(num for _, num in kernel.mult(r, c)), scale)
         entries.append(tuple(row))
-    return PairingMatrix(
-        p, tuple(c_basis(p, lattice)), tuple(c_basis(lattice.d - p, lattice)), tuple(entries)
-    )
+    return PairingMatrix(p, rows, cols, tuple(entries))
 
 
 def pairing_report(p: int, lattice: LatticeSpec) -> dict:

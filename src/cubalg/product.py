@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product as _iterproduct
 from math import lcm
 
-from ._kernel_py import kernel_for
+from ._kernel_py import kernel_for, linear, times
 from .cells import FactorKind, join_code, split_code
 from .cells import decode_cell, encode_cell  # noqa: F401  (traced sites, see perfbench/tracing.py)
 from .chain import Chain
@@ -32,29 +32,23 @@ def product(a: Chain, b: Chain) -> Chain:
     if a.lattice != b.lattice:
         raise ValueError(f"mismatched lattices: {a.lattice} vs {b.lattice}")
     lattice = a.lattice
-    mult = kernel_for(lattice.periods).mult
     terms_a, den_a = _integer_terms(a)
     terms_b, den_b = _integer_terms(b)
-    out: dict[int, int] = {}
-    for ca, va in terms_a:
-        for cb, vb in terms_b:
-            w = va * vb
-            for code, num in mult(ca, cb):
-                out[code] = out.get(code, 0) + w * num
+    out = times(kernel_for(lattice.periods).mult, terms_a, terms_b)
     scale = 4**lattice.d * den_a * den_b
-    return Chain._from_codes(lattice, {c: Fraction(v, scale) for c, v in out.items() if v})
+    return Chain._from_codes(lattice, {c: Fraction(v, scale) for c, v in out.items()})
 
 
-def crumble_code(code: int, lattice: LatticeSpec, k: int) -> list[int]:
-    """Codes, on lattice.refined(k), of the fine cells whose sum is the image
-    of one basis cell: per axis, points and infinitesimal sticks map to
+def crumble_code(code: int, lattice: LatticeSpec, k: int) -> list[tuple[int, int]]:
+    """The image of one basis cell as (code, 1) terms on lattice.refined(k),
+    one per fine cell: per axis, points and infinitesimal sticks map to
     coordinate k*a, a unit stick to its k fine sticks."""
     choices = [
         [(coord * k + j, kind) for j in range(k if kind == FactorKind.STICK else 1)]
         for coord, kind in split_code(code, lattice)
     ]
     fine = lattice.refined(k)
-    return [join_code(parts, fine) for parts in _iterproduct(*choices)]
+    return [(join_code(parts, fine), 1) for parts in _iterproduct(*choices)]
 
 
 def crumble(chain: Chain, k: int) -> Chain:
@@ -65,8 +59,5 @@ def crumble(chain: Chain, k: int) -> Chain:
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"refinement factor must be odd, got {k}")
-    out: dict[int, Fraction] = {}
-    for code, coef in chain._terms.items():
-        for img in crumble_code(code, chain.lattice, k):
-            out[img] = out.get(img, 0) + coef
+    out = linear(chain._terms.items(), lambda code: crumble_code(code, chain.lattice, k))
     return Chain._from_codes(chain.lattice.refined(k), out)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product as _iterproduct
 from typing import Iterator, NamedTuple
 
-from ._kernel_py import kernel_for
+from ._kernel_py import kernel_for, linear, times
 from .cells import (
     FactorKind,
     code_codim,
@@ -143,10 +143,6 @@ def _chain_str(terms, lattice: LatticeSpec, scale: int) -> str:
     return format_chain(chain)
 
 
-def _nonzero(acc: dict[int, int]) -> dict[int, int]:
-    return {c: v for c, v in acc.items() if v}
-
-
 def _leibniz_residual(kernel, a: int, b: int, sign_a: int) -> dict[int, int]:
     """(boundary(a)*b + sign_a * a*boundary(b)) - boundary(a*b), scaled 4**d;
     sign_a is (-1)**codim(a)."""
@@ -161,12 +157,29 @@ def _leibniz_residual(kernel, a: int, b: int, sign_a: int) -> dict[int, int]:
     for u, sgn in boundary(b):
         for v, num in mult(a, u):
             acc[v] = acc.get(v, 0) + sign_a * sgn * num
-    return _nonzero(acc)
+    return {c: v for c, v in acc.items() if v}
 
 
 def _sign(codim: int) -> int:
     """(-1)**codim."""
     return -1 if codim % 2 else 1
+
+
+def _commutes(ab, ba, sign: int) -> bool:
+    """a*b == sign * b*a for the kernel's products ab and ba."""
+    if sign == 1 and ab is ba:
+        return True  # one product object: equal terms
+    return dict(ab) == {c: sign * v for c, v in ba}
+
+
+def _assoc_sides(mult, a: int, b: int, c: int) -> tuple[dict[int, int], dict[int, int]]:
+    """(a*b)*c and a*(b*c), scaled 4**(2d)."""
+    return linear(mult(a, b), lambda u: mult(u, c)), linear(mult(b, c), lambda u: mult(a, u))
+
+
+def _escapes(mult, a: int, b: int, closed, lattice: LatticeSpec) -> list[int]:
+    """The cells of a*b whose kinds are not in `closed`."""
+    return [c for c, _ in mult(a, b) if code_kinds(c, lattice) not in closed]
 
 
 def _cells(lattice: LatticeSpec, *codes: int, replay: bool = True) -> dict:
@@ -254,9 +267,7 @@ def check_commutativity(lattice: LatticeSpec, window: int) -> CheckReport:
         sign = _sign(codims[i] * codims[j])
         ab, ba = mult(a, b), mult(b, a)
         report.checked += 1
-        if sign == 1 and ab is ba:
-            continue  # one product object: equal terms
-        if dict(ab) != {c: sign * v for c, v in ba}:
+        if not _commutes(ab, ba, sign):
             report.violate(
                 "commutativity",
                 **_cells(lattice, a, b),
@@ -554,13 +565,12 @@ def check_pairing(lattice: LatticeSpec, window: int) -> CheckReport:
     # arithmetic is exact, so only triples breaking associativity can break it
     report.checked, bad = _assoc_scan(kernel, window)
 
-    def aug(terms) -> int:
-        return sum(num for u, num in terms if code_codim(u, lattice) == lattice.d)
+    def aug(chain: dict[int, int]) -> int:
+        return sum(num for u, num in chain.items() if code_codim(u, lattice) == lattice.d)
 
     for a, b, c in bad:
-        lhs = sum(num * aug(kernel.mult(u, c)) for u, num in kernel.mult(a, b))
-        rhs = sum(num * aug(kernel.mult(a, u)) for u, num in kernel.mult(b, c))
-        if lhs != rhs:
+        lhs, rhs = _assoc_sides(kernel.mult, a, b, c)
+        if aug(lhs) != aug(rhs):
             report.violate("frobenius", **_cells(lattice, a, b, c, replay=False))
     # nondegeneracy per degree (p and d-p share a rank via transposition)
     degeneracy = []
@@ -618,13 +628,12 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
         sign_a = _sign(code_codim(a, lattice))
         for b in codes:
             # closure: every product cell stays in the subalgebra's span
-            for c, _num in kernel.mult(a, b):
-                if code_kinds(c, lattice) not in closed:
-                    report.violate(
-                        "closure",
-                        **_cells(lattice, a, b, replay=False),
-                        escapes=lambda: _cell_str(c, lattice),
-                    )
+            for c in _escapes(kernel.mult, a, b, closed, lattice):
+                report.violate(
+                    "closure",
+                    **_cells(lattice, a, b, replay=False),
+                    escapes=lambda: _cell_str(c, lattice),
+                )
             residual = _leibniz_residual(kernel, a, b, sign_a)
             report.checked += 1
             if residual:
@@ -651,51 +660,30 @@ def check_crumbling(lattice: LatticeSpec, window: int, k: int) -> CheckReport:
     scale = 4 ** lattice.d
 
     @lru_cache(maxsize=None)
-    def crumbled(code: int) -> list[int]:
+    def crumbled(code: int) -> list[tuple[int, int]]:
         return crumble_code(code, lattice, k)
 
     win = _window(lattice, window)
     # chain map: boundary commutes
     for a in win.codes:
-        lhs: dict[int, int] = {}
-        for img in crumbled(a):
-            for bc, sgn in fine.boundary(img):
-                lhs[bc] = lhs.get(bc, 0) + sgn
-        rhs: dict[int, int] = {}
-        for bc, sgn in kernel.boundary(a):
-            for img in crumbled(bc):
-                rhs[img] = rhs.get(img, 0) + sgn
         report.checked += 1
-        if _nonzero(lhs) != _nonzero(rhs):
+        if linear(crumbled(a), fine.boundary) != linear(kernel.boundary(a), crumbled):
             report.violate("crumble-boundary", **_cells(lattice, a, replay=False))
     # algebra map: product commutes
     for i, j in _meeting_pairs(win):
         a, b = win.codes[i], win.codes[j]
-        coarse: dict[int, int] = {}
-        for c, num in kernel.mult(a, b):
-            for img in crumbled(c):
-                coarse[img] = coarse.get(img, 0) + num
-        fine_side: dict[int, int] = {}
-        for ua in crumbled(a):
-            for ub in crumbled(b):
-                for c, num in fine.mult(ua, ub):
-                    fine_side[c] = fine_side.get(c, 0) + num
         report.checked += 1
-        if _nonzero(coarse) != _nonzero(fine_side):
+        if linear(kernel.mult(a, b), crumbled) != times(fine.mult, crumbled(a), crumbled(b)):
             report.violate("crumble-product", **_cells(lattice, a, b))
     # telescoping identity for a refined self-overlapping stick, one dimension
     if lattice.d == 1:
         a = join_code([(0, STICK)], lattice)
-        fine_side = {}
-        for ua in crumbled(a):
-            for ub in crumbled(a):
-                for c, num in fine.mult(ua, ub):
-                    fine_side[c] = fine_side.get(c, 0) + num
+        fine_side = times(fine.mult, crumbled(a), crumbled(a))
         expected = {join_code([(j, STICK)], fine_lattice): scale for j in range(k)}
         expected[join_code([(0, INF)], fine_lattice)] = -scale
         expected[join_code([(k % fine_lattice.periods[0], INF)], fine_lattice)] = -scale
         report.details["telescoping"] = _chain_str(fine_side, fine_lattice, scale)
-        if _nonzero(fine_side) != expected:
+        if fine_side != expected:
             report.violate(
                 "telescoping",
                 expected=_chain_str(expected, fine_lattice, scale),
@@ -758,16 +746,15 @@ def check_truncation(seed: int) -> CheckReport:
         for a, b in pairs:
             case["pairs"] += 1
             report.checked += 1
-            for c, _num in kernel.mult(a, b):
-                if code_kinds(c, lattice) not in closed:
-                    report.violate(
-                        "closure",
-                        n=n,
-                        m=m,
-                        **_cells(lattice, a, b, replay=False),
-                        escapes=lambda: _cell_str(c, lattice),
-                    )
-                    break
+            escapes = _escapes(kernel.mult, a, b, closed, lattice)
+            if escapes:
+                report.violate(
+                    "closure",
+                    n=n,
+                    m=m,
+                    **_cells(lattice, a, b, replay=False),
+                    escapes=lambda: _cell_str(escapes[0], lattice),
+                )
             residual = _leibniz_residual(kernel, a, b, _sign(codims[a]))
             if residual:
                 fields = _cells(lattice, a, b, replay=expect_failure)
@@ -790,9 +777,7 @@ def check_truncation(seed: int) -> CheckReport:
             triple_pool = pairs if sample is None else pairs[: max(1, len(pairs) // 4)]
             for a, b in triple_pool:
                 sign = _sign(codims[a] * codims[b])
-                if dict(kernel.mult(a, b)) != {
-                    c: sign * v for c, v in kernel.mult(b, a)
-                }:
+                if not _commutes(kernel.mult(a, b), kernel.mult(b, a), sign):
                     report.violate(
                         "commutativity", n=n, m=m, **_cells(lattice, a, b, replay=False)
                     )
@@ -804,15 +789,8 @@ def check_truncation(seed: int) -> CheckReport:
             for a, b, c in triples:
                 case["triples"] += 1
                 report.checked += 1
-                lhs: dict[int, int] = {}
-                for u, w1 in kernel.mult(a, b):
-                    for v, w2 in kernel.mult(u, c):
-                        lhs[v] = lhs.get(v, 0) + w1 * w2
-                rhs: dict[int, int] = {}
-                for u, w1 in kernel.mult(b, c):
-                    for v, w2 in kernel.mult(a, u):
-                        rhs[v] = rhs.get(v, 0) + w1 * w2
-                if _nonzero(lhs) != _nonzero(rhs):
+                lhs, rhs = _assoc_sides(kernel.mult, a, b, c)
+                if lhs != rhs:
                     report.violate(
                         "associativity", n=n, m=m, **_cells(lattice, a, b, c, replay=False)
                     )

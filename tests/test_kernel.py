@@ -240,3 +240,60 @@ def test_axis_tables_match_the_papers_identities():
                 assert dict(kernel.mult(fa, fb)) == expected, (f, g, n)
                 pairs += 1
     assert pairs == 1215
+
+
+# -- the one linear and bilinear extension ------------------------------------
+
+
+def test_linear_drops_zero_sums_and_keeps_integers_exact():
+    big = 3**90
+    image = {1: ((10, 1), (11, 2)), 2: ((10, -1), (12, big))}.__getitem__
+    out = _kernel_py.linear([(1, big), (2, big)], image)
+    assert out == {11: 2 * big, 12: big * big}
+    assert all(type(v) is int for v in out.values())
+    assert _kernel_py.linear([(1, 5), (1, -5)], image) == {}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_times_is_the_chain_product(seed):
+    from cubalg.chain import Chain
+    from cubalg.product import product
+
+    periods = [(5,), (3, 4), (3, 3, 3)][seed % 3]
+    lattice = LatticeSpec(periods)
+    scale = 4**lattice.d
+    rng = random.Random(seed)
+    cells = window_codes(lattice, 2)
+    x, y = ({c: rng.randint(-6, 6) for c in rng.sample(cells, 5)} for _ in range(2))
+    got = _kernel_py.times(kernel_for(periods).mult, x.items(), y.items())
+    chain_x, chain_y = Chain._from_codes(lattice, x), Chain._from_codes(lattice, y)
+    assert {c: Fraction(v, scale) for c, v in got.items()} == product(chain_x, chain_y)._terms
+    expected = Chain.zero(lattice)
+    for a, va in x.items():
+        for b, vb in y.items():
+            terms = reference_mult(a, b, lattice).items()
+            expected += Chain._from_codes(lattice, {c: va * vb * v / scale for c, v in terms})
+    assert product(chain_x, chain_y) == expected
+
+
+def test_product_calls_mult_once_per_pair_of_terms(monkeypatch):
+    # perfbench's counting kernel proxy relies on this: one basis call per pair
+    from cubalg.chain import Chain
+
+    product_module = importlib.import_module("cubalg.product")  # the package exports the function
+    lattice = LatticeSpec((3, 3, 3))
+    real = kernel_for(lattice.periods)
+    calls = []
+
+    class Counting:
+        def mult(self, a, b):
+            calls.append((a, b))
+            return real.mult(a, b)
+
+    monkeypatch.setattr(product_module, "kernel_for", lambda periods: Counting())
+    cells = window_codes(lattice, 2)
+    a = Chain._from_codes(lattice, {c: Fraction(1, i + 1) for i, c in enumerate(cells[:7])})
+    b = Chain._from_codes(lattice, {c: i - 4 for i, c in enumerate(cells[3:12])})
+    product_module.product(a, b)
+    assert (len(a), len(b)) == (7, 8)  # the coefficient 0 is dropped
+    assert sorted(calls) == sorted((x, y) for x in a._terms for y in b._terms)

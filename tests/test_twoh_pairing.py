@@ -73,14 +73,16 @@ def test_expand_intertwines_boundaries(L333):
 def test_pairing_matrix_graded_symmetry(L333):
     # <a,b> = (-1)**(codim a * codim b) <b,a>; in three dimensions the
     # codimension product (3-p)*p is always even, so transposes agree
+    from cubalg.cells import code_codim
+
     m1 = pairing_matrix(1, L333)
     m2 = pairing_matrix(2, L333)
-    rows1 = {cell: i for i, cell in enumerate(m1.rows)}
-    cols1 = {cell: i for i, cell in enumerate(m1.cols)}
-    for r, cell_r in list(enumerate(m2.rows))[::17]:
-        for c, cell_c in list(enumerate(m2.cols))[::13]:
-            sign = (-1) ** (cell_r.codimension * cell_c.codimension)
-            assert m2.entries[r][c] == sign * m1.entries[rows1[cell_c]][cols1[cell_r]]
+    rows1 = {code: i for i, code in enumerate(m1.rows)}
+    cols1 = {code: i for i, code in enumerate(m1.cols)}
+    for r, code_r in list(enumerate(m2.rows))[::17]:
+        for c, code_c in list(enumerate(m2.cols))[::13]:
+            sign = (-1) ** (code_codim(code_r, L333) * code_codim(code_c, L333))
+            assert m2.entries[r][c] == sign * m1.entries[rows1[code_c]][cols1[code_r]]
             assert sign == 1
 
 
@@ -139,6 +141,7 @@ def test_pairing_matrix_equals_all_pairs_assembly(periods):
             for r in rows
         )
         mat = pairing_matrix(p, lattice)
+        assert (mat.rows, mat.cols) == (tuple(rows), tuple(cols))
         assert mat.entries == all_pairs
         assert len(mat.entries) == len(rows) and all(len(row) == len(cols) for row in mat.entries)
         if lattice.d == 1:

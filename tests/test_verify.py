@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from cubalg import LatticeSpec, parse_chain, product
+from cubalg._kernel_py import PyKernel, kernel_for
+from cubalg.cells import FactorKind, join_code
 from cubalg.verify import (
     check_betti,
     check_crumbling,
@@ -435,21 +437,22 @@ def _seeded_pair(lattice, window, seed, keep):
     return random.Random(seed).choice(pairs)
 
 
+class FlippedSign(PyKernel):
+    """The product of the pair `target` has the sign of its first term flipped."""
+
+    target = None
+
+    def mult(self, a, b):
+        terms = super().mult(a, b)
+        if (a, b) == self.target:
+            (u, w), rest = terms[0], terms[1:]
+            return ((u, -w),) + rest
+        return terms
+
+
 def flipped_sign_kernel(periods, window, seed):
     """mult(b, a) of one seeded meeting pair with a nonzero product has the
     sign of its first term flipped."""
-    from cubalg._kernel_py import PyKernel
-
-    class FlippedSign(PyKernel):
-        target = None
-
-        def mult(self, a, b):
-            terms = super().mult(a, b)
-            if (a, b) == self.target:
-                (u, w), rest = terms[0], terms[1:]
-                return ((u, -w),) + rest
-            return terms
-
     kernel = FlippedSign(periods)
     b, a = _seeded_pair(
         LatticeSpec(periods),
@@ -480,23 +483,38 @@ def ghost_product_kernel(periods, window, seed):
     return kernel
 
 
+class FlippedBoundary(PyKernel):
+    """The boundary of the cell `target` has the sign of its first entry flipped."""
+
+    target = None
+
+    def boundary(self, code):
+        terms = super().boundary(code)
+        if code == self.target:
+            (u, s), rest = terms[0], terms[1:]
+            return ((u, -s),) + rest
+        return terms
+
+
+class DoubledProduct(PyKernel):
+    """The product of the pair `target` has its first coefficient doubled."""
+
+    target = None
+
+    def mult(self, a, b):
+        terms = super().mult(a, b)
+        if (a, b) == self.target:
+            (u, w), rest = terms[0], terms[1:]
+            return ((u, 2 * w),) + rest
+        return terms
+
+
 def corrupted_boundary_kernel(periods, window, seed):
     """The boundary of one seeded window cell with a stick factor has the
     sign of its first entry flipped."""
-    from cubalg._kernel_py import PyKernel
     from cubalg.cells import window_codes
 
-    class CorruptedBoundary(PyKernel):
-        target = None
-
-        def boundary(self, code):
-            terms = super().boundary(code)
-            if code == self.target:
-                (u, s), rest = terms[0], terms[1:]
-                return ((u, -s),) + rest
-            return terms
-
-    kernel = CorruptedBoundary(periods)
+    kernel = FlippedBoundary(periods)
     cells = window_codes(LatticeSpec(periods), window)
     kernel.target = random.Random(seed).choice([c for c in cells if kernel.boundary(c)])
     return kernel
@@ -565,8 +583,6 @@ def test_truncation_streams_its_expected_failure_pairs():
     # n=4 m=3 stops at its first witness, the 1,370th of 350,464 pairs; a
     # list of every pair took 26.8 MB of the peak, a stream about 9.5 MB
     import tracemalloc
-
-    from cubalg._kernel_py import kernel_for
 
     kernel_for.cache_clear()  # the kernels' memos count as they fill
     tracemalloc.start()
@@ -673,19 +689,7 @@ def reference_symmetry(kernel_of, lattice, window):
 def perturbed_image_kernel(periods, window, seed):
     """The product of the image of one seeded meeting window pair under a
     seeded translation or axis permutation has its first coefficient doubled."""
-    from cubalg._kernel_py import PyKernel
-
-    class PerturbedImage(PyKernel):
-        target = None
-
-        def mult(self, a, b):
-            terms = super().mult(a, b)
-            if (a, b) == self.target:
-                (u, w), rest = terms[0], terms[1:]
-                return ((u, 2 * w),) + rest
-            return terms
-
-    kernel = PerturbedImage(periods)
+    kernel = DoubledProduct(periods)
     lattice = LatticeSpec(periods)
     a, b = _seeded_pair(
         lattice,
@@ -717,10 +721,225 @@ def test_symmetry_matches_per_code_transforms_on_a_perturbed_kernel(monkeypatch,
 
 def test_symmetry_permutes_onto_the_permuted_lattice():
     # permuting the axes of 3,5 gives 5,3: inside 3,5 itself, 149 pairs failed
-    from cubalg._kernel_py import kernel_for
-
     lattice = LatticeSpec((3, 5))
     rep = check_symmetry(lattice, 3)
     assert rep.passed and rep.checked == 5508
     expected = reference_symmetry(kernel_for, lattice, 3)
     assert expected.passed and expected.checked == rep.checked
+
+
+# -- J, H and S6 read the shared laws; per-pair loops are their oracle --------
+
+
+def _patch_kernels(monkeypatch, kernels):
+    """verify.kernel_for hands out kernels[periods], or the lattice's own kernel."""
+    import cubalg.verify
+
+    monkeypatch.setattr(
+        cubalg.verify, "kernel_for", lambda periods: kernels.get(tuple(periods)) or kernel_for(periods)
+    )
+
+
+def _violation_tally(monkeypatch):
+    """A Counter of (kind, n, m) over the CheckReport.violate calls from now on."""
+    from collections import Counter
+
+    from cubalg.verify import CheckReport
+
+    tally = Counter()
+    violate = CheckReport.violate
+
+    def counted(self, kind, **fields):
+        tally[kind, fields.get("n"), fields.get("m")] += 1
+        violate(self, kind, **fields)
+
+    monkeypatch.setattr(CheckReport, "violate", counted)
+    return tally
+
+
+def _summed(terms):
+    """{code: sum of coefficients} over (code, coefficient) terms, zeros dropped."""
+    out = {}
+    for c, v in terms:
+        out[c] = out.get(c, 0) + v
+    return {c: v for c, v in out.items() if v}
+
+
+def reference_crumbling(coarse, fine, lattice, window, k):
+    """Check J's chain-map and algebra-map loops, one cell and one pair at a
+    time, supports tested pair by pair and every image summed afresh."""
+    from cubalg.cells import window_codes
+    from cubalg.product import crumble_code
+    from cubalg.verify import _cells
+
+    def image(code):
+        return [u for u, _ in crumble_code(code, lattice, k)]
+
+    cells = window_codes(lattice, window)
+    report = _reference_report("J", lattice, window)
+    for a in cells:
+        lhs = _summed((v, s) for u in image(a) for v, s in fine.boundary(u))
+        rhs = _summed((v, s) for u, s in coarse.boundary(a) for v in image(u))
+        report.checked += 1
+        if lhs != rhs:
+            report.violate("crumble-boundary", **_cells(lattice, a, replay=False))
+    for i, a in enumerate(cells):
+        for b in cells[i:]:
+            if not coarse.supports_intersect(a, b):
+                continue
+            lhs = _summed((v, w) for u, w in coarse.mult(a, b) for v in image(u))
+            rhs = _summed((v, w) for x in image(a) for y in image(b) for v, w in fine.mult(x, y))
+            report.checked += 1
+            if lhs != rhs:
+                report.violate("crumble-product", **_cells(lattice, a, b))
+    return report
+
+
+def corrupted_fine_boundary(lattice, window, k, seed):
+    """A fine kernel whose boundary of one seeded crumbled window cell is corrupted."""
+    from cubalg.cells import window_codes
+    from cubalg.product import crumble_code
+
+    fine = FlippedBoundary(lattice.refined(k).periods)
+    images = {u for a in window_codes(lattice, window) for u, _ in crumble_code(a, lattice, k)}
+    fine.target = random.Random(seed).choice(sorted(u for u in images if fine.boundary(u)))
+    return fine
+
+
+def perturbed_fine_product(lattice, window, k, seed):
+    """A fine kernel whose product of one seeded pair (x, y) has its first
+    coefficient doubled, x and y in the crumbled images of a and b, for a
+    meeting pair (a, b) of window cells, a no later than b."""
+    from cubalg.cells import window_codes
+    from cubalg.product import crumble_code
+
+    fine = DoubledProduct(lattice.refined(k).periods)
+    coarse = kernel_for(lattice.periods)
+    cells = window_codes(lattice, window)
+    pairs = {
+        (x, y)
+        for i, a in enumerate(cells)
+        for b in cells[i:]
+        if coarse.supports_intersect(a, b)
+        for x, _ in crumble_code(a, lattice, k)
+        for y, _ in crumble_code(b, lattice, k)
+        if fine.mult(x, y)
+    }
+    fine.target = random.Random(seed).choice(sorted(pairs))
+    return fine
+
+
+BROKEN_FINE = {"crumble-boundary": corrupted_fine_boundary, "crumble-product": perturbed_fine_product}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", sorted(BROKEN_FINE))
+def test_crumbling_matches_per_pair_loops_on_broken_fine_kernels(monkeypatch, kind, seed):
+    lattice, window, k = LatticeSpec((3, 5)), 2, 3
+    fine = BROKEN_FINE[kind](lattice, window, k, seed)
+    _patch_kernels(monkeypatch, {fine.periods: fine})
+    got = check_crumbling(lattice, window, k)
+    expected = reference_crumbling(kernel_for(lattice.periods), fine, lattice, window, k)
+    assert got.checked == expected.checked
+    assert got.violation_count == expected.violation_count > 0
+    assert got.violations == expected.violations
+    assert {v["kind"] for v in got.violations} == {kind}
+
+
+class EscapingProduct(PyKernel):
+    """The product of the pair `target` gains the all-infinitesimal cells at
+    coordinates 0 and 1, which no truncation below the top level contains."""
+
+    target = None
+
+    def mult(self, a, b):
+        terms = super().mult(a, b)
+        if (a, b) == self.target:
+            lattice = LatticeSpec(self.periods)
+            escaping = [join_code([(x, FactorKind.INF_STICK)] * self.d, lattice) for x in (0, 1)]
+            return terms + tuple((c, 4**self.d) for c in escaping)
+        return terms
+
+
+def escaping_kernel(periods, closed, seed):
+    """EscapingProduct on a seeded pair of the window-2 cells of the kinds `closed`."""
+    from cubalg.cells import window_codes
+
+    kernel = EscapingProduct(periods)
+    cells = window_codes(LatticeSpec(periods), 2, closed)
+    kernel.target = random.Random(seed).choice([(a, b) for a in cells for b in cells])
+    return kernel
+
+
+def reference_escapes(kernel, lattice, closed):
+    """(pairs, cells): over every ordered pair of the window-2 cells of the
+    kinds `closed`, the pairs whose product has a cell of another kind, and
+    those cells."""
+    from cubalg.cells import code_kinds, window_codes
+
+    cells = window_codes(lattice, 2, closed)
+    pairs = escaped = 0
+    for a in cells:
+        for b in cells:
+            outside = [c for c, _ in kernel.mult(a, b) if code_kinds(c, lattice) not in closed]
+            pairs += bool(outside)
+            escaped += len(outside)
+    return pairs, escaped
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fc_subalgebra_counts_every_escaping_cell(monkeypatch, seed):
+    from cubalg.truncation import kind_closure
+
+    lattice, closed = LatticeSpec((3, 3, 3)), kind_closure(3, 2)
+    kernel = escaping_kernel(lattice.periods, closed, seed)
+    _patch_kernels(monkeypatch, {lattice.periods: kernel})
+    tally = _violation_tally(monkeypatch)
+    assert not check_fc_subalgebra(lattice, 2).passed
+    assert tally["closure", None, None] == reference_escapes(kernel, lattice, closed)[1] == 2
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_truncation_counts_an_escape_once_per_pair(monkeypatch, seed):
+    from cubalg.truncation import kind_closure
+
+    lattice, closed = LatticeSpec((5,) * 4), kind_closure(4, 2)
+    kernel = escaping_kernel(lattice.periods, closed, seed)
+    _patch_kernels(monkeypatch, {lattice.periods: kernel})
+    tally = _violation_tally(monkeypatch)
+    assert not check_truncation(0).passed
+    pairs, escaped = reference_escapes(kernel, lattice, closed)
+    assert tally["closure", 4, 2] == pairs == 1 and escaped == 2
+
+
+def reference_commutativity_failures(kernel, lattice, closed):
+    """Ordered pairs of the window-2 cells of the kinds `closed` whose
+    products break graded commutativity, tested one pair at a time."""
+    from cubalg.cells import code_codim, window_codes
+
+    cells = window_codes(lattice, 2, closed)
+    failures = 0
+    for a in cells:
+        for b in cells:
+            sign = (-1) ** (code_codim(a, lattice) * code_codim(b, lattice))
+            failures += dict(kernel.mult(a, b)) != {c: sign * v for c, v in kernel.mult(b, a)}
+    return failures
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_truncation_flags_a_flipped_sign_as_commutativity(monkeypatch, seed):
+    from cubalg.cells import window_codes
+    from cubalg.truncation import kind_closure
+
+    # the n=4 m=2 case checks every ordered pair of its cells, so the
+    # flipped product breaks the pair (a, b) and the pair (b, a)
+    lattice, closed = LatticeSpec((5,) * 4), kind_closure(4, 2)
+    kernel = FlippedSign(lattice.periods)
+    cells = window_codes(lattice, 2, closed)
+    kernel.target = random.Random(seed).choice(
+        [(b, a) for b in cells for a in cells if b != a and kernel.mult(b, a)]
+    )
+    _patch_kernels(monkeypatch, {lattice.periods: kernel})
+    tally = _violation_tally(monkeypatch)
+    assert not check_truncation(0).passed
+    assert tally["commutativity", 4, 2] == reference_commutativity_failures(kernel, lattice, closed) == 2
