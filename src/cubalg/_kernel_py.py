@@ -85,6 +85,14 @@ class PyKernel:
         self.code_bound = p
         self._tables = [_axis_table(n) for n in periods]
         self._meets = [axis_meets(n) for n in periods]
+        # bit fb of _rows[i][fa]: axis i's table gives fa*fb a term.  Read
+        # from the tables and not from `axis_meets`, so that a table with a
+        # product on a non-meeting pair still shows it to E.
+        self._rows = [
+            [sum(1 << fb for fb in range(r) if table[fa * r + fb] is not None) for fa in range(r)]
+            for table, r in zip(self._tables, self.radices)
+        ]
+        self._mask_cache: dict[int, tuple[int, int]] = {}
         self._mult_cache: dict[int, tuple[tuple[int, int], ...]] = {}
         # one shared object per distinct product value; far fewer than keys
         self._values: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
@@ -111,6 +119,20 @@ class PyKernel:
             cached = self._factor_cache[code] = (tuple(out), points)
         return cached
 
+    def _masks(self, code: int) -> tuple[int, int]:
+        """A cell's row mask and one-hot mask, memoized.  Each axis owns a
+        field of 3n bits, in axis order: the row mask holds there the row of
+        the cell's factor code fc, the one-hot mask the single bit fc."""
+        cached = self._mask_cache.get(code)
+        if cached is None:
+            row = one = shift = 0
+            for fc, rows, r in zip(self.factors(code)[0], self._rows, self.radices):
+                row |= rows[fc] << shift
+                one |= 1 << (fc + shift)
+                shift += r
+            cached = self._mask_cache[code] = (row, one)
+        return cached
+
     def supports_intersect(self, a: int, b: int) -> bool:
         """Closed supports meet on every axis (`cells.axis_meets`)."""
         for meets, r in zip(self._meets, self.radices):
@@ -128,21 +150,25 @@ class PyKernel:
     # -- products ----------------------------------------------------------
 
     def mult(self, a: int, b: int) -> tuple[tuple[int, int], ...]:
-        """Product of two basis cells; numerators at scale 4**d."""
+        """Product of two basis cells; numerators at scale 4**d.
+
+        Only nonzero products are memoized.  a*b is zero exactly when some
+        axis's table entry is None, that is, when the AND of a's row mask
+        and b's one-hot mask has fewer than d bits."""
         key = a * self.code_bound + b
         cached = self._mult_cache.get(key)
         if cached is not None:
             return cached
+        masks = self._mask_cache  # read inline: every zero product comes here
+        row = (masks.get(a) or self._masks(a))[0]
+        if (row & (masks.get(b) or self._masks(b))[1]).bit_count() < self.d:
+            return ()
         fa, pa = self.factors(a)
         fb, pb = self.factors(b)
         sign = self._signs[(pa << self.d) | pb]
-        per_axis = []
-        for i in range(self.d):
-            terms = self._tables[i][fa[i] * self.radices[i] + fb[i]]
-            if terms is None:
-                self._mult_cache[key] = ()
-                return ()
-            per_axis.append(terms)
+        per_axis = [
+            table[x * r + y] for table, r, x, y in zip(self._tables, self.radices, fa, fb)
+        ]
         out: dict[int, int] = {}
         places = self.places
         for combo in _iterproduct(*per_axis):

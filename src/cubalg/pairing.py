@@ -70,9 +70,8 @@ class PairingMatrix:
 def pairing_matrix(p: int, lattice: LatticeSpec) -> PairingMatrix:
     """Matrix of the pairing on C_p x C_{d-p} over the non-ideal bases.
 
-    Only cells anchored within one step of each other on every axis are
-    multiplied: no other pair of supports meets, so every other entry is
-    zero."""
+    Only the cells that `near_codes` gives, those whose closed supports
+    meet, are multiplied: every other product is zero."""
     rows = tuple(c_basis_codes(p, lattice))
     cols = tuple(c_basis_codes(lattice.d - p, lattice))
     position = {code: k for k, code in enumerate(cols)}

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cubalg import _kernel_py
 from cubalg._kernel_py import PyKernel, kernel_for
-from cubalg.cells import Cell, FactorKind, decode_cell, encode_cell, window_codes
+from cubalg.cells import Cell, FactorKind, axis_meets, decode_cell, encode_cell, window_codes
 from cubalg.lattice import LatticeSpec
 from cubalg.table1d import mult1
 
@@ -171,6 +171,54 @@ def test_equal_products_share_one_object():
     assert len(shared) < len(kernel._mult_cache) // 10
 
 
+def test_zero_rows_are_the_transversality_law_per_axis():
+    # bit fb of a row: the table gives fa*fb a term, that is, the closed
+    # supports meet and the two factors are not both points
+    for n in range(3, 10):
+        meets = axis_meets(n)
+        (rows,) = PyKernel((n,))._rows
+        for fa in range(3 * n):
+            expected = meets[fa]
+            if fa % 3 == 0:  # a point: drop the other points
+                expected &= ~sum(1 << fb for fb in range(0, 3 * n, 3))
+            assert rows[fa] == expected, (n, fa)
+
+
+def test_memo_holds_no_zero_products():
+    from cubalg.verify import verify_axioms
+
+    kernel_for.cache_clear()
+    try:
+        verify_axioms((3, 3, 3), ["A", "B", "C", "E", "G"], window=2)
+        memo = kernel_for((3, 3, 3))._mult_cache
+    finally:
+        kernel_for.cache_clear()
+    assert memo and () not in memo.values()
+
+
+def test_transversality_sees_a_table_product_on_a_non_meeting_pair(monkeypatch):
+    # the zero test reads the tables, so a wrong entry still reaches E; taken
+    # from `axis_meets`, it would hide this one
+    from cubalg.verify import check_transversality
+
+    n, fa, fb = 5, 0 * 3 + 1, 3 * 3 + 1  # s@0 and s@3 miss each other at period 5
+    assert not axis_meets(n)[fa] >> fb & 1
+    real = _kernel_py._axis_table
+
+    def broken(period):
+        table = real(period)
+        table[fa * 3 * period + fb] = ((fa, 4),)
+        return table
+
+    monkeypatch.setattr(_kernel_py, "_axis_table", broken)
+    kernel_for.cache_clear()
+    try:
+        report = check_transversality(LatticeSpec((n,)), n)
+    finally:
+        kernel_for.cache_clear()
+    assert [(v["a"], v["b"]) for v in report.violations] == [("[s@0]", "[s@3]")]
+
+
 def reference_mult(a, b, lattice):
     """{code: numerator at scale 4**d} from mult1 on every axis, weighted by
     the Koszul sign (-1)**(pairs i > j with a_i and b_j both points)."""
@@ -212,6 +260,16 @@ def test_mult_matches_table1d_reference(args):
     kernel = PyKernel(periods)
     for a in codes:
         for b in codes:
+            assert dict(kernel.mult(a, b)) == reference_mult(a, b, lattice)
+
+
+@pytest.mark.parametrize("periods,window", [((3, 5), 3), ((4, 3, 3), 2)])
+def test_mult_matches_reference_on_every_window_pair(periods, window):
+    lattice = LatticeSpec(periods)
+    kernel = PyKernel(periods)
+    cells = window_codes(lattice, window)
+    for a in cells:
+        for b in cells:
             assert dict(kernel.mult(a, b)) == reference_mult(a, b, lattice)
 
 

@@ -596,6 +596,30 @@ def test_truncation_streams_its_expected_failure_pairs():
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize(
+    "check,periods,args,limit_mb",
+    [(check_leibniz, (3, 3, 3), (2,), 5), (check_crumbling, (3, 3, 3, 3), (1, 3), 14)],
+)
+def test_zero_products_stay_out_of_the_kernel_memo(check, periods, args, limit_mb):
+    # most of C's and J's products are zero; memoized, they took C's peak at
+    # 3,3,3 window 2 to 11.0 MB and J's at 3,3,3,3 window 1 to 26.9 MB, and
+    # kept out, the peaks are 2.0 and 8.4 MB
+    import tracemalloc
+
+    from cubalg.verify import _window
+
+    kernel_for.cache_clear()  # cold kernels and window table: their memos count
+    _window.cache_clear()
+    tracemalloc.start()
+    try:
+        rep = check(LatticeSpec(periods), *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < limit_mb * 2**20
+
+
 # -- D acts through per-axis tables; per-code transforms are its oracle --------
 
 
