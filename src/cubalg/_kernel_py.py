@@ -147,6 +147,27 @@ class PyKernel:
         no axis is a point axis of both cells."""
         return self.supports_intersect(a, b) and not (self.factors(a)[1] & self.factors(b)[1])
 
+    def local(self) -> bool:
+        """Whether a pair of cells whose closed supports miss needs no
+        computing: its product and its product-rule residual are zero.
+
+        It holds when every axis's table is zero off meeting factor pairs
+        (each `_rows[fa]` a subset of `_meets[fa]`) and `mult` and `boundary`
+        are this class's own.  The boundary of a cell lies in its closed
+        support, so every product in the residual of such a pair is between
+        cells that miss as well.  A subclass overriding either method does
+        not get the fact."""
+        cls = type(self)
+        return (
+            cls.mult is PyKernel.mult
+            and cls.boundary is PyKernel.boundary
+            and not any(
+                row & ~meet
+                for rows, meets in zip(self._rows, self._meets)
+                for row, meet in zip(rows, meets)
+            )
+        )
+
     # -- products ----------------------------------------------------------
 
     def mult(self, a: int, b: int) -> tuple[tuple[int, int], ...]:

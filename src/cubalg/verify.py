@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations, permutations, product as _iterproduct
+from itertools import combinations, islice, permutations, product as _iterproduct
 from typing import Iterator, NamedTuple
 
 from ._kernel_py import kernel_for, linear, times
@@ -219,10 +219,6 @@ def _window(lattice: LatticeSpec, window: int) -> _Window:
     """The window table, built once and shared by the pair checks."""
     codes = window_codes(lattice, window)
     masks = meet_masks(codes, lattice)
-    rows: dict[int, tuple[int, ...]] = {}
-    for mask in masks:
-        if mask not in rows:
-            rows[mask] = tuple(j for j in range(len(codes)) if mask >> j & 1)
     points, ideal = [], []
     for code in codes:
         kinds = [kind for _, kind in split_code(code, lattice)]
@@ -231,11 +227,31 @@ def _window(lattice: LatticeSpec, window: int) -> _Window:
     return _Window(
         tuple(codes),
         tuple(masks),
-        tuple(rows[mask] for mask in masks),
+        _near(masks),
         tuple(p.bit_count() for p in points),
         tuple(points),
         tuple(ideal),
     )
+
+
+def _near(masks: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Per `meet_masks` entry, the positions of its bits, ascending; one
+    tuple per distinct mask."""
+    rows: dict[int, tuple[int, ...]] = {}
+    for mask in masks:
+        if mask not in rows:
+            rows[mask] = tuple(j for j in range(len(masks)) if mask >> j & 1)
+    return tuple(rows[mask] for mask in masks)
+
+
+def _partners(kernel, near: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Per position i, the positions j of the ordered pairs (i, j) that a
+    walk over every pair must compute.  On a local kernel (`PyKernel.local`)
+    a pair whose supports miss has a zero product and a zero product-rule
+    residual, so only `near[i]` is computed; on any other kernel, every j."""
+    if kernel.local():
+        return near
+    return (tuple(range(len(near))),) * len(near)
 
 
 def _meeting_pairs(win: _Window) -> Iterator[tuple[int, int]]:
@@ -310,11 +326,12 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
     win = _window(lattice, window)
     codes, ideal = win.codes, win.ideal
     ideal_failures = 0
-    for i, a in enumerate(codes):
-        sign_a = _sign(win.codims[i])
-        for j, b in enumerate(codes):
+    report.checked = len(codes) ** 2
+    for i, partners in enumerate(_partners(kernel, win.near)):
+        a, sign_a = codes[i], _sign(win.codims[i])
+        for j in partners:
+            b = codes[j]
             residual = _leibniz_residual(kernel, a, b, sign_a)
-            report.checked += 1
             if not residual:
                 continue
             fields = _cells(lattice, a, b)
@@ -437,12 +454,13 @@ def check_transversality(lattice: LatticeSpec, window: int) -> CheckReport:
         lattice.periods,
         window,
     )
-    for i, a in enumerate(codes):
-        mask, points_a = win.masks[i], points[i]
-        for j, b in enumerate(codes):
+    report.checked = len(codes) ** 2
+    for i, partners in enumerate(_partners(kernel, win.near)):
+        a, mask, points_a = codes[i], win.masks[i], points[i]
+        for j in partners:
+            b = codes[j]
             nonzero = bool(mult(a, b))
             expected = bool(mask >> j & 1) and not (points_a & points[j])
-            report.checked += 1
             if nonzero != expected:
                 report.violate(
                     "transversality",
@@ -624,9 +642,10 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
     report.details["member_kinds"] = sorted(
         "".join("psi"[int(k)] for k in t) for t in closed
     )
-    for a in codes:
+    report.checked = len(codes) ** 2
+    for a, partners in zip(codes, _partners(kernel, _near(meet_masks(codes, lattice)))):
         sign_a = _sign(code_codim(a, lattice))
-        for b in codes:
+        for b in map(codes.__getitem__, partners):
             # closure: every product cell stays in the subalgebra's span
             for c in _escapes(kernel.mult, a, b, closed, lattice):
                 report.violate(
@@ -635,7 +654,6 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
                     escapes=lambda: _cell_str(c, lattice),
                 )
             residual = _leibniz_residual(kernel, a, b, sign_a)
-            report.checked += 1
             if residual:
                 report.violate(
                     "leibniz",
@@ -734,18 +752,29 @@ def check_truncation(seed: int) -> CheckReport:
                 a, b = rng.choice(cells), rng.choice(cells)
                 if kernel.supports_intersect(a, b):
                     pairs.append((a, b))
-        elif expect_failure:
-            # ideal cells first: the product rule breaks on pairs touching them
-            ideal = [c for c in cells if code_is_ideal(c, lattice)]
-            plain = [c for c in cells if not code_is_ideal(c, lattice)]
-            # streamed: the case stops at its first witness
-            pairs = ((a, b) for a in ideal + plain for b in cells)
+            total = len(pairs)
+            walk = ((k, a, b) for k, (a, b) in enumerate(pairs))
         else:
-            pairs = [(a, b) for a in cells for b in cells]
+            # every ordered pair of order x cells, ideal cells first when a
+            # failure is expected: the product rule breaks on pairs touching them
+            order = cells
+            if expect_failure:
+                order = sorted(cells, key=lambda c: not code_is_ideal(c, lattice))
+            total = len(order) * len(cells)
+            at = {c: k for k, c in enumerate(cells)}
+            partners = _partners(kernel, _near(meet_masks(cells, lattice)))
+            # (position, a, b) of the pairs to compute; streamed, since the
+            # expected failure stops at its first witness
+            walk = (
+                (r * len(cells) + j, a, cells[j])
+                for r, a in enumerate(order)
+                for j in partners[at[a]]
+            )
+            if not expect_failure:
+                walk = list(walk)
+                pairs = [(a, b) for _, a, b in walk]
         witnessed = False
-        for a, b in pairs:
-            case["pairs"] += 1
-            report.checked += 1
+        for position, a, b in walk:
             escapes = _escapes(kernel.mult, a, b, closed, lattice)
             if escapes:
                 report.violate(
@@ -761,9 +790,11 @@ def check_truncation(seed: int) -> CheckReport:
                 fields["residual"] = lambda: _chain_str(residual, lattice, scale)
                 if expect_failure:
                     report.witness("leibniz-failure", n=n, m=m, **fields)
-                    witnessed = True
+                    witnessed, total = True, position + 1
                     break
                 report.violate("leibniz", n=n, m=m, **fields)
+        case["pairs"] = total
+        report.checked += total
         if expect_failure:
             if not witnessed:
                 report.violate(
@@ -773,16 +804,23 @@ def check_truncation(seed: int) -> CheckReport:
                     note="truncating one past the bound must break the product rule",
                 )
         else:
-            # sampled commutativity and associativity
-            triple_pool = pairs if sample is None else pairs[: max(1, len(pairs) // 4)]
-            for a, b in triple_pool:
+            # commutativity over the pairs computed above (a pair left out has
+            # two zero products) or the first quarter of a sample; associativity
+            # on a seeded third cell for the first 200 of every pair or of
+            # that quarter
+            if sample is None:
+                firsts = list(islice(_iterproduct(cells, repeat=2), 200))
+            else:
+                pairs = pairs[: max(1, len(pairs) // 4)]
+                firsts = pairs[:200]
+            for a, b in pairs:
                 sign = _sign(codims[a] * codims[b])
                 if not _commutes(kernel.mult(a, b), kernel.mult(b, a), sign):
                     report.violate(
                         "commutativity", n=n, m=m, **_cells(lattice, a, b, replay=False)
                     )
             triples = []
-            for a, b in triple_pool[:200]:
+            for a, b in firsts:
                 c = rng.choice(cells)
                 if kernel.supports_intersect(a, c) and kernel.supports_intersect(b, c):
                     triples.append((a, b, c))

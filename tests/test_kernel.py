@@ -184,6 +184,42 @@ def test_zero_rows_are_the_transversality_law_per_axis():
             assert rows[fa] == expected, (n, fa)
 
 
+@pytest.mark.parametrize(
+    "periods", [(n,) for n in range(3, 10)] + [(3, 5), (4, 3, 3), (3, 5, 7), (4, 3, 3, 3)]
+)
+def test_the_kernel_is_local_and_a_subclass_overriding_its_laws_is_not(periods):
+    assert PyKernel(periods).local()
+
+    class Products(PyKernel):
+        def mult(self, a, b):
+            return super().mult(a, b)
+
+    class Boundaries(PyKernel):
+        def boundary(self, code):
+            return super().boundary(code)
+
+    class Scans(PyKernel):
+        def scan_assoc(self, cells):
+            return super().scan_assoc(cells)
+
+    assert not Products(periods).local() and not Boundaries(periods).local()
+    assert Scans(periods).local()
+
+
+@pytest.mark.parametrize("periods", [(3,), (4,), (7,), (3, 4), (5, 3, 4)])
+def test_boundary_stays_in_the_closed_support(periods):
+    # every cell that meets a boundary cell of c meets c: the half of
+    # `PyKernel.local` that it does not test at run time
+    from cubalg.cells import meet_masks
+
+    kernel = PyKernel(periods)
+    codes = list(range(kernel.code_bound))
+    masks = meet_masks(codes, LatticeSpec(periods))
+    for c in codes:
+        for u, _ in kernel.boundary(c):
+            assert not masks[u] & ~masks[c], (c, u)
+
+
 def test_memo_holds_no_zero_products():
     from cubalg.verify import verify_axioms
 
@@ -217,6 +253,31 @@ def test_transversality_sees_a_table_product_on_a_non_meeting_pair(monkeypatch):
     finally:
         kernel_for.cache_clear()
     assert [(v["a"], v["b"]) for v in report.violations] == [("[s@0]", "[s@3]")]
+
+
+def test_leibniz_sees_a_table_product_on_a_non_meeting_pair(monkeypatch):
+    # the table is no longer zero off meeting pairs, so the kernel is not
+    # local and C computes every pair, this one too
+    from cubalg.verify import check_leibniz
+
+    n, fa, fb = 5, 0 * 3 + 1, 3 * 3 + 1  # s@0 and s@3 miss each other at period 5
+    real = _kernel_py._axis_table
+
+    def broken(period):
+        table = real(period)
+        table[fa * 3 * period + fb] = ((fa, 4),)
+        return table
+
+    monkeypatch.setattr(_kernel_py, "_axis_table", broken)
+    kernel_for.cache_clear()
+    try:
+        assert not kernel_for((n,)).local()
+        report = check_leibniz(LatticeSpec((n,)), n)
+    finally:
+        kernel_for.cache_clear()
+    assert report.checked == (3 * n) ** 2
+    kinds = [(v["kind"], v["a"], v["b"]) for v in report.violations]
+    assert kinds == [("leibniz", "[s@0]", "[s@3]")]
 
 
 def reference_mult(a, b, lattice):

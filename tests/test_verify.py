@@ -579,6 +579,24 @@ def test_window_table_checks_match_per_pair_loops_on_broken_kernels(
     assert reports[flagged_by].violation_count > 0
 
 
+@pytest.mark.parametrize("periods,window", [((3, 3, 3), 2), ((3, 5), 2), ((4, 3, 3), 1), ((3, 3, 5), 1)])
+@pytest.mark.parametrize("check", [check_leibniz, check_transversality, check_fc_subalgebra])
+def test_meeting_pair_walks_report_what_the_full_walks_do(monkeypatch, check, periods, window):
+    # a local kernel lets C, E and H compute only the pairs whose supports
+    # meet; a kernel that is not computes every pair
+    lattice = LatticeSpec(periods)
+    assert kernel_for(periods).local()
+    fast = check(lattice, window).to_json_dict()
+    monkeypatch.setattr(PyKernel, "local", lambda self: False)
+    assert check(lattice, window).to_json_dict() == fast
+
+
+def test_truncation_meeting_pair_walks_report_what_the_full_walks_do(monkeypatch):
+    fast = check_truncation(0).to_json_dict()
+    monkeypatch.setattr(PyKernel, "local", lambda self: False)
+    assert check_truncation(0).to_json_dict() == fast
+
+
 def test_truncation_streams_its_expected_failure_pairs():
     # n=4 m=3 stops at its first witness, the 1,370th of 350,464 pairs; a
     # list of every pair took 26.8 MB of the peak, a stream about 9.5 MB
