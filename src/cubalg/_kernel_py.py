@@ -247,54 +247,108 @@ class PyKernel:
         Each side is computed from the values it depends on.  (a*b)*c is
         the sum of w*(u*c) over the terms (u, w) of a*b, so it is a function
         of the value of a*b and of c alone; a*(b*c) is likewise a function
-        of a and the value of b*c.  Every distinct product of two cells gets
-        an integer id, keyed on the exact tuple `mult` returned, so a
-        repeated or reordered term can split one value over two ids but
-        never merge two values.  Each side's nonzero result is interned to
-        an integer, so equal ids mean equal nonzero sums.  A side whose
-        product value is a single term (u, w) is w times one product, and
-        its id is also kept by (w, that product), which many sides share.
+        of a and the value of b*c.  Every distinct product gets an integer
+        value id, keyed on the exact tuple `mult` returned, so a repeated
+        or reordered term can split one value over two ids but never merge
+        two values; id 0 is the zero product and `prods[q]` the value of id
+        q.  For a cell u, the row at offset `prow[u]` of the flat list
+        `ids` holds the ids of u*cells[k] for every position k; it is built
+        once, for the cells in `cells` and the terms of their products.
+        The products a*u of the right side are asked once per a and u.
+        When `mult` is this class's own, the positions that can give a
+        nonzero product are read off the axis rows `_rows`, grouped by
+        factor code per axis as `cells.meet_masks` groups them: the
+        positions k of u*cells[k] for a row, and the bitset `col_mask[u]`
+        of the positions i of cells[i]*u.  So `mult` is called only on
+        pairs no axis table zeroes, and it decides zeros by the same rows.
+        A subclass overriding `mult` gets every product from it.  Each
+        side's nonzero result is interned to an integer, so equal ids mean
+        equal nonzero sums.  A side whose product value is a single term
+        (u, w) is w times one product, and its id is kept in
+        `scaled[w][q]`, which many sides share.
 
         The scan compares whole rows.  For one pair (a, b) the third cells c
         are the positions in the AND of the two cells' support masks
         (`cells.meet_masks`).  The left row over them depends only on
         id(a*b) and that mask, and is built once per pair of the two; the
-        right row maps the row of id(b*c) through a memo of a*(b*c) by
+        right row maps b's row over them through a memo of a*(b*c) by
         id(b*c), kept for the current a.  Only a row that differs is walked
         to find its violating c.  The triples are exactly those the masks
-        give, visited a, then b, then c by position, and `self.mult` is the
-        only product used, so each triple gets the verdict a fresh
-        computation of both sides would give, also for a kernel that
-        overrides `mult`.
+        give, visited a, then b, then c by position, and every product
+        comes from `self.mult` or is zero by its own rows, so each triple
+        gets the verdict a fresh computation of both sides would give, also
+        for a kernel that overrides `mult`.
         """
         n = len(cells)
         masks = meet_masks(cells, LatticeSpec(self.periods))
         # a mask depends only on the cells' supports, so there are few
-        # distinct masks; each one's list of positions is built once
+        # distinct masks; each one's list of positions is built once, of
+        # shared ints
         positions: dict[int, list[int]] = {}
+        every = list(range(n))
 
         def bits(mask: int) -> list[int]:
             found = positions.get(mask)
             if found is None:
-                found = positions[mask] = [k for k in range(n) if mask >> k & 1]
+                found = positions[mask] = [k for k in every if mask >> k & 1]
             return found
 
         mult = self.mult
-        # pid[i*n + j]: id of the value cells[i]*cells[j], for meeting pairs;
-        # kept flat (a list per row left more memory behind after the scan),
-        # and the right rows slice out the row they need
-        prod_ids: dict[tuple[tuple[int, int], ...], int] = {}
-        prods: list[tuple[tuple[int, int], ...]] = []
-        pid = [0] * (n * n)
-        for i in range(n):
-            a = cells[i]
-            for j in bits(masks[i]):
-                p = mult(a, cells[j])
-                q = prod_ids.get(p)
-                if q is None:
-                    q = prod_ids[p] = len(prods)
-                    prods.append(p)
-                pid[i * n + j] = q
+        everywhere = (1 << n) - 1
+        # per axis and factor code fu: the positions whose factor code fk
+        # has u*cells[k] (rows) or cells[k]*u (cols) nonzero on that axis
+        rows_near: list[list[int]] = []
+        cols_near: list[list[int]] = []
+        rest = list(cells)
+        for rows, r in zip(self._rows, self.radices):
+            groups = [0] * r
+            for pos, code in enumerate(rest):
+                rest[pos], fc = divmod(code, r)
+                groups[fc] |= 1 << pos
+            rows_near.append(
+                [sum(g for fk, g in enumerate(groups) if row >> fk & 1) for row in rows]
+            )
+            cols_near.append(
+                [sum(g for fk, g in enumerate(groups) if rows[fk] >> fu & 1) for fu in range(r)]
+            )
+        own = type(self).mult is PyKernel.mult
+
+        prod_ids: dict[tuple[tuple[int, int], ...], int] = {(): 0}
+        prods: list[tuple[tuple[int, int], ...]] = [()]
+
+        def value_id(p: tuple[tuple[int, int], ...]) -> int:
+            q = prod_ids.get(p)
+            if q is None:
+                q = prod_ids[p] = len(prods)
+                prods.append(p)
+            return q
+
+        def nonzero(u: int, near: list[list[int]]) -> int:
+            # the positions k where no axis table zeroes u*cells[k]
+            # (rows_near) or cells[k]*u (cols_near)
+            mask = everywhere
+            if own:
+                for groups, fu in zip(near, self.factors(u)[0]):
+                    mask &= groups[fu]
+            return mask
+
+        # every row lives in this one list: a list per row stayed resident
+        # after the scan, about 20 MB at the 3,3,3,3 window-2 row's peak
+        ids: list[int] = []
+        zeros = [0] * n
+
+        def product_row(u: int) -> int:
+            # a new row of the ids of u*cells[k]; its offset
+            base = len(ids)
+            ids.extend(zeros)
+            for k in bits(nonzero(u, rows_near)):
+                ids[base + k] = value_id(mult(u, cells[k]))
+            return base
+
+        prow = _Filled(product_row)
+        # bit i: cells[i]*u may be nonzero (a dense column of ids per u
+        # doubled the rows' memory)
+        col_mask = _Filled(lambda u: nonzero(u, cols_near))
 
         results: dict[frozenset[tuple[int, int]], int] = {}
 
@@ -305,40 +359,48 @@ class PyKernel:
                 key = frozenset(acc.items())
             return results.setdefault(key, len(results))
 
-        def scaled_id(key: tuple[int, tuple[tuple[int, int], ...]]) -> int:
-            w1, p = key
-            acc: dict[int, int] = {}
-            for v, w2 in p:
-                acc[v] = acc.get(v, 0) + w1 * w2
-            return result_id(acc)
+        def times_w(w1: int) -> _Filled:
+            # value id q -> id of w1 times that value
+            def fill(q: int) -> int:
+                acc: dict[int, int] = {}
+                for v, w2 in prods[q]:
+                    acc[v] = acc.get(v, 0) + w1 * w2
+                return result_id(acc)
 
-        scaled = _Filled(scaled_id)  # (w, p) -> id of w*p
+            return _Filled(fill)
+
+        scaled = _Filled(times_w)
 
         def left_row(terms: tuple[tuple[int, int], ...], ks: list[int]) -> list[int]:
             # ids of (a*b)*cells[k] over ks, for the value a*b = terms
             if len(terms) == 1:
                 ((u, w),) = terms
-                return [scaled[w, mult(u, cells[k])] for k in ks]
-            row = []
+                base = prow[u]
+                row = ids[base : base + n]
+                return list(map(scaled[w].__getitem__, map(row.__getitem__, ks)))
+            term_rows = [(ids[prow[u] : prow[u] + n], w1) for u, w1 in terms]
+            out = []
             for k in ks:
                 acc: dict[int, int] = {}
-                c = cells[k]
-                for u, w1 in terms:
-                    for v, w2 in mult(u, c):
+                for row, w1 in term_rows:
+                    for v, w2 in prods[row[k]]:
                         acc[v] = acc.get(v, 0) + w1 * w2
-                row.append(result_id(acc))
-            return row
+                out.append(result_id(acc))
+            return out
 
-        def right_side(a: int) -> _Filled:
-            # id(b*c) -> id of a*(b*c)
+        def right_side(i: int) -> _Filled:
+            # id(b*c) -> id of a*(b*c), for a = cells[i]
+            a, bit = cells[i], 1 << i
+            times_a = _Filled(lambda u: value_id(mult(a, u)) if col_mask[u] & bit else 0)
+
             def fill(q_bc: int) -> int:
                 terms = prods[q_bc]
                 if len(terms) == 1:
                     ((u, w),) = terms
-                    return scaled[w, mult(a, u)]
+                    return scaled[w][times_a[u]]
                 acc: dict[int, int] = {}
                 for u, w1 in terms:
-                    for v, w2 in mult(a, u):
+                    for v, w2 in prods[times_a[u]]:
                         acc[v] = acc.get(v, 0) + w1 * w2
                 return result_id(acc)
 
@@ -350,17 +412,19 @@ class PyKernel:
         violations: list[tuple[int, int, int]] = []
         for i in range(n):
             a = cells[i]
-            right = right_side(a).__getitem__
+            right = right_side(i).__getitem__
+            base_a = prow[a]
             mi = masks[i]
             for j in bits(mi):
                 mask = mi & masks[j]
                 ks = bits(mask)
                 checked += len(ks)
-                q_ab = pid[i * n + j]
+                q_ab = ids[base_a + j]
                 lhs = left_rows.get((q_ab, mask))
                 if lhs is None:
                     lhs = left_rows[q_ab, mask] = left_row(prods[q_ab], ks)
-                rhs = list(map(right, map(pid[j * n : j * n + n].__getitem__, ks)))
+                base_b = prow[cells[j]]
+                rhs = list(map(right, map(ids[base_b : base_b + n].__getitem__, ks)))
                 if lhs != rhs:
                     b = cells[j]
                     for k, x, y in zip(ks, lhs, rhs):

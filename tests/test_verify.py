@@ -616,18 +616,26 @@ def test_truncation_streams_its_expected_failure_pairs():
 
 @pytest.mark.parametrize(
     "check,periods,args,limit_mb",
-    [(check_leibniz, (3, 3, 3), (2,), 5), (check_crumbling, (3, 3, 3, 3), (1, 3), 14)],
+    [
+        (check_leibniz, (3, 3, 3), (2,), 5),
+        (check_crumbling, (3, 3, 3, 3), (1, 3), 14),
+        (check_associativity, (3, 3, 3), (2,), 6),
+    ],
 )
 def test_zero_products_stay_out_of_the_kernel_memo(check, periods, args, limit_mb):
     # most of C's and J's products are zero; memoized, they took C's peak at
     # 3,3,3 window 2 to 11.0 MB and J's at 3,3,3,3 window 1 to 26.9 MB, and
-    # kept out, the peaks are 2.0 and 8.4 MB
+    # kept out, the peaks are 2.0 and 8.4 MB.  B's scan keeps its product
+    # ids in dense rows per cell and peaks at 4.2 MiB; dense columns as
+    # well took it to 4.8 MiB, and a memo of its multi-term sums keyed on
+    # their terms to 9.1 MiB
     import tracemalloc
 
-    from cubalg.verify import _window
+    from cubalg.verify import _assoc_scan, _window
 
-    kernel_for.cache_clear()  # cold kernels and window table: their memos count
+    kernel_for.cache_clear()  # cold kernels, window table and scan: their memos count
     _window.cache_clear()
+    _assoc_scan.cache_clear()
     tracemalloc.start()
     try:
         rep = check(LatticeSpec(periods), *args)
