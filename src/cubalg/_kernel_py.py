@@ -242,50 +242,19 @@ class PyKernel:
 
         Returns (number of triples checked, violating triples), the
         violations in the order a, then b, then c of their positions in
-        `cells`.
+        `cells`.  For one pair (a, b) the third cells c are the positions in
+        the AND of the two cells' support masks (`cells.meet_masks`).
 
-        Each side is computed from the values it depends on.  (a*b)*c is
-        the sum of w*(u*c) over the terms (u, w) of a*b, so it is a function
-        of the value of a*b and of c alone; a*(b*c) is likewise a function
-        of a and the value of b*c.  Every distinct product gets an integer
-        value id, keyed on the exact tuple `mult` returned, so a repeated
-        or reordered term can split one value over two ids but never merge
-        two values; id 0 is the zero product and `prods[q]` the value of id
-        q.  For a cell u, the row at offset `prow[u]` of the flat list
-        `ids` holds the ids of u*cells[k] for every position k; it is built
-        once, for the cells in `cells` and the terms of their products.
-        The products a*u of the right side are asked once per a and u.
-        When `mult` is this class's own, the positions that can give a
-        nonzero product are read off the axis rows `_rows`, grouped by
-        factor code per axis as `cells.meet_masks` groups them: the
-        positions k of u*cells[k] for a row, and the bitset `col_mask[u]`
-        of the positions i of cells[i]*u.  So `mult` is called only on
-        pairs no axis table zeroes, and it decides zeros by the same rows.
-        A subclass overriding `mult` gets every product from it.  Each
-        side's nonzero result is interned to an integer, so equal ids mean
-        equal nonzero sums.  A side whose product value is a single term
-        (u, w) is w times one product, and its id is kept in
-        `scaled[w][q]`, which many sides share.
-
-        The scan compares whole rows.  For one pair (a, b) the third cells c
-        are the positions in the AND of the two cells' support masks
-        (`cells.meet_masks`).  The left row over them depends only on
-        id(a*b) and that mask, and is built once per pair of the two; the
-        right row maps b's row over them through a memo of a*(b*c) by
-        id(b*c), kept for the current a.  Only a row that differs is walked
-        to find its violating c.  The triples are exactly those the masks
-        give, visited a, then b, then c by position, and every product
-        comes from `self.mult` or is zero by its own rows, so each triple
-        gets the verdict a fresh computation of both sides would give, also
-        for a kernel that overrides `mult`.
+        A triple is computed by multiplying out both sides through
+        `self.mult`.  A kernel whose class overrides `mult` gets every
+        triple computed; with this class's own `mult` only the triples that
+        `_assoc_flags` cannot decide from the axis tables are.
         """
-        n = len(cells)
         masks = meet_masks(cells, LatticeSpec(self.periods))
         # a mask depends only on the cells' supports, so there are few
-        # distinct masks; each one's list of positions is built once, of
-        # shared ints
+        # distinct masks; each one's list of positions is built once
         positions: dict[int, list[int]] = {}
-        every = list(range(n))
+        every = range(len(cells))
 
         def bits(mask: int) -> list[int]:
             found = positions.get(mask)
@@ -294,157 +263,126 @@ class PyKernel:
             return found
 
         mult = self.mult
-        everywhere = (1 << n) - 1
-        # per axis and factor code fu: the positions whose factor code fk
-        # has u*cells[k] (rows) or cells[k]*u (cols) nonzero on that axis
-        rows_near: list[list[int]] = []
-        cols_near: list[list[int]] = []
-        rest = list(cells)
-        for rows, r in zip(self._rows, self.radices):
-            groups = [0] * r
-            for pos, code in enumerate(rest):
-                rest[pos], fc = divmod(code, r)
-                groups[fc] |= 1 << pos
-            rows_near.append(
-                [sum(g for fk, g in enumerate(groups) if row >> fk & 1) for row in rows]
-            )
-            cols_near.append(
-                [sum(g for fk, g in enumerate(groups) if rows[fk] >> fu & 1) for fu in range(r)]
-            )
-        own = type(self).mult is PyKernel.mult
+        if type(self).mult is PyKernel.mult:
+            flagged = self._assoc_flags(cells)
+        else:
 
-        prod_ids: dict[tuple[tuple[int, int], ...], int] = {(): 0}
-        prods: list[tuple[tuple[int, int], ...]] = [()]
+            def flagged(i: int, j: int, mask: int) -> int:
+                return mask
 
-        def value_id(p: tuple[tuple[int, int], ...]) -> int:
-            q = prod_ids.get(p)
-            if q is None:
-                q = prod_ids[p] = len(prods)
-                prods.append(p)
-            return q
-
-        def nonzero(u: int, near: list[list[int]]) -> int:
-            # the positions k where no axis table zeroes u*cells[k]
-            # (rows_near) or cells[k]*u (cols_near)
-            mask = everywhere
-            if own:
-                for groups, fu in zip(near, self.factors(u)[0]):
-                    mask &= groups[fu]
-            return mask
-
-        # every row lives in this one list: a list per row stayed resident
-        # after the scan, about 20 MB at the 3,3,3,3 window-2 row's peak
-        ids: list[int] = []
-        zeros = [0] * n
-
-        def product_row(u: int) -> int:
-            # a new row of the ids of u*cells[k]; its offset
-            base = len(ids)
-            ids.extend(zeros)
-            for k in bits(nonzero(u, rows_near)):
-                ids[base + k] = value_id(mult(u, cells[k]))
-            return base
-
-        prow = _Filled(product_row)
-        # bit i: cells[i]*u may be nonzero (a dense column of ids per u
-        # doubled the rows' memory)
-        col_mask = _Filled(lambda u: nonzero(u, cols_near))
-
-        results: dict[frozenset[tuple[int, int]], int] = {}
-
-        def result_id(acc: dict[int, int]) -> int:
-            if 0 in acc.values():
-                key = frozenset([item for item in acc.items() if item[1]])
-            else:
-                key = frozenset(acc.items())
-            return results.setdefault(key, len(results))
-
-        def times_w(w1: int) -> _Filled:
-            # value id q -> id of w1 times that value
-            def fill(q: int) -> int:
-                acc: dict[int, int] = {}
-                for v, w2 in prods[q]:
-                    acc[v] = acc.get(v, 0) + w1 * w2
-                return result_id(acc)
-
-            return _Filled(fill)
-
-        scaled = _Filled(times_w)
-
-        def left_row(terms: tuple[tuple[int, int], ...], ks: list[int]) -> list[int]:
-            # ids of (a*b)*cells[k] over ks, for the value a*b = terms
-            if len(terms) == 1:
-                ((u, w),) = terms
-                base = prow[u]
-                row = ids[base : base + n]
-                return list(map(scaled[w].__getitem__, map(row.__getitem__, ks)))
-            term_rows = [(ids[prow[u] : prow[u] + n], w1) for u, w1 in terms]
-            out = []
-            for k in ks:
-                acc: dict[int, int] = {}
-                for row, w1 in term_rows:
-                    for v, w2 in prods[row[k]]:
-                        acc[v] = acc.get(v, 0) + w1 * w2
-                out.append(result_id(acc))
-            return out
-
-        def right_side(i: int) -> _Filled:
-            # id(b*c) -> id of a*(b*c), for a = cells[i]
-            a, bit = cells[i], 1 << i
-            times_a = _Filled(lambda u: value_id(mult(a, u)) if col_mask[u] & bit else 0)
-
-            def fill(q_bc: int) -> int:
-                terms = prods[q_bc]
-                if len(terms) == 1:
-                    ((u, w),) = terms
-                    return scaled[w][times_a[u]]
-                acc: dict[int, int] = {}
-                for u, w1 in terms:
-                    for v, w2 in prods[times_a[u]]:
-                        acc[v] = acc.get(v, 0) + w1 * w2
-                return result_id(acc)
-
-            return _Filled(fill)
-
-        # (id(a*b), mask of the c positions) -> left row over those positions
-        left_rows: dict[tuple[int, int], list[int]] = {}
         checked = 0
         violations: list[tuple[int, int, int]] = []
-        for i in range(n):
-            a = cells[i]
-            right = right_side(i).__getitem__
-            base_a = prow[a]
+        for i, a in enumerate(cells):
             mi = masks[i]
             for j in bits(mi):
                 mask = mi & masks[j]
-                ks = bits(mask)
-                checked += len(ks)
-                q_ab = ids[base_a + j]
-                lhs = left_rows.get((q_ab, mask))
-                if lhs is None:
-                    lhs = left_rows[q_ab, mask] = left_row(prods[q_ab], ks)
-                base_b = prow[cells[j]]
-                rhs = list(map(right, map(ids[base_b : base_b + n].__getitem__, ks)))
-                if lhs != rhs:
-                    b = cells[j]
-                    for k, x, y in zip(ks, lhs, rhs):
-                        if x != y:
-                            violations.append((a, b, cells[k]))
+                checked += mask.bit_count()
+                mask = flagged(i, j, mask)
+                if not mask:
+                    continue
+                b = cells[j]
+                ab = mult(a, b)
+                for k in bits(mask):
+                    c = cells[k]
+                    if linear(ab, lambda u: mult(u, c)) != linear(mult(b, c), lambda u: mult(a, u)):
+                        violations.append((a, b, c))
         return checked, violations
 
+    def _assoc_flags(self, cells: list[int]):
+        """For `scan_assoc` on this class's own `mult`: a function (i, j,
+        mask) giving the positions k in `mask` whose triple (cells[i],
+        cells[j], cells[k]) must be computed; every other one holds.
 
-class _Filled(dict):
-    """A memo that computes a missing key's value by `fill(key)`, once."""
+        `mult` is the Koszul-signed tensor product of the axis tables.  On
+        one axis let x, y, z be the factor codes of a, b, c, and L and R the
+        merged 1-d sides (x*y)*z and x*(y*z), read from the tables as
+        `mult` reads them.  When point-ness is additive (a term of x*y is a
+        point exactly when x or y is, and likewise for y*z), every term of
+        a*b has the point mask pa|pb and every term of b*c has pb|pc, so
 
-    __slots__ = ("fill",)
+            (a*b)*c = s(pa,pb) s(pa|pb,pc) (L_1 x ... x L_d)
+            a*(b*c) = s(pb,pc) s(pa,pb|pc) (R_1 x ... x R_d).
 
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
+        Per axis and factor-code pair (x, y), the positions whose z gives
+        L != R or breaks additivity are flagged (`neq`), and those whose
+        L and R are both zero are noted (`zero`).  A triple with no axis
+        flagged has equal sides when some axis is zero, and otherwise
+        exactly when the two sign products agree (`sign_bad` holds the
+        positions where they do not).
+        """
+        d = self.d
+        facs = [self.factors(c) for c in cells]
 
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
+        def grouped(keys) -> dict[int, int]:
+            # key -> the bitset of the positions that have it
+            out: dict[int, int] = {}
+            for pos, key in enumerate(keys):
+                out[key] = out.get(key, 0) | 1 << pos
+            return out
+
+        neq: list[dict[tuple[int, int], int]] = []
+        zero: list[dict[tuple[int, int], int]] = []
+        for axis, (table, rows, r) in enumerate(zip(self._tables, self._rows, self.radices)):
+            groups = grouped(fs[axis] for fs, _ in facs)
+
+            def entry(x: int, y: int) -> tuple[tuple[int, int], ...]:
+                return table[x * r + y] if rows[x] >> y & 1 else ()
+
+            def additive(x: int, y: int) -> bool:
+                point = x % 3 == POINT or y % 3 == POINT
+                return all((u % 3 == POINT) == point for u, _ in entry(x, y))
+
+            neq_axis: dict[tuple[int, int], int] = {}
+            zero_axis: dict[tuple[int, int], int] = {}
+            for x in groups:
+                for y in groups:
+                    xy = entry(x, y)
+                    whole_row = not additive(x, y)
+                    flags = zeros = 0
+                    for z, group in groups.items():
+                        left = linear(xy, lambda u: entry(u, z))
+                        right = linear(entry(y, z), lambda u: entry(x, u))
+                        if whole_row or left != right or not additive(y, z):
+                            flags |= group
+                        elif not left:
+                            zeros |= group
+                    if flags:
+                        neq_axis[x, y] = flags
+                    if zeros:
+                        zero_axis[x, y] = zeros
+            neq.append(neq_axis)
+            zero.append(zero_axis)
+
+        by_points = grouped(p for _, p in facs)
+        signs = self._signs
+        sign_bad: dict[tuple[int, int], int] = {}
+        for pa in by_points:
+            for pb in by_points:
+                ab = signs[pa << d | pb]
+                bad = sum(
+                    group
+                    for pc, group in by_points.items()
+                    if ab * signs[(pa | pb) << d | pc]
+                    != signs[pb << d | pc] * signs[pa << d | pb | pc]
+                )
+                if bad:
+                    sign_bad[pa, pb] = bad
+        # the axes whose tables flag anything; the standard tables flag none
+        flagging = [(axis, table) for axis, table in enumerate(neq) if table]
+
+        def flagged(i: int, j: int, mask: int) -> int:
+            (fa, pa), (fb, pb) = facs[i], facs[j]
+            out = 0
+            for axis, table in flagging:
+                out |= table.get((fa[axis], fb[axis]), 0)
+            signed = sign_bad.get((pa, pb), 0) & mask & ~out
+            if signed:
+                for axis, table in enumerate(zero):
+                    signed &= ~table.get((fa[axis], fb[axis]), 0)
+                out |= signed
+            return out & mask
+
+        return flagged
 
 
 @lru_cache(maxsize=None)

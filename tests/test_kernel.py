@@ -14,7 +14,7 @@ from cubalg import _kernel_py
 from cubalg._kernel_py import PyKernel, kernel_for
 from cubalg.cells import Cell, FactorKind, axis_meets, decode_cell, encode_cell, window_codes
 from cubalg.lattice import LatticeSpec
-from cubalg.table1d import mult1
+from cubalg.table1d import CoefficientTable, mult1, mult1_terms
 
 
 # -- one kernel per lattice -------------------------------------------------
@@ -55,7 +55,7 @@ def test_six_dimensional_product_reuses_the_truncation_kernel(monkeypatch):
 
 def per_triple_scan(kernel, cells):
     """The associativity scan as one independent loop per triple: the
-    oracle for the value-keyed scan_assoc."""
+    oracle for scan_assoc."""
     n = len(cells)
     masks = [0] * n
     for i in range(n):
@@ -100,6 +100,38 @@ def doubled_entry_kernel(periods, window, seed):
     return kernel
 
 
+def kind_changed_kernel(periods, window, seed):
+    """A pure kernel whose last axis (seed 0) or first axis (seed 1) gives
+    i@0 * i@0 = epsilon p@0: a point term from two factors that are not
+    points.  Point factors of c below that axis, or of a above it, give
+    the wrong point mask a Koszul sign of its own."""
+    kernel = PyKernel(periods)
+    axis = [-1, 0][seed]
+    point, inf = 0, 2  # the factor codes 3 * coord + kind at coord 0
+    table, size = kernel._tables[axis], 3 * periods[axis]
+    ((fc, w),) = table[inf * size + inf]
+    assert fc == inf
+    table[inf * size + inf] = ((point, w),)
+    return kernel
+
+
+def sign_flipped_kernel(periods, window, seed):
+    """A pure kernel whose Koszul sign for a cell without point axes times a
+    cell whose only point axis is axis 0 is -1."""
+    kernel = PyKernel(periods)
+    kernel._signs[1] = -kernel._signs[1]
+    return kernel
+
+
+def squared_point_table_kernel(periods, window, seed):
+    """A pure kernel whose axis-0 table gives p@0 * p@0 = p@0, with the row
+    bit that lets `mult` see it."""
+    kernel = PyKernel(periods)
+    kernel._tables[0][0] = ((0, 4),)
+    kernel._rows[0][0] |= 1
+    return kernel
+
+
 class Rewritten(PyKernel):
     """Same products, but some come back reordered or with a term split into
     two equal halves under one repeated code."""
@@ -123,10 +155,36 @@ class RewrittenDoubled(Rewritten):
 # (3, 4, 3, 5) is the first 4-d case, with mixed radices for the scan's
 # per-axis position groups; its 531,441 triples cost about 2 s per oracle run
 SCAN_CASES = [((3, 3, 3), 1), ((3, 5), 2), ((4, 3, 3), 1), ((3, 4, 3, 5), 1)]
+# table mutants keep the class's `mult`, so they reach the scan's per-axis
+# decision
+MUTANTS = [
+    doubled_entry_kernel,
+    kind_changed_kernel,
+    sign_flipped_kernel,
+    squared_point_table_kernel,
+]
+
+
+def mutant_seeds(broken, periods):
+    # the doubled entries get four seeds where the oracle is cheap, the
+    # changed kind one per side of its axis that a Koszul sign can see
+    if broken is doubled_entry_kernel:
+        return range(1 if len(periods) > 3 else 4)
+    return range(2 if broken is kind_changed_kernel else 1)
+
+
 BROKEN_CASES = [
-    pytest.param(periods, window, seed, id=f"periods{case}-{window}-{seed}")
+    pytest.param(
+        broken,
+        periods,
+        window,
+        seed,
+        id=f"{'' if broken is doubled_entry_kernel else broken.__name__ + '-'}"
+        f"periods{case}-{window}-{seed}",
+    )
     for case, (periods, window) in enumerate(SCAN_CASES)
-    for seed in range(1 if len(periods) > 3 else 4)
+    for broken in MUTANTS
+    for seed in mutant_seeds(broken, periods)
 ]
 
 
@@ -138,12 +196,12 @@ def test_scan_matches_per_triple_loop(periods, window):
     assert PyKernel(periods).scan_assoc(cells) == expected
 
 
-@pytest.mark.parametrize("periods,window,seed", BROKEN_CASES)
-def test_scan_matches_per_triple_loop_on_broken_tables(periods, window, seed):
+@pytest.mark.parametrize("broken,periods,window,seed", BROKEN_CASES)
+def test_scan_matches_per_triple_loop_on_broken_tables(broken, periods, window, seed):
     cells = window_codes(LatticeSpec(periods), window)
-    checked, violations = per_triple_scan(doubled_entry_kernel(periods, window, seed), cells)
-    assert violations  # every seeded entry here breaks associativity
-    assert doubled_entry_kernel(periods, window, seed).scan_assoc(cells) == (checked, violations)
+    checked, violations = per_triple_scan(broken(periods, window, seed), cells)
+    assert violations  # every mutant here breaks associativity
+    assert broken(periods, window, seed).scan_assoc(cells) == (checked, violations)
 
 
 @pytest.mark.parametrize(
@@ -152,8 +210,9 @@ def test_scan_matches_per_triple_loop_on_broken_tables(periods, window, seed):
 def test_scan_keys_products_on_their_exact_terms(periods, window):
     # a repeated code must not merge with the single term of half the weight
     cells = window_codes(LatticeSpec(periods), window)
-    assert Rewritten(periods).scan_assoc(cells) == per_triple_scan(Rewritten(periods), cells)
-    assert Rewritten(periods).scan_assoc(cells) == PyKernel(periods).scan_assoc(cells)
+    scanned = Rewritten(periods).scan_assoc(cells)
+    assert scanned == per_triple_scan(Rewritten(periods), cells)
+    assert scanned == PyKernel(periods).scan_assoc(cells)
     broken = RewrittenDoubled(periods, window, 1)
     expected = per_triple_scan(RewrittenDoubled(periods, window, 1), cells)
     assert expected[1] and broken.scan_assoc(cells) == expected
@@ -176,25 +235,21 @@ def test_scan_asks_an_overriding_mult_for_every_product(periods, window):
     assert expected[1] and SquaredPoint(periods).scan_assoc(cells) == expected
 
 
-def test_scan_asks_mult_only_for_nonzero_products_and_each_about_once():
-    # a wrapper on the instance leaves the class's `mult`, so the scan still
-    # reads zeros off the kernel's rows; scanning every meeting triple's
-    # products took 431,892 calls here, 215,960 of them zero, for 13,686
-    # memo entries
+def test_the_scan_decides_the_standard_tables_without_a_product():
+    # a wrapper on the instance leaves the class's `mult`, so the scan
+    # decides every triple from the axis tables and the Koszul signs
     periods = (3, 3, 3)
     kernel = PyKernel(periods)
     real = kernel.mult
-    nonzero = []
+    calls = []
 
     def counting(a, b):
-        terms = real(a, b)
-        nonzero.append(bool(terms))
-        return terms
+        calls.append((a, b))
+        return real(a, b)
 
     kernel.mult = counting
     assert kernel.scan_assoc(window_codes(LatticeSpec(periods), 2)) == (729000, [])
-    assert nonzero and all(nonzero)
-    assert len(nonzero) <= 2 * len(kernel._mult_cache)
+    assert calls == [] and not kernel._mult_cache
 
 
 @pytest.mark.parametrize("periods", [(3, 3, 3), (3, 5)])
@@ -208,13 +263,51 @@ def test_memoized_boundary_equals_fresh(periods):
 
 
 def test_equal_products_share_one_object():
+    # the products of A's pairs: every ordered window pair whose supports meet
+    from cubalg.cells import meet_masks
+
     kernel = PyKernel((3, 3, 3))
     cells = window_codes(LatticeSpec((3, 3, 3)), 2)
-    kernel.scan_assoc(cells)
+    for a, mask in zip(cells, meet_masks(cells, LatticeSpec((3, 3, 3)))):
+        for k, b in enumerate(cells):
+            if mask >> k & 1:
+                kernel.mult(a, b)
     shared = {}
     for value in kernel._mult_cache.values():
         assert shared.setdefault(value, value) is value
     assert len(shared) < len(kernel._mult_cache) // 10
+
+
+# -- the two facts that let the scan decide the standard tables per axis -----
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_koszul_signs_are_a_two_cocycle_on_disjoint_point_masks(d):
+    sign = _kernel_py.koszul_sign_of_points
+    triples = 0
+    for pa in range(1 << d):
+        for pb in range(1 << d):
+            for pc in range(1 << d):
+                if pa & pb or pb & pc or pa & pc:
+                    continue
+                assert sign(pa, pb) * sign(pa | pb, pc) == sign(pb, pc) * sign(pa, pb | pc)
+                triples += 1
+    assert triples == 4**d
+
+
+def test_point_ness_is_additive_under_the_one_dimensional_product():
+    # a term is a point exactly when a factor is: the codimension of a
+    # product is the sum of its factors'
+    points = 0
+    for n in range(3, 10):
+        for ka, kb in iterproduct(FactorKind, repeat=2):
+            for a in range(n):
+                for b in range(n):
+                    for kind, _, _ in mult1_terms(ka, a, kb, b, n, CoefficientTable.standard()):
+                        point = FactorKind.POINT in (ka, kb)
+                        assert (kind == FactorKind.POINT) == point, (n, ka, a, kb, b)
+                        points += point
+    assert points > 0
 
 
 def test_zero_rows_are_the_transversality_law_per_axis():
