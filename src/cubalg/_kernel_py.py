@@ -236,6 +236,65 @@ class PyKernel:
 
     # -- exhaustive associativity scan --------------------------------------
 
+    def associative(self, cells: list[int]) -> bool:
+        """Whether every triple of `cells` associates, decided from the axis
+        tables and the Koszul signs without a product.
+
+        `mult` is the Koszul-signed tensor product of the axis tables.  On
+        one axis let x, y, z be the factor codes of a, b, c, and L and R the
+        merged 1-d sides (x*y)*z and x*(y*z), read from the tables as
+        `mult` reads them.  When point-ness is additive (a term of x*y is a
+        point exactly when x or y is), every term of a*b has the point mask
+        pa|pb and every term of b*c has pb|pc, so
+
+            (a*b)*c = s(pa,pb) s(pa|pb,pc) (L_1 x ... x L_d)
+            a*(b*c) = s(pb,pc) s(pa,pb|pc) (R_1 x ... x R_d).
+
+        It holds when the class's own `mult` is in use; on every axis, over
+        the factor codes the cells use, point-ness is additive and L == R;
+        a point times a point is zero on every axis; and `_signs` is a
+        2-cocycle on the pairwise-disjoint point masks the cells have.  A
+        triple whose point masks overlap has an axis where x*y or y*z is a
+        point times a point, or where x and z are points and so is every
+        term of x*y; there L == R == 0, so both sides are zero.  Every other
+        triple has equal sides by the cocycle.  The point-times-point rule
+        covers the whole axis because the terms of x*y reach factor codes
+        the cells do not use.
+        """
+        if type(self).mult is not PyKernel.mult:
+            return False
+        facs = [self.factors(c) for c in cells]
+        for axis, (table, rows, r) in enumerate(zip(self._tables, self._rows, self.radices)):
+            points = sum(1 << fc for fc in range(POINT, r, 3))
+            if any(rows[fc] & points for fc in range(POINT, r, 3)):
+                return False
+            codes = {fs[axis] for fs, _ in facs}
+
+            def entry(x: int, y: int) -> tuple[tuple[int, int], ...]:
+                return table[x * r + y] if rows[x] >> y & 1 else ()
+
+            for x in codes:
+                for y in codes:
+                    xy = entry(x, y)
+                    point = x % 3 == POINT or y % 3 == POINT
+                    if any((u % 3 == POINT) != point for u, _ in xy):
+                        return False
+                    for z in codes:
+                        if linear(xy, lambda u: entry(u, z)) != linear(
+                            entry(y, z), lambda u: entry(x, u)
+                        ):
+                            return False
+        masks = {p for _, p in facs}
+        signs, d = self._signs, self.d
+        return all(
+            signs[pa << d | pb] * signs[(pa | pb) << d | pc]
+            == signs[pb << d | pc] * signs[pa << d | pb | pc]
+            for pa in masks
+            for pb in masks
+            for pc in masks
+            if not (pa & pb or pb & pc or pa & pc)
+        )
+
     def scan_assoc(self, cells: list[int]) -> tuple[int, list[tuple[int, int, int]]]:
         """Check (a*b)*c == a*(b*c) over all ordered triples from `cells`
         whose closed supports pairwise intersect.
@@ -245,10 +304,9 @@ class PyKernel:
         `cells`.  For one pair (a, b) the third cells c are the positions in
         the AND of the two cells' support masks (`cells.meet_masks`).
 
-        A triple is computed by multiplying out both sides through
-        `self.mult`.  A kernel whose class overrides `mult` gets every
-        triple computed; with this class's own `mult` only the triples that
-        `_assoc_flags` cannot decide from the axis tables are.
+        When `associative(cells)` holds, the walk only counts the triples:
+        every one of them holds.  Otherwise each triple is computed, both
+        sides multiplied out through `self.mult`.
         """
         masks = meet_masks(cells, LatticeSpec(self.periods))
         # a mask depends only on the cells' supports, so there are few
@@ -262,14 +320,8 @@ class PyKernel:
                 found = positions[mask] = [k for k in every if mask >> k & 1]
             return found
 
+        decided = self.associative(cells)
         mult = self.mult
-        if type(self).mult is PyKernel.mult:
-            flagged = self._assoc_flags(cells)
-        else:
-
-            def flagged(i: int, j: int, mask: int) -> int:
-                return mask
-
         checked = 0
         violations: list[tuple[int, int, int]] = []
         for i, a in enumerate(cells):
@@ -277,8 +329,7 @@ class PyKernel:
             for j in bits(mi):
                 mask = mi & masks[j]
                 checked += mask.bit_count()
-                mask = flagged(i, j, mask)
-                if not mask:
+                if decided:
                     continue
                 b = cells[j]
                 ab = mult(a, b)
@@ -287,102 +338,6 @@ class PyKernel:
                     if linear(ab, lambda u: mult(u, c)) != linear(mult(b, c), lambda u: mult(a, u)):
                         violations.append((a, b, c))
         return checked, violations
-
-    def _assoc_flags(self, cells: list[int]):
-        """For `scan_assoc` on this class's own `mult`: a function (i, j,
-        mask) giving the positions k in `mask` whose triple (cells[i],
-        cells[j], cells[k]) must be computed; every other one holds.
-
-        `mult` is the Koszul-signed tensor product of the axis tables.  On
-        one axis let x, y, z be the factor codes of a, b, c, and L and R the
-        merged 1-d sides (x*y)*z and x*(y*z), read from the tables as
-        `mult` reads them.  When point-ness is additive (a term of x*y is a
-        point exactly when x or y is, and likewise for y*z), every term of
-        a*b has the point mask pa|pb and every term of b*c has pb|pc, so
-
-            (a*b)*c = s(pa,pb) s(pa|pb,pc) (L_1 x ... x L_d)
-            a*(b*c) = s(pb,pc) s(pa,pb|pc) (R_1 x ... x R_d).
-
-        Per axis and factor-code pair (x, y), the positions whose z gives
-        L != R or breaks additivity are flagged (`neq`), and those whose
-        L and R are both zero are noted (`zero`).  A triple with no axis
-        flagged has equal sides when some axis is zero, and otherwise
-        exactly when the two sign products agree (`sign_bad` holds the
-        positions where they do not).
-        """
-        d = self.d
-        facs = [self.factors(c) for c in cells]
-
-        def grouped(keys) -> dict[int, int]:
-            # key -> the bitset of the positions that have it
-            out: dict[int, int] = {}
-            for pos, key in enumerate(keys):
-                out[key] = out.get(key, 0) | 1 << pos
-            return out
-
-        neq: list[dict[tuple[int, int], int]] = []
-        zero: list[dict[tuple[int, int], int]] = []
-        for axis, (table, rows, r) in enumerate(zip(self._tables, self._rows, self.radices)):
-            groups = grouped(fs[axis] for fs, _ in facs)
-
-            def entry(x: int, y: int) -> tuple[tuple[int, int], ...]:
-                return table[x * r + y] if rows[x] >> y & 1 else ()
-
-            def additive(x: int, y: int) -> bool:
-                point = x % 3 == POINT or y % 3 == POINT
-                return all((u % 3 == POINT) == point for u, _ in entry(x, y))
-
-            neq_axis: dict[tuple[int, int], int] = {}
-            zero_axis: dict[tuple[int, int], int] = {}
-            for x in groups:
-                for y in groups:
-                    xy = entry(x, y)
-                    whole_row = not additive(x, y)
-                    flags = zeros = 0
-                    for z, group in groups.items():
-                        left = linear(xy, lambda u: entry(u, z))
-                        right = linear(entry(y, z), lambda u: entry(x, u))
-                        if whole_row or left != right or not additive(y, z):
-                            flags |= group
-                        elif not left:
-                            zeros |= group
-                    if flags:
-                        neq_axis[x, y] = flags
-                    if zeros:
-                        zero_axis[x, y] = zeros
-            neq.append(neq_axis)
-            zero.append(zero_axis)
-
-        by_points = grouped(p for _, p in facs)
-        signs = self._signs
-        sign_bad: dict[tuple[int, int], int] = {}
-        for pa in by_points:
-            for pb in by_points:
-                ab = signs[pa << d | pb]
-                bad = sum(
-                    group
-                    for pc, group in by_points.items()
-                    if ab * signs[(pa | pb) << d | pc]
-                    != signs[pb << d | pc] * signs[pa << d | pb | pc]
-                )
-                if bad:
-                    sign_bad[pa, pb] = bad
-        # the axes whose tables flag anything; the standard tables flag none
-        flagging = [(axis, table) for axis, table in enumerate(neq) if table]
-
-        def flagged(i: int, j: int, mask: int) -> int:
-            (fa, pa), (fb, pb) = facs[i], facs[j]
-            out = 0
-            for axis, table in flagging:
-                out |= table.get((fa[axis], fb[axis]), 0)
-            signed = sign_bad.get((pa, pb), 0) & mask & ~out
-            if signed:
-                for axis, table in enumerate(zero):
-                    signed &= ~table.get((fa[axis], fb[axis]), 0)
-                out |= signed
-            return out & mask
-
-        return flagged
 
 
 @lru_cache(maxsize=None)

@@ -171,9 +171,21 @@ def code_is_ideal(code: int, lattice: LatticeSpec) -> bool:
     return FactorKind.INF_STICK in code_kinds(code, lattice)
 
 
+def require_window(lattice: LatticeSpec, window: int) -> None:
+    """Reject a window outside 1..min(periods): an empty one checks nothing,
+    and a wider one overflows the kernel's cell codes."""
+    if not 1 <= window <= min(lattice.periods):
+        raise ValueError(
+            f"window must be between 1 and the smallest period {min(lattice.periods)}, "
+            f"got {window}"
+        )
+
+
 def window_codes(lattice: LatticeSpec, window: int, kinds=None) -> list[int]:
     """Sorted codes of the cells anchored in {0..window-1}**d, optionally only
-    those whose kind pattern is in `kinds`.  Needs window <= min(periods)."""
+    those whose kind pattern is in `kinds`.  Raises ValueError for a window
+    outside 1..min(periods) (`require_window`)."""
+    require_window(lattice, window)
     patterns = _iterproduct(_KINDS, repeat=lattice.d) if kinds is None else kinds
     anchors = list(_iterproduct(range(window), repeat=lattice.d))
     return sorted(

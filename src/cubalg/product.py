@@ -51,13 +51,18 @@ def crumble_code(code: int, lattice: LatticeSpec, k: int) -> list[tuple[int, int
     return [(join_code(parts, fine), 1) for parts in _iterproduct(*choices)]
 
 
+def require_odd_factor(k: int) -> None:
+    """Reject a crumbling factor that is even or not positive."""
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"crumbling factor k must be odd and positive, got {k}")
+
+
 def crumble(chain: Chain, k: int) -> Chain:
     """Refinement chain map onto the k-fold finer lattice (k odd).
 
     All factor images have the codimension of their source, so no signs
     arise; the map commutes with both the boundary and the product.
     """
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"refinement factor must be odd, got {k}")
+    require_odd_factor(k)
     out = linear(chain._terms.items(), lambda code: crumble_code(code, chain.lattice, k))
     return Chain._from_codes(chain.lattice.refined(k), out)

@@ -39,10 +39,19 @@ def _check_3d(lattice: LatticeSpec):
         raise ValueError("2h-subcomplex operations require a three-dimensional lattice")
 
 
+def _check_directions(cell: TwoHCell) -> None:
+    if not cell.directions <= frozenset(range(len(cell.center))):
+        raise ValueError(
+            f"directions {sorted(cell.directions)} are not axes of a "
+            f"{len(cell.center)}-dimensional cell"
+        )
+
+
 def expand(cell: TwoHCell, lattice: LatticeSpec) -> Chain:
     """The 2h cell as a sum of unit cells of the h-complex."""
     if len(cell.center) != lattice.d:
         raise ValueError("center has wrong dimension")
+    _check_directions(cell)
     options = []
     for i, (v, n) in enumerate(zip(cell.center, lattice.periods)):
         if i in cell.directions:
@@ -78,6 +87,7 @@ def star(cell: TwoHCell, lattice: LatticeSpec) -> TwoHCell:
     _check_3d(lattice)
     if len(cell.center) != 3:
         raise ValueError("star requires a three-dimensional 2h cell")
+    _check_directions(cell)
     center = tuple(lattice.reduce(i, c) for i, c in enumerate(cell.center))
     return TwoHCell(center, frozenset(range(3)) - cell.directions)
 

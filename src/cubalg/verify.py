@@ -34,6 +34,7 @@ from .cells import (
     decode_cell,
     join_code,
     meet_masks,
+    require_window,
     split_code,
     window_codes,
 )
@@ -51,7 +52,7 @@ from .grammar import format_chain, format_rational
 from .homology import betti_full, betti_two_h_free, betti_two_h_span
 from .lattice import LatticeSpec
 from .pairing import pairing_matrix
-from .product import crumble, crumble_code, product
+from .product import crumble, crumble_code, product, require_odd_factor
 from .truncation import kind_closure, max_ideal_dimension
 from .twoh import TwoHCell, expand, star, two_h_basis
 
@@ -664,7 +665,9 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
 
 
 def check_crumbling(lattice: LatticeSpec, window: int, k: int) -> CheckReport:
-    """The refinement map is a chain map and an algebra map."""
+    """The refinement map is a chain map and an algebra map.  Raises
+    ValueError for an even or non-positive k (`product.require_odd_factor`)."""
+    require_odd_factor(k)
     report = CheckReport(
         "J",
         f"crumbling (k={k}) commutes with the boundary and the product",
@@ -1033,13 +1036,8 @@ def verify_axioms(
     overflow the kernel's cell codes) and for an even or non-positive k.
     """
     lattice = LatticeSpec(tuple(periods))
-    if not 1 <= window <= min(lattice.periods):
-        raise ValueError(
-            f"window must be between 1 and the smallest period {min(lattice.periods)}, "
-            f"got {window}"
-        )
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"crumbling factor k must be odd and positive, got {k}")
+    require_window(lattice, window)
+    require_odd_factor(k)
     ids = _normalize_axioms(axioms)
     want_i = "I" in ids
     if want_i:

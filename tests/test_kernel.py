@@ -235,6 +235,36 @@ def test_scan_asks_an_overriding_mult_for_every_product(periods, window):
     assert expected[1] and SquaredPoint(periods).scan_assoc(cells) == expected
 
 
+@pytest.mark.parametrize(
+    "periods,window",
+    SCAN_CASES + [((3, 3, 3), 2), ((3, 3, 3, 3), 2)] + [((n,), n) for n in range(3, 10)],
+)
+def test_the_standard_tables_are_associative(periods, window):
+    assert PyKernel(periods).associative(window_codes(LatticeSpec(periods), window))
+
+
+@pytest.mark.parametrize("broken,periods,window,seed", BROKEN_CASES)
+def test_a_broken_table_is_not_associative(broken, periods, window, seed):
+    cells = window_codes(LatticeSpec(periods), window)
+    assert not broken(periods, window, seed).associative(cells)
+
+
+def test_a_term_of_the_wrong_kind_is_caught_where_the_axis_sides_agree():
+    # on cells whose axis-0 factor is i@0, the mutant's 1-d sides agree,
+    # (eps p@0)*i@0 == i@0*(eps p@0); only the Koszul sign of the wrong
+    # point mask breaks associativity, so point-ness additivity must see it
+    periods = (3, 3)
+    cells = [c for c in window_codes(LatticeSpec(periods), 1) if c % 9 == 2]
+    expected = per_triple_scan(kind_changed_kernel(periods, 1, 1), cells)
+    assert expected[1] and kind_changed_kernel(periods, 1, 1).scan_assoc(cells) == expected
+
+
+@pytest.mark.parametrize("overriding", [SquaredPoint, Rewritten])
+@pytest.mark.parametrize("periods,window", SCAN_CASES)
+def test_a_kernel_overriding_mult_is_not_associative(overriding, periods, window):
+    assert not overriding(periods).associative(window_codes(LatticeSpec(periods), window))
+
+
 def test_the_scan_decides_the_standard_tables_without_a_product():
     # a wrapper on the instance leaves the class's `mult`, so the scan
     # decides every triple from the axis tables and the Koszul signs

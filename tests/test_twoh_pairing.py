@@ -51,6 +51,15 @@ def test_star_examples(L333):
     assert star(vertex, L333) == TwoHCell((0, 0, 0), frozenset({0, 1, 2}))
 
 
+@pytest.mark.parametrize("directions", [{5}, {0, 3}, {-1}])
+def test_a_cell_with_directions_outside_the_axes_is_rejected(L333, directions):
+    cell = TwoHCell((0, 0, 0), frozenset(directions))
+    with pytest.raises(ValueError, match="are not axes"):
+        expand(cell, L333)
+    with pytest.raises(ValueError, match="are not axes"):
+        star(cell, L333)
+
+
 def test_star_involution_and_bijection(L333):
     for p in range(4):
         basis = two_h_basis(p, L333)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cubalg import LatticeSpec, parse_chain, product
+from cubalg import LatticeSpec, crumble, parse_chain, product
 from cubalg._kernel_py import PyKernel, kernel_for
 from cubalg.cells import FactorKind, join_code
 from cubalg.verify import (
@@ -134,6 +134,35 @@ def test_verify_axioms_sorted_and_selectable(L3m):
     assert [r.check_id for r in reports] == ["A", "C"]
     with pytest.raises(ValueError):
         verify_axioms((5, 5, 5), axioms="Q")
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_commutativity,
+        check_associativity,
+        check_leibniz,
+        check_symmetry,
+        check_transversality,
+        check_pairing,
+        check_fc_subalgebra,
+        lambda lattice, window: check_crumbling(lattice, window, 3),
+    ],
+    ids=list("ABCDEGHJ"),
+)
+@pytest.mark.parametrize("window", [0, 4])
+def test_window_checks_reject_a_window_outside_the_periods(check, window):
+    # window 4 overflows the codes at period 3; window 0 would check nothing
+    with pytest.raises(ValueError, match="window must be between 1 and the smallest period 3"):
+        check(LatticeSpec((3, 3, 3)), window)
+
+
+@pytest.mark.parametrize("k", [2, 0, -1])
+def test_crumbling_check_rejects_a_factor_crumble_refuses(k):
+    with pytest.raises(ValueError, match="must be odd and positive"):
+        crumble(parse_chain("[s@0,p@0]", LatticeSpec((3, 3))), k)
+    with pytest.raises(ValueError, match="must be odd and positive"):
+        check_crumbling(LatticeSpec((3, 3)), 2, k)
 
 
 def test_verify_i_pulls_dependencies():
