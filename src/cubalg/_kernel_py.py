@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import astuple
 from functools import lru_cache
 from itertools import product as _iterproduct
+from typing import Iterator
 
 from .cells import axis_meets, meet_masks
 from .lattice import LatticeSpec
@@ -50,6 +51,14 @@ def koszul_sign_of_points(pa: int, pb: int) -> int:
         (pb & ((1 << i) - 1)).bit_count() for i in range(pa.bit_length()) if pa >> i & 1
     )
     return -1 if inversions & 1 else 1
+
+
+def bit_positions(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def linear(terms, image) -> dict:
@@ -294,6 +303,121 @@ class PyKernel:
             for pc in masks
             if not (pa & pb or pb & pc or pa & pc)
         )
+
+    def residual_rows(self) -> list[list[int]] | None:
+        """Per axis and factor code x, the bitset of the factor codes y whose
+        1-d product-rule residual (dx)y + (-1)^[x is a point] x(dy) - d(xy)
+        is nonzero, read from the tables as `mult` reads them; or None when
+        these rows and `_rows` do not decide the residual of a pair of cells.
+
+        `mult` is the Koszul-signed tensor product of the axis tables and
+        `boundary` the signed tensor differential.  Let P_j be axis j's
+        entry x_j*y_j and R_i the 1-d residual of (x_i, y_i).  When
+        point-ness is additive, a point times a point is zero and the signs
+        satisfy, for disjoint point masks pa, pb and every axis i outside
+        pa|pb, with |m<i| the number of bits of m below i,
+
+            (I1) (-1)^|pa<i| s(pa|i, pb) = s(pa,pb) (-1)^|(pa|pb)<i|
+            (I2) (-1)^(|pa|+|pb<i|) s(pa, pb|i) = s(pa,pb) (-1)^|(pa|pb)<i|,
+
+        the residual of (a, b) is s(pa,pb) times the sum over i of
+        (-1)^|(pa|pb)<i| (P_1 x ... x R_i x ... x P_d).  Every term of
+        term i has the point mask pa|pb|i, so the terms of two axes never
+        cancel, and when every entry with a row bit is a nonzero chain and
+        every sign a unit, the residual is nonzero exactly when some axis i
+        has R_i != 0 and every other axis j a row bit for (x_j, y_j).  The
+        rules on points cover the whole axis, because the terms of dx reach
+        factor codes the cells do not use.  A subclass overriding `mult` or
+        `boundary` does not get the rows.
+        """
+        cls = type(self)
+        if cls.mult is not PyKernel.mult or cls.boundary is not PyKernel.boundary:
+            return None
+        d, signs = self.d, self._signs
+
+        def parity(m: int) -> int:
+            return -1 if m.bit_count() & 1 else 1
+
+        for pa in range(1 << d):
+            for pb in range(1 << d):
+                sab = signs[pa << d | pb]
+                if sab not in (1, -1):
+                    return None
+                if pa & pb:
+                    continue
+                for i in range(d):
+                    below, bit = (1 << i) - 1, 1 << i
+                    if (pa | pb) & bit:
+                        continue
+                    t = sab * parity((pa | pb) & below)
+                    if parity(pa & below) * signs[(pa | bit) << d | pb] != t:
+                        return None
+                    if parity(pa) * parity(pb & below) * signs[pa << d | pb | bit] != t:
+                        return None
+        out: list[list[int]] = []
+        done: list[tuple[list, list[int], list[int]]] = []
+        for n, table, rows, r in zip(self.periods, self._tables, self._rows, self.radices):
+            same = [res for t, rw, res in done if t == table and rw == rows]
+            if same:  # an axis with the same table and rows as an earlier one
+                out.append(same[0])
+                continue
+
+            def entry(x: int, y: int) -> tuple[tuple[int, int], ...]:
+                return table[x * r + y] if rows[x] >> y & 1 else ()
+
+            def bd(x: int) -> tuple[tuple[int, int], ...]:
+                coord, kind = divmod(x, 3)
+                return (((coord + 1) % n * 3, 1), (coord * 3, -1)) if kind == STICK else ()
+
+            points = sum(1 << fc for fc in range(POINT, r, 3))
+            res = []
+            for x in range(r):
+                if x % 3 == POINT and rows[x] & points:
+                    return None
+                sign, bits = -1 if x % 3 == POINT else 1, 0
+                for y in range(r):
+                    xy = entry(x, y)
+                    point = x % 3 == POINT or y % 3 == POINT
+                    if any((u % 3 == POINT) != point for u, _ in xy):
+                        return None
+                    if rows[x] >> y & 1 and not linear(xy, lambda u: ((u, 1),)):
+                        return None
+                    parts = [(entry(u, y), s) for u, s in bd(x)]
+                    parts += [(entry(x, v), sign * s) for v, s in bd(y)]
+                    parts += [(bd(w), -c) for w, c in xy]
+                    if linear(parts, lambda terms: terms):
+                        bits |= 1 << y
+                res.append(bits)
+            done.append((table, rows, res))
+            out.append(res)
+        return out
+
+    def residual_masks(self, codes: list[int]) -> list[int] | None:
+        """Per position i of `codes`, the bitset of the positions j whose pair
+        (codes[i], codes[j]) has a nonzero product-rule residual, decided by
+        `residual_rows`; None when that is None.
+
+        Per axis the positions are grouped by factor code, as
+        `cells.meet_masks` does.  Axis by axis, `every` keeps the j with a
+        row bit on every axis so far, and `one` those with a residual bit on
+        one of them and row bits on the others."""
+        residuals = self.residual_rows()
+        if residuals is None:
+            return None
+        every, one, rest = [-1] * len(codes), [0] * len(codes), list(codes)
+        for r, rows, axis in zip(self.radices, self._rows, residuals):
+            groups: dict[int, int] = {}
+            for pos, code in enumerate(rest):
+                rest[pos], fc = divmod(code, r)
+                groups[fc] = groups.get(fc, 0) | 1 << pos
+            for fa, group in groups.items():
+                row, residual = (
+                    sum(g for fb, g in groups.items() if m >> fb & 1) for m in (rows[fa], axis[fa])
+                )
+                for pos in bit_positions(group):
+                    one[pos] = one[pos] & row | every[pos] & residual
+                    every[pos] &= row
+        return one
 
     def scan_assoc(self, cells: list[int]) -> tuple[int, list[tuple[int, int, int]]]:
         """Check (a*b)*c == a*(b*c) over all ordered triples from `cells`

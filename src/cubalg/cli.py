@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .chain import boundary
@@ -115,7 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=2, help="exhaustive window size (default 2)")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled checks (default 0)")
     p.add_argument("--k", type=int, default=3, help="crumbling factor (default 3)")
-    p.add_argument("--timings", action="store_true", help="include elapsed times in JSON")
+    p.add_argument(
+        "--timings", action="store_true", help="include each check's elapsed time (text and JSON)"
+    )
     add_common(p)
 
     return parser
@@ -132,7 +135,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe shows here, inside the try
+        return code
+    except BrokenPipeError:
+        # the reader left; send the rest of the output, and the flush at
+        # exit, to devnull (the recipe in Python's `signal` documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ChainParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -215,9 +225,10 @@ def _dispatch(args) -> int:
         else:
             for r in reports:
                 status = {"passed": "PASS", "failed": "FAIL", "skipped": "SKIP"}[r.status]
+                elapsed = f"({r.elapsed:.2f}s) " if args.timings else ""
                 print(
                     f"[{status}] {r.check_id:5s} checked={r.checked:<8d} "
-                    f"violations={r.violation_count} ({r.elapsed:.2f}s) {r.description}"
+                    f"violations={r.violation_count} {elapsed}{r.description}"
                 )
                 for v in r.violations[:5]:
                     print(f"         violation: {json.dumps(v, sort_keys=True)}")

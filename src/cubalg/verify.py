@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations, product as _iterproduct
 from typing import Iterator, NamedTuple
 
-from ._kernel_py import kernel_for, linear, times
+from ._kernel_py import bit_positions, kernel_for, linear, times
 from .cells import (
     FactorKind,
     code_codim,
@@ -148,17 +148,19 @@ def _leibniz_residual(kernel, a: int, b: int, sign_a: int) -> dict[int, int]:
     """(boundary(a)*b + sign_a * a*boundary(b)) - boundary(a*b), scaled 4**d;
     sign_a is (-1)**codim(a)."""
     mult, boundary = kernel.mult, kernel.boundary
-    acc: dict[int, int] = {}
-    for cell, num in mult(a, b):
-        for bc, sgn in boundary(cell):
-            acc[bc] = acc.get(bc, 0) - num * sgn
-    for u, sgn in boundary(a):
-        for v, num in mult(u, b):
-            acc[v] = acc.get(v, 0) + sgn * num
-    for u, sgn in boundary(b):
-        for v, num in mult(a, u):
-            acc[v] = acc.get(v, 0) + sign_a * sgn * num
-    return {c: v for c, v in acc.items() if v}
+    parts = [(boundary(c), -v) for c, v in mult(a, b)]
+    parts += [(mult(u, b), s) for u, s in boundary(a)]
+    parts += [(mult(a, u), sign_a * s) for u, s in boundary(b)]
+    return linear(parts, lambda terms: terms)
+
+
+def _residual_fields(kernel, lattice: LatticeSpec, a: int, b: int, sign_a: int, replay=True):
+    """`_cells` fields of a and b, and their residual, computed only if recorded."""
+    fields = _cells(lattice, a, b, replay=replay)
+    fields["residual"] = lambda: _chain_str(
+        _leibniz_residual(kernel, a, b, sign_a), lattice, 4**lattice.d
+    )
+    return fields
 
 
 def _sign(codim: int) -> int:
@@ -325,23 +327,25 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
         window,
     )
     win = _window(lattice, window)
-    codes, ideal = win.codes, win.ideal
-    ideal_failures = 0
+    codes, signs = win.codes, [_sign(c) for c in win.codims]
     report.checked = len(codes) ** 2
-    for i, partners in enumerate(_partners(kernel, win.near)):
-        a, sign_a = codes[i], _sign(win.codims[i])
-        for j in partners:
-            b = codes[j]
-            residual = _leibniz_residual(kernel, a, b, sign_a)
-            if not residual:
-                continue
-            fields = _cells(lattice, a, b)
-            fields["residual"] = lambda: _chain_str(residual, lattice, scale)
-            if ideal[i] or ideal[j]:
-                ideal_failures += 1
-                report.witness("leibniz-failure-on-ideal-cells", **fields)
-            else:
-                report.violate("leibniz", **fields)
+    masks = kernel.residual_masks(codes)
+    if masks is None:  # the walk: each pair that could break the rule, computed
+        masks = [
+            sum(1 << j for j in partners if _leibniz_residual(kernel, codes[i], codes[j], signs[i]))
+            for i, partners in enumerate(_partners(kernel, win.near))
+        ]
+    ideal = sum(1 << i for i, flag in enumerate(win.ideal) if flag)
+    ideal_failures = 0
+    for i, mask in enumerate(masks):
+        hit = mask if ideal >> i & 1 else mask & ideal
+        ideal_failures += hit.bit_count()
+        for j in bit_positions(mask & ~hit):
+            fields = _residual_fields(kernel, lattice, codes[i], codes[j], signs[i])
+            report.violate("leibniz", **fields)
+        for j in islice(bit_positions(hit), _MAX_RECORDED - len(report.witnesses)):
+            fields = _residual_fields(kernel, lattice, codes[i], codes[j], signs[i])
+            report.witness("leibniz-failure-on-ideal-cells", **fields)
     report.details["ideal_pair_failures"] = ideal_failures
     if ideal_failures == 0:
         report.violate(
@@ -350,8 +354,7 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
         )
     # canonical witness in one dimension: inf_stick * stick at the same coord
     if lattice.d == 1:
-        a = join_code([(0, INF)], lattice)
-        b = join_code([(0, STICK)], lattice)
+        a, b = join_code([(0, INF)], lattice), join_code([(0, STICK)], lattice)
         residual = _leibniz_residual(kernel, a, b, _sign(code_codim(a, lattice)))
         report.details["canonical_witness"] = {
             "a": _cell_str(a, lattice),
@@ -637,16 +640,17 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
         report.details["skipped"] = "the H subalgebra lives in three dimensions"
         return report
     kernel = kernel_for(lattice.periods)
-    scale = 4 ** lattice.d
     closed = kind_closure(3, 2)
     codes = window_codes(lattice, window, closed)
     report.details["member_kinds"] = sorted(
         "".join("psi"[int(k)] for k in t) for t in closed
     )
     report.checked = len(codes) ** 2
-    for a, partners in zip(codes, _partners(kernel, _near(meet_masks(codes, lattice)))):
-        sign_a = _sign(code_codim(a, lattice))
-        for b in map(codes.__getitem__, partners):
+    masks = kernel.residual_masks(codes)
+    for i, partners in enumerate(_partners(kernel, _near(meet_masks(codes, lattice)))):
+        a, sign_a = codes[i], _sign(code_codim(codes[i], lattice))
+        for j in partners:
+            b = codes[j]
             # closure: every product cell stays in the subalgebra's span
             for c in _escapes(kernel.mult, a, b, closed, lattice):
                 report.violate(
@@ -654,13 +658,8 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
                     **_cells(lattice, a, b, replay=False),
                     escapes=lambda: _cell_str(c, lattice),
                 )
-            residual = _leibniz_residual(kernel, a, b, sign_a)
-            if residual:
-                report.violate(
-                    "leibniz",
-                    **_cells(lattice, a, b),
-                    residual=lambda: _chain_str(residual, lattice, scale),
-                )
+            if masks[i] >> j & 1 if masks else _leibniz_residual(kernel, a, b, sign_a):
+                report.violate("leibniz", **_residual_fields(kernel, lattice, a, b, sign_a))
     return report
 
 
@@ -729,7 +728,6 @@ def check_truncation(seed: int) -> CheckReport:
     def run_case(n: int, m: int, expect_failure: bool, sample: int | None):
         lattice = LatticeSpec((5,) * n)
         kernel = kernel_for(lattice.periods)
-        scale = 4 ** n
         closed = kind_closure(n, m)
         ideal_dim = max_ideal_dimension(closed)
         bound = 2 * m - n
@@ -764,7 +762,6 @@ def check_truncation(seed: int) -> CheckReport:
             if expect_failure:
                 order = sorted(cells, key=lambda c: not code_is_ideal(c, lattice))
             total = len(order) * len(cells)
-            at = {c: k for k, c in enumerate(cells)}
             partners = _partners(kernel, _near(meet_masks(cells, lattice)))
             # (position, a, b) of the pairs to compute; streamed, since the
             # expected failure stops at its first witness
@@ -773,9 +770,13 @@ def check_truncation(seed: int) -> CheckReport:
                 for r, a in enumerate(order)
                 for j in partners[at[a]]
             )
-            if not expect_failure:
-                walk = list(walk)
-                pairs = [(a, b) for _, a, b in walk]
+        # the residual bits of the pairs, over the cells or the sampled codes
+        listed = cells if sample is None else list(dict.fromkeys(c for ab in pairs for c in ab))
+        at = {c: k for k, c in enumerate(listed)}
+        masks = kernel.residual_masks(listed)
+        if sample is None and not expect_failure:
+            walk = list(walk)
+            pairs = [(a, b) for _, a, b in walk]
         witnessed = False
         for position, a, b in walk:
             escapes = _escapes(kernel.mult, a, b, closed, lattice)
@@ -787,10 +788,9 @@ def check_truncation(seed: int) -> CheckReport:
                     **_cells(lattice, a, b, replay=False),
                     escapes=lambda: _cell_str(escapes[0], lattice),
                 )
-            residual = _leibniz_residual(kernel, a, b, _sign(codims[a]))
-            if residual:
-                fields = _cells(lattice, a, b, replay=expect_failure)
-                fields["residual"] = lambda: _chain_str(residual, lattice, scale)
+            sign_a = _sign(codims[a])
+            if masks[at[a]] >> at[b] & 1 if masks else _leibniz_residual(kernel, a, b, sign_a):
+                fields = _residual_fields(kernel, lattice, a, b, sign_a, expect_failure)
                 if expect_failure:
                     report.witness("leibniz-failure", n=n, m=m, **fields)
                     witnessed, total = True, position + 1

@@ -1,6 +1,11 @@
 """The command-line interface: output forms, exit codes, error positions."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,3 +129,28 @@ def test_period_below_three_reports_its_reason(capsys):
         main(["verify", "--periods", "2"])
     assert exc.value.code == 2
     assert "every period must be >= 3" in capsys.readouterr().err
+
+
+def test_verify_text_is_byte_deterministic_and_timings_add_seconds(capsys):
+    args = ["verify", "--axioms", "A,C", "--periods", "3,3,3", "--window", "1"]
+    _, out1, _ = run_cli(capsys, *args)
+    _, out2, _ = run_cli(capsys, *args)
+    assert out1 == out2 and "s) " not in out1
+    _, timed, _ = run_cli(capsys, *args, "--timings")
+    status = [line for line in timed.splitlines() if line.startswith("[")]
+    assert len(status) == 2 and all(re.search(r"violations=0 \(\d+\.\d\ds\) ", s) for s in status)
+    assert re.sub(r"\(\d+\.\d\ds\) ", "", timed) == out1
+
+
+def test_verify_into_a_closed_pipe_prints_no_traceback():
+    # the reader of stdout is gone before the report is written, as with
+    # `cubalg verify ... --json | head -c 20`
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = [sys.executable, "-m", "cubalg.cli", "verify", "--axioms", "A"]
+    argv += ["--periods", "3,3,3", "--window", "1", "--json"]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

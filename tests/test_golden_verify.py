@@ -1,4 +1,4 @@
-"""`verify --json` for four reference invocations, byte for byte.
+"""`verify --json` for five reference invocations, byte for byte.
 
 The files under tests/data/verify/ pin the statement: any change to a
 verdict, a count, a recorded violation or the key order shows here.
@@ -20,6 +20,7 @@ CASES = [
     ("betti-g-d-h-j-335-w1", ["--axioms", "BETTI,G,D,H,J", "--periods", "3,3,5", "--window", "1"], 0),
     ("f-s6-star-555", ["--axioms", "F,S6,STAR", "--periods", "5,5,5"], 0),
     ("g-betti-c-433", ["--axioms", "G,BETTI,C", "--periods", "4,3,3"], 1),
+    ("c-3333-w1", ["--axioms", "C", "--periods", "3,3,3,3", "--window", "1"], 0),
 ]
 
 

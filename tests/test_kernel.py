@@ -325,6 +325,29 @@ def test_koszul_signs_are_a_two_cocycle_on_disjoint_point_masks(d):
     assert triples == 4**d
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_koszul_signs_carry_the_boundary_past_a_product(d):
+    # (I1) and (I2) of `PyKernel.residual_rows`: the boundary of axis i
+    # taken on a, on b or on a*b has the same sign times the product's
+    sign = _kernel_py.koszul_sign_of_points
+
+    def parity(m):
+        return (-1) ** m.bit_count()
+
+    cases = 0
+    for pa in range(1 << d):
+        for pb in range(1 << d):
+            for i in range(d):
+                below, bit = (1 << i) - 1, 1 << i
+                if pa & pb or (pa | pb) & bit:
+                    continue
+                t = sign(pa, pb) * parity((pa | pb) & below)
+                assert parity(pa & below) * sign(pa | bit, pb) == t, (pa, pb, i)
+                assert parity(pa) * parity(pb & below) * sign(pa, pb | bit) == t, (pa, pb, i)
+                cases += 1
+    assert cases == d * 3 ** (d - 1)
+
+
 def test_point_ness_is_additive_under_the_one_dimensional_product():
     # a term is a point exactly when a factor is: the codimension of a
     # product is the sum of its factors'
@@ -373,6 +396,73 @@ def test_the_kernel_is_local_and_a_subclass_overriding_its_laws_is_not(periods):
 
     assert not Products(periods).local() and not Boundaries(periods).local()
     assert Scans(periods).local()
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_the_one_dimensional_residual_needs_an_infinitesimal_stick(n):
+    # the rows of the 1-d kernel are its residuals, and only a pair with an
+    # i factor breaks the product rule; i@0*s@0 leaves -1/4 [p@0]
+    from cubalg.verify import _leibniz_residual
+
+    kernel = PyKernel((n,))
+    (axis,) = kernel.residual_rows()
+    for x in range(3 * n):
+        for y in range(3 * n):
+            residual = _leibniz_residual(kernel, x, y, -1 if x % 3 == 0 else 1)
+            assert bool(axis[x] >> y & 1) == bool(residual), (n, x, y)
+            assert not residual or 2 in (x % 3, y % 3), (n, x, y)
+    inf, stick, point = 2, 1, 0  # the factor codes at coordinate 0
+    assert _leibniz_residual(kernel, inf, stick, 1) == {point: -1}
+
+
+def zero_sum_entry_kernel(periods):
+    """A pure kernel whose axis-0 entry s@0*s@0 is its own terms minus
+    themselves: a row bit on a product that merges to zero."""
+    kernel = PyKernel(periods)
+    size = 3 * periods[0]
+    terms = kernel._tables[0][1 * size + 1]
+    kernel._tables[0][1 * size + 1] = terms + tuple((u, -w) for u, w in terms)
+    return kernel
+
+
+@pytest.mark.parametrize("periods", [(3,), (3, 5), (4, 3, 3), (3, 3, 3, 3)])
+def test_each_premise_of_the_product_rule_fact_is_needed(periods):
+    # each mutant breaks exactly one premise of `residual_rows`
+    window = 1
+    assert PyKernel(periods).residual_rows() is not None
+    assert doubled_entry_kernel(periods, window, 0).residual_rows() is not None
+    assert kind_changed_kernel(periods, window, 0).residual_rows() is None  # additivity
+    assert squared_point_table_kernel(periods, window, 0).residual_rows() is None
+    assert zero_sum_entry_kernel(periods).residual_rows() is None
+    zeroed = PyKernel(periods)
+    zeroed._signs = [0] * len(zeroed._signs)  # (I1) and (I2) hold as 0 == 0
+    assert zeroed.residual_rows() is None
+
+    class Products(PyKernel):
+        def mult(self, a, b):
+            return super().mult(a, b)
+
+    class Boundaries(PyKernel):
+        def boundary(self, code):
+            return super().boundary(code)
+
+    assert Products(periods).residual_rows() is None
+    assert Boundaries(periods).residual_rows() is None
+
+
+@pytest.mark.parametrize("d", range(1, 4))
+def test_a_flipped_sign_gives_no_product_rule_fact(d):
+    # every sign of two disjoint point masks enters (I1) or (I2); at d = 1,
+    # s(1,0) only (I1) and s(0,1) only (I2)
+    flipped = 0
+    for pa in range(1 << d):
+        for pb in range(1 << d):
+            kernel = PyKernel((3,) * d)
+            kernel._signs[pa << d | pb] *= -1
+            assert (kernel.residual_rows() is None) == (not pa & pb), (pa, pb)
+            flipped += not pa & pb
+    assert flipped == 3**d
+    assert sign_flipped_kernel((3,) * d, 1, 0).residual_rows() is None
 
 
 @pytest.mark.parametrize("periods", [(3,), (4,), (7,), (3, 4), (5, 3, 4)])

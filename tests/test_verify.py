@@ -25,6 +25,7 @@ from cubalg.verify import (
     check_associativity,
     verify_axioms,
 )
+from tests.test_kernel import BROKEN_CASES, doubled_entry_kernel
 
 
 @pytest.fixture(scope="module")
@@ -624,6 +625,74 @@ def test_truncation_meeting_pair_walks_report_what_the_full_walks_do(monkeypatch
     fast = check_truncation(0).to_json_dict()
     monkeypatch.setattr(PyKernel, "local", lambda self: False)
     assert check_truncation(0).to_json_dict() == fast
+
+
+FACT_CASES = [((3, 3, 3), 2), ((3, 5), 2), ((4, 3, 3), 1), ((3, 3, 5), 1), ((3, 3, 3, 3), 1)]
+
+
+@pytest.mark.parametrize("periods,window", FACT_CASES)
+@pytest.mark.parametrize("check", [check_leibniz, check_fc_subalgebra])
+def test_the_product_rule_fact_reports_what_the_walk_does(monkeypatch, check, periods, window):
+    # with `residual_rows`, C and H compute a residual only where it is
+    # nonzero; without it, every pair they walk
+    lattice = LatticeSpec(periods)
+    assert kernel_for(periods).residual_rows() is not None
+    decided = check(lattice, window).to_json_dict()
+    monkeypatch.setattr(PyKernel, "residual_rows", lambda self: None)
+    assert check(lattice, window).to_json_dict() == decided
+
+
+def test_truncation_with_the_product_rule_fact_reports_what_the_walk_does(monkeypatch):
+    decided = check_truncation(0).to_json_dict()
+    monkeypatch.setattr(PyKernel, "residual_rows", lambda self: None)
+    assert check_truncation(0).to_json_dict() == decided
+
+
+def test_leibniz_multiplies_only_the_entries_it_records(monkeypatch):
+    # on the standard tables C decides its 46,656 pairs per axis and
+    # computes the residuals of its ten recorded witnesses alone
+    import cubalg.verify
+
+    kernel = _patch_kernel(monkeypatch, PyKernel((3, 3, 3)))
+    real_mult, real_residual = kernel.mult, cubalg.verify._leibniz_residual
+    residuals, stray = [], []
+
+    def mult(a, b):
+        if not residuals or residuals[-1] is None:
+            stray.append((a, b))
+        return real_mult(a, b)
+
+    def residual(kernel, a, b, sign_a):
+        residuals.append((a, b))
+        out = real_residual(kernel, a, b, sign_a)
+        residuals.append(None)
+        return out
+
+    kernel.mult = mult
+    monkeypatch.setattr(cubalg.verify, "_leibniz_residual", residual)
+    report = check_leibniz(LatticeSpec((3, 3, 3)), 2)
+    assert report.passed and report.details["ideal_pair_failures"] == 6552
+    assert len(report.witnesses) == 10 and not report.violations
+    assert len(residuals) == 2 * 10 and stray == []
+
+
+@pytest.mark.parametrize("broken,periods,window,seed", BROKEN_CASES)
+def test_leibniz_on_broken_tables_matches_the_per_pair_loop(
+    monkeypatch, broken, periods, window, seed
+):
+    # a doubled entry keeps every premise of the product-rule fact, so C
+    # decides it per axis from the doubled table; the other table mutants
+    # break one and take the walk
+    lattice = LatticeSpec(periods)
+    kernel = _patch_kernel(monkeypatch, broken(periods, window, seed))
+    assert (kernel.residual_rows() is not None) == (broken is doubled_entry_kernel)
+    got = check_leibniz(lattice, window)
+    expected = reference_leibniz(broken(periods, window, seed), lattice, window)
+    assert got.checked == expected.checked
+    assert got.violation_count == expected.violation_count
+    assert got.violations == expected.violations
+    assert got.witnesses == expected.witnesses
+    assert got.details["ideal_pair_failures"] == expected.details["ideal_pair_failures"]
 
 
 def test_truncation_streams_its_expected_failure_pairs():
