@@ -10,7 +10,7 @@ kernel per lattice, so every caller shares its memos.
 from __future__ import annotations
 
 from dataclasses import astuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as _iterproduct
 from typing import Iterator
 
@@ -61,6 +61,25 @@ def bit_positions(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of mask, from mask itself down to 0."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+    yield 0
+
+
+def _axis_boundary(fc: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The 1-d boundary of factor code fc modulo n as (factor code, sign)
+    pairs: a stick's upper end point minus its lower one; zero for points
+    and infinitesimal sticks."""
+    coord, kind = divmod(fc, 3)
+    if kind != STICK:
+        return ()
+    return (((coord + 1) % n * 3 + POINT, 1), (coord * 3 + POINT, -1))
+
+
 def linear(terms, image) -> dict:
     """Linear extension of a basis map over a sparse chain: the sum of
     v * image(c) over the (c, v) terms, with image(c) giving (code, coef)
@@ -72,6 +91,21 @@ def linear(terms, image) -> dict:
     return {u: w for u, w in out.items() if w}
 
 
+def product_rule_residual(mult, boundary, a: int, b: int, sign_a: int) -> dict:
+    """The product-rule residual (boundary(a)*b + sign_a * a*boundary(b)) -
+    boundary(a*b) of two basis elements, through the basis maps `mult` and
+    `boundary`; sign_a is (-1)**codim(a)."""
+    parts = [(boundary(c), -v) for c, v in mult(a, b)]
+    parts += [(mult(u, b), s) for u, s in boundary(a)]
+    parts += [(mult(a, u), sign_a * s) for u, s in boundary(b)]
+    return linear(parts, lambda terms: terms)
+
+
+def assoc_sides(mult, a: int, b: int, c: int) -> tuple[dict, dict]:
+    """(a*b)*c and a*(b*c) for the basis product `mult`."""
+    return linear(mult(a, b), lambda u: mult(u, c)), linear(mult(b, c), lambda u: mult(a, u))
+
+
 def times(mult, x, y) -> dict:
     """Bilinear extension of the basis product `mult` to the chains given
     as (code, coef) terms x and y: one `mult` call per pair of terms.  y is
@@ -80,7 +114,11 @@ def times(mult, x, y) -> dict:
 
 
 class PyKernel:
-    """Basis-cell product, boundary and the associativity scan, in Python."""
+    """Basis-cell product, boundary and the associativity scan, in Python.
+
+    `tensor()` is the one fact under which a law is decided per axis from
+    the 1-d tables: `associative` and `residual_rows` read it, and so does
+    the harness before it leaves out the pairs whose supports miss."""
 
     def __init__(self, periods: tuple[int, ...]):
         self.periods = tuple(periods)
@@ -156,27 +194,6 @@ class PyKernel:
         no axis is a point axis of both cells."""
         return self.supports_intersect(a, b) and not (self.factors(a)[1] & self.factors(b)[1])
 
-    def local(self) -> bool:
-        """Whether a pair of cells whose closed supports miss needs no
-        computing: its product and its product-rule residual are zero.
-
-        It holds when every axis's table is zero off meeting factor pairs
-        (each `_rows[fa]` a subset of `_meets[fa]`) and `mult` and `boundary`
-        are this class's own.  The boundary of a cell lies in its closed
-        support, so every product in the residual of such a pair is between
-        cells that miss as well.  A subclass overriding either method does
-        not get the fact."""
-        cls = type(self)
-        return (
-            cls.mult is PyKernel.mult
-            and cls.boundary is PyKernel.boundary
-            and not any(
-                row & ~meet
-                for rows, meets in zip(self._rows, self._meets)
-                for row, meet in zip(rows, meets)
-            )
-        )
-
     # -- products ----------------------------------------------------------
 
     def mult(self, a: int, b: int) -> tuple[tuple[int, int], ...]:
@@ -220,177 +237,153 @@ class PyKernel:
         return cached
 
     def _boundary(self, code: int) -> tuple[tuple[int, int], ...]:
-        """Boundary of a basis cell, computed afresh.
-
-        Per stick axis i, emits point cells at both stick ends with sign
-        (-1)**(number of point factors on axes < i); infinitesimal sticks
-        and points have zero boundary.
-        """
-        fs, _ = self.factors(code)
+        """Boundary of a basis cell, computed afresh: the signed tensor
+        differential.  Per axis i, the 1-d boundary of the factor
+        (`_axis_boundary`) with sign (-1)**(number of point factors on
+        axes < i)."""
         out = []
         prefix_pts = 0
-        for i, fc in enumerate(fs):
-            coord, kind = divmod(fc, 3)
-            if kind == STICK:
-                sigma = -1 if prefix_pts & 1 else 1
-                place = self.places[i]
-                base = code - fc * place
-                upper = ((coord + 1) % self.periods[i]) * 3 + POINT
-                lower = coord * 3 + POINT
-                out.append((base + upper * place, sigma))
-                out.append((base + lower * place, -sigma))
-            elif kind == POINT:
-                prefix_pts += 1
+        for fc, n, place in zip(self.factors(code)[0], self.periods, self.places):
+            sigma = -1 if prefix_pts & 1 else 1
+            out += [(code + (u - fc) * place, sigma * s) for u, s in _axis_boundary(fc, n)]
+            prefix_pts += fc % 3 == POINT
         return tuple(out)
 
-    # -- exhaustive associativity scan --------------------------------------
+    # -- the tensor fact ----------------------------------------------------
+
+    def tensor(self) -> bool:
+        """Whether `mult` is the Koszul-signed tensor product of the axis
+        tables and `boundary` the signed tensor differential, on premises
+        that let a law be decided per axis.  Computed on every call: the
+        tables, rows and signs may change after the kernel is built.
+
+        The premises: `mult` and `boundary` are this class's own; every sign
+        s(pa,pb) = `_signs[pa << d | pb]` is a unit; on pairwise-disjoint
+        point masks pa, pb, pc the signs are a 2-cocycle,
+        s(pa,pb) s(pa|pb,pc) = s(pb,pc) s(pa,pb|pc), and, for every axis i
+        outside pa|pb, with |m<i| the number of bits of m below i,
+
+            (I1) (-1)^|pa<i| s(pa|i, pb) = s(pa,pb) (-1)^|(pa|pb)<i|
+            (I2) (-1)^(|pa|+|pb<i|) s(pa, pb|i) = s(pa,pb) (-1)^|(pa|pb)<i|;
+
+        and on every whole axis a point times a point is zero, point-ness is
+        additive (a term of x*y is a point exactly when x or y is), every
+        entry with a row bit merges to a nonzero chain and every row lies in
+        the axis's `axis_meets` row.  They cover whole axes because the
+        terms of x*y and of the boundary of x reach codes a cell set need
+        not use.
+
+        Then, with P_j the entry x_j*y_j of the factor codes of a and b on
+        axis j, read as `mult` reads it (`_entry`), every term of a*b has
+        the point mask pa|pb and a*b = s(pa,pb) (P_1 x ... x P_d).  So:
+        - a pair whose closed supports miss has a zero product and, since
+          the boundary of a cell lies in its closed support, a zero
+          product-rule residual;
+        - with L_j and R_j the 1-d sides (x*y)*z and x*(y*z) on axis j,
+
+              (a*b)*c = s(pa,pb) s(pa|pb,pc) (L_1 x ... x L_d)
+              a*(b*c) = s(pb,pc) s(pa,pb|pc) (R_1 x ... x R_d).
+
+          A triple whose point masks overlap has an axis where x*y or y*z
+          is a point times a point, or where x, z and every term of x*y are
+          points; there L_j == R_j == 0.  The cocycle equates the signs of
+          every other triple (`associative`);
+        - with R_i the 1-d residual of (x_i, y_i), (I1) and (I2) make the
+          residual of (a, b) s(pa,pb) times the sum over i of
+          (-1)^|(pa|pb)<i| (P_1 x ... x R_i x ... x P_d).  The terms of
+          summand i have the point mask pa|pb|i, so no two summands cancel:
+          the residual is nonzero exactly when some axis has R_i != 0 and
+          every other axis a row bit (`residual_rows`).
+        """
+        cls = type(self)
+        if cls.mult is not PyKernel.mult or cls.boundary is not PyKernel.boundary:
+            return False
+        d, signs = self.d, self._signs
+        if any(s not in (1, -1) for s in signs):
+            return False
+        full = (1 << d) - 1
+        for pa in range(1 << d):
+            for pb in _submasks(full ^ pa):
+                sab = signs[pa << d | pb]
+                for pc in _submasks(full ^ pa ^ pb):
+                    s_a_bc = signs[pa << d | pb | pc]
+                    if sab * signs[(pa | pb) << d | pc] != signs[pb << d | pc] * s_a_bc:
+                        return False
+                    if pc.bit_count() != 1:
+                        continue
+                    below = pc - 1  # pc is the one axis i of (I1) and (I2)
+                    t = sab * (-1) ** ((pa | pb) & below).bit_count()
+                    if (-1) ** (pa & below).bit_count() * signs[(pa | pc) << d | pb] != t:
+                        return False
+                    if (-1) ** (pa.bit_count() + (pb & below).bit_count()) * s_a_bc != t:
+                        return False
+        return all(self._per_axis(self._axis_tensor))
+
+    def _per_axis(self, fact) -> list:
+        """fact(axis) for every axis; an axis with the same table and rows
+        as an earlier one takes that axis's value."""
+        axes = list(zip(self._tables, self._rows))
+        out: list = []
+        for axis, key in enumerate(axes):
+            first = axes.index(key)
+            out.append(out[first] if first < axis else fact(axis))
+        return out
+
+    def _entry(self, axis: int, x: int, y: int) -> tuple[tuple[int, int], ...]:
+        """The 1-d product x*y on an axis as `mult` reads it: the table's
+        terms, or none without a row bit."""
+        r = self.radices[axis]
+        return self._tables[axis][x * r + y] if self._rows[axis][x] >> y & 1 else ()
+
+    def _axis_tensor(self, axis: int) -> bool:
+        """The premises of `tensor` on one whole axis."""
+        rows, meets, r = self._rows[axis], self._meets[axis], self.radices[axis]
+        points = sum(1 << fc for fc in range(POINT, r, 3))
+        for x in range(r):
+            if rows[x] & ~meets[x] or x % 3 == POINT and rows[x] & points:
+                return False
+            for y in bit_positions(rows[x]):
+                xy = self._entry(axis, x, y)
+                point = POINT in (x % 3, y % 3)
+                if any((u % 3 == POINT) != point for u, _ in xy):
+                    return False
+                if not linear(xy, lambda u: ((u, 1),)):
+                    return False
+        return True
 
     def associative(self, cells: list[int]) -> bool:
-        """Whether every triple of `cells` associates, decided from the axis
-        tables and the Koszul signs without a product.
-
-        `mult` is the Koszul-signed tensor product of the axis tables.  On
-        one axis let x, y, z be the factor codes of a, b, c, and L and R the
-        merged 1-d sides (x*y)*z and x*(y*z), read from the tables as
-        `mult` reads them.  When point-ness is additive (a term of x*y is a
-        point exactly when x or y is), every term of a*b has the point mask
-        pa|pb and every term of b*c has pb|pc, so
-
-            (a*b)*c = s(pa,pb) s(pa|pb,pc) (L_1 x ... x L_d)
-            a*(b*c) = s(pb,pc) s(pa,pb|pc) (R_1 x ... x R_d).
-
-        It holds when the class's own `mult` is in use; on every axis, over
-        the factor codes the cells use, point-ness is additive and L == R;
-        a point times a point is zero on every axis; and `_signs` is a
-        2-cocycle on the pairwise-disjoint point masks the cells have.  A
-        triple whose point masks overlap has an axis where x*y or y*z is a
-        point times a point, or where x and z are points and so is every
-        term of x*y; there L == R == 0, so both sides are zero.  Every other
-        triple has equal sides by the cocycle.  The point-times-point rule
-        covers the whole axis because the terms of x*y reach factor codes
-        the cells do not use.
-        """
-        if type(self).mult is not PyKernel.mult:
+        """Whether every triple of `cells` associates, decided without a
+        product: `tensor()` holds and, on every axis, over the factor codes
+        the cells use, the 1-d sides (x*y)*z and x*(y*z) are equal."""
+        if not self.tensor():
             return False
-        facs = [self.factors(c) for c in cells]
-        for axis, (table, rows, r) in enumerate(zip(self._tables, self._rows, self.radices)):
-            points = sum(1 << fc for fc in range(POINT, r, 3))
-            if any(rows[fc] & points for fc in range(POINT, r, 3)):
-                return False
-            codes = {fs[axis] for fs, _ in facs}
-
-            def entry(x: int, y: int) -> tuple[tuple[int, int], ...]:
-                return table[x * r + y] if rows[x] >> y & 1 else ()
-
-            for x in codes:
-                for y in codes:
-                    xy = entry(x, y)
-                    point = x % 3 == POINT or y % 3 == POINT
-                    if any((u % 3 == POINT) != point for u, _ in xy):
-                        return False
-                    for z in codes:
-                        if linear(xy, lambda u: entry(u, z)) != linear(
-                            entry(y, z), lambda u: entry(x, u)
-                        ):
-                            return False
-        masks = {p for _, p in facs}
-        signs, d = self._signs, self.d
-        return all(
-            signs[pa << d | pb] * signs[(pa | pb) << d | pc]
-            == signs[pb << d | pc] * signs[pa << d | pb | pc]
-            for pa in masks
-            for pb in masks
-            for pc in masks
-            if not (pa & pb or pb & pc or pa & pc)
-        )
+        facs = [self.factors(c)[0] for c in cells]
+        for axis in range(self.d):
+            codes = {fs[axis] for fs in facs}
+            entry = partial(self._entry, axis)
+            for x, y, z in _iterproduct(codes, repeat=3):
+                lhs, rhs = assoc_sides(entry, x, y, z)
+                if lhs != rhs:
+                    return False
+        return True
 
     def residual_rows(self) -> list[list[int]] | None:
         """Per axis and factor code x, the bitset of the factor codes y whose
         1-d product-rule residual (dx)y + (-1)^[x is a point] x(dy) - d(xy)
-        is nonzero, read from the tables as `mult` reads them; or None when
-        these rows and `_rows` do not decide the residual of a pair of cells.
+        is nonzero, read from the tables as `mult` reads them; None unless
+        `tensor()` holds, under which these rows and `_rows` decide the
+        residual of a pair of cells."""
+        return self._per_axis(self._axis_residuals) if self.tensor() else None
 
-        `mult` is the Koszul-signed tensor product of the axis tables and
-        `boundary` the signed tensor differential.  Let P_j be axis j's
-        entry x_j*y_j and R_i the 1-d residual of (x_i, y_i).  When
-        point-ness is additive, a point times a point is zero and the signs
-        satisfy, for disjoint point masks pa, pb and every axis i outside
-        pa|pb, with |m<i| the number of bits of m below i,
-
-            (I1) (-1)^|pa<i| s(pa|i, pb) = s(pa,pb) (-1)^|(pa|pb)<i|
-            (I2) (-1)^(|pa|+|pb<i|) s(pa, pb|i) = s(pa,pb) (-1)^|(pa|pb)<i|,
-
-        the residual of (a, b) is s(pa,pb) times the sum over i of
-        (-1)^|(pa|pb)<i| (P_1 x ... x R_i x ... x P_d).  Every term of
-        term i has the point mask pa|pb|i, so the terms of two axes never
-        cancel, and when every entry with a row bit is a nonzero chain and
-        every sign a unit, the residual is nonzero exactly when some axis i
-        has R_i != 0 and every other axis j a row bit for (x_j, y_j).  The
-        rules on points cover the whole axis, because the terms of dx reach
-        factor codes the cells do not use.  A subclass overriding `mult` or
-        `boundary` does not get the rows.
-        """
-        cls = type(self)
-        if cls.mult is not PyKernel.mult or cls.boundary is not PyKernel.boundary:
-            return None
-        d, signs = self.d, self._signs
-
-        def parity(m: int) -> int:
-            return -1 if m.bit_count() & 1 else 1
-
-        for pa in range(1 << d):
-            for pb in range(1 << d):
-                sab = signs[pa << d | pb]
-                if sab not in (1, -1):
-                    return None
-                if pa & pb:
-                    continue
-                for i in range(d):
-                    below, bit = (1 << i) - 1, 1 << i
-                    if (pa | pb) & bit:
-                        continue
-                    t = sab * parity((pa | pb) & below)
-                    if parity(pa & below) * signs[(pa | bit) << d | pb] != t:
-                        return None
-                    if parity(pa) * parity(pb & below) * signs[pa << d | pb | bit] != t:
-                        return None
-        out: list[list[int]] = []
-        done: list[tuple[list, list[int], list[int]]] = []
-        for n, table, rows, r in zip(self.periods, self._tables, self._rows, self.radices):
-            same = [res for t, rw, res in done if t == table and rw == rows]
-            if same:  # an axis with the same table and rows as an earlier one
-                out.append(same[0])
-                continue
-
-            def entry(x: int, y: int) -> tuple[tuple[int, int], ...]:
-                return table[x * r + y] if rows[x] >> y & 1 else ()
-
-            def bd(x: int) -> tuple[tuple[int, int], ...]:
-                coord, kind = divmod(x, 3)
-                return (((coord + 1) % n * 3, 1), (coord * 3, -1)) if kind == STICK else ()
-
-            points = sum(1 << fc for fc in range(POINT, r, 3))
-            res = []
-            for x in range(r):
-                if x % 3 == POINT and rows[x] & points:
-                    return None
-                sign, bits = -1 if x % 3 == POINT else 1, 0
-                for y in range(r):
-                    xy = entry(x, y)
-                    point = x % 3 == POINT or y % 3 == POINT
-                    if any((u % 3 == POINT) != point for u, _ in xy):
-                        return None
-                    if rows[x] >> y & 1 and not linear(xy, lambda u: ((u, 1),)):
-                        return None
-                    parts = [(entry(u, y), s) for u, s in bd(x)]
-                    parts += [(entry(x, v), sign * s) for v, s in bd(y)]
-                    parts += [(bd(w), -c) for w, c in xy]
-                    if linear(parts, lambda terms: terms):
-                        bits |= 1 << y
-                res.append(bits)
-            done.append((table, rows, res))
-            out.append(res)
-        return out
+    def _axis_residuals(self, axis: int) -> list[int]:
+        """`residual_rows` on one axis."""
+        entry, r = partial(self._entry, axis), self.radices[axis]
+        bd = partial(_axis_boundary, n=self.periods[axis])
+        signs = [-1 if x % 3 == POINT else 1 for x in range(r)]
+        return [
+            sum(1 << y for y in range(r) if product_rule_residual(entry, bd, x, y, signs[x]))
+            for x in range(r)
+        ]
 
     def residual_masks(self, codes: list[int]) -> list[int] | None:
         """Per position i of `codes`, the bitset of the positions j whose pair
@@ -418,6 +411,8 @@ class PyKernel:
                     one[pos] = one[pos] & row | every[pos] & residual
                     every[pos] &= row
         return one
+
+    # -- exhaustive associativity scan --------------------------------------
 
     def scan_assoc(self, cells: list[int]) -> tuple[int, list[tuple[int, int, int]]]:
         """Check (a*b)*c == a*(b*c) over all ordered triples from `cells`

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations, product as _iterproduct
 from typing import Iterator, NamedTuple
 
-from ._kernel_py import bit_positions, kernel_for, linear, times
+from ._kernel_py import assoc_sides, bit_positions, kernel_for, linear, product_rule_residual, times
 from .cells import (
     FactorKind,
     code_codim,
@@ -145,20 +145,16 @@ def _chain_str(terms, lattice: LatticeSpec, scale: int) -> str:
 
 
 def _leibniz_residual(kernel, a: int, b: int, sign_a: int) -> dict[int, int]:
-    """(boundary(a)*b + sign_a * a*boundary(b)) - boundary(a*b), scaled 4**d;
+    """The kernel's product-rule residual of cells a and b, scaled 4**d;
     sign_a is (-1)**codim(a)."""
-    mult, boundary = kernel.mult, kernel.boundary
-    parts = [(boundary(c), -v) for c, v in mult(a, b)]
-    parts += [(mult(u, b), s) for u, s in boundary(a)]
-    parts += [(mult(a, u), sign_a * s) for u, s in boundary(b)]
-    return linear(parts, lambda terms: terms)
+    return product_rule_residual(kernel.mult, kernel.boundary, a, b, sign_a)
 
 
-def _residual_fields(kernel, lattice: LatticeSpec, a: int, b: int, sign_a: int, replay=True):
+def _residual_fields(kernel, lattice: LatticeSpec, a: int, b: int, replay=True):
     """`_cells` fields of a and b, and their residual, computed only if recorded."""
     fields = _cells(lattice, a, b, replay=replay)
     fields["residual"] = lambda: _chain_str(
-        _leibniz_residual(kernel, a, b, sign_a), lattice, 4**lattice.d
+        _leibniz_residual(kernel, a, b, _sign(code_codim(a, lattice))), lattice, 4**lattice.d
     )
     return fields
 
@@ -173,11 +169,6 @@ def _commutes(ab, ba, sign: int) -> bool:
     if sign == 1 and ab is ba:
         return True  # one product object: equal terms
     return dict(ab) == {c: sign * v for c, v in ba}
-
-
-def _assoc_sides(mult, a: int, b: int, c: int) -> tuple[dict[int, int], dict[int, int]]:
-    """(a*b)*c and a*(b*c), scaled 4**(2d)."""
-    return linear(mult(a, b), lambda u: mult(u, c)), linear(mult(b, c), lambda u: mult(a, u))
 
 
 def _escapes(mult, a: int, b: int, closed, lattice: LatticeSpec) -> list[int]:
@@ -249,12 +240,22 @@ def _near(masks: list[int]) -> tuple[tuple[int, ...], ...]:
 
 def _partners(kernel, near: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Per position i, the positions j of the ordered pairs (i, j) that a
-    walk over every pair must compute.  On a local kernel (`PyKernel.local`)
-    a pair whose supports miss has a zero product and a zero product-rule
-    residual, so only `near[i]` is computed; on any other kernel, every j."""
-    if kernel.local():
+    walk over every pair must compute.  Under the tensor fact
+    (`PyKernel.tensor`) a pair whose supports miss has a zero product and a
+    zero product-rule residual, so only `near[i]`; otherwise every j."""
+    if kernel.tensor():
         return near
     return (tuple(range(len(near))),) * len(near)
+
+
+def _residual_bits(kernel, lattice: LatticeSpec, codes) -> list[int]:
+    """Per position i, the bitset of the positions j whose pair has a
+    nonzero product-rule residual: `residual_masks`, or, on a kernel
+    without the tensor fact, each pair's residual computed."""
+    return kernel.residual_masks(codes) or [
+        sum(1 << j for j, b in enumerate(codes) if _leibniz_residual(kernel, a, b, sign))
+        for a, sign in zip(codes, [_sign(code_codim(a, lattice)) for a in codes])
+    ]
 
 
 def _meeting_pairs(win: _Window) -> Iterator[tuple[int, int]]:
@@ -319,7 +320,6 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
     of any failing ideal pair (the enlarged complex must break the rule).
     """
     kernel = kernel_for(lattice.periods)
-    scale = 4 ** lattice.d
     report = CheckReport(
         "C",
         "boundary product rule on non-ideal cells; expected failure on ideal cells",
@@ -327,24 +327,18 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
         window,
     )
     win = _window(lattice, window)
-    codes, signs = win.codes, [_sign(c) for c in win.codims]
+    codes = win.codes
     report.checked = len(codes) ** 2
-    masks = kernel.residual_masks(codes)
-    if masks is None:  # the walk: each pair that could break the rule, computed
-        masks = [
-            sum(1 << j for j in partners if _leibniz_residual(kernel, codes[i], codes[j], signs[i]))
-            for i, partners in enumerate(_partners(kernel, win.near))
-        ]
+    masks = _residual_bits(kernel, lattice, codes)
     ideal = sum(1 << i for i, flag in enumerate(win.ideal) if flag)
     ideal_failures = 0
     for i, mask in enumerate(masks):
         hit = mask if ideal >> i & 1 else mask & ideal
         ideal_failures += hit.bit_count()
         for j in bit_positions(mask & ~hit):
-            fields = _residual_fields(kernel, lattice, codes[i], codes[j], signs[i])
-            report.violate("leibniz", **fields)
+            report.violate("leibniz", **_residual_fields(kernel, lattice, codes[i], codes[j]))
         for j in islice(bit_positions(hit), _MAX_RECORDED - len(report.witnesses)):
-            fields = _residual_fields(kernel, lattice, codes[i], codes[j], signs[i])
+            fields = _residual_fields(kernel, lattice, codes[i], codes[j])
             report.witness("leibniz-failure-on-ideal-cells", **fields)
     report.details["ideal_pair_failures"] = ideal_failures
     if ideal_failures == 0:
@@ -355,19 +349,11 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
     # canonical witness in one dimension: inf_stick * stick at the same coord
     if lattice.d == 1:
         a, b = join_code([(0, INF)], lattice), join_code([(0, STICK)], lattice)
-        residual = _leibniz_residual(kernel, a, b, _sign(code_codim(a, lattice)))
-        report.details["canonical_witness"] = {
-            "a": _cell_str(a, lattice),
-            "b": _cell_str(b, lattice),
-            "residual": _chain_str(residual, lattice, scale),
-        }
-        expected = {join_code([(0, POINT)], lattice): -scale // 4}  # -1/4 * [p@0]
-        if residual != expected:
-            report.violate(
-                "canonical-witness-mismatch",
-                expected=_chain_str(expected, lattice, scale),
-                got=_chain_str(residual, lattice, scale),
-            )
+        fields = _residual_fields(kernel, lattice, a, b, replay=False)
+        witness = report.details["canonical_witness"] = {k: v() for k, v in fields.items()}
+        expected = _chain_str({join_code([(0, POINT)], lattice): -1}, lattice, 4)  # -1/4 [p@0]
+        if witness["residual"] != expected:
+            report.violate("canonical-witness-mismatch", expected=expected, got=witness["residual"])
     return report
 
 
@@ -591,7 +577,7 @@ def check_pairing(lattice: LatticeSpec, window: int) -> CheckReport:
         return sum(num for u, num in chain.items() if code_codim(u, lattice) == lattice.d)
 
     for a, b, c in bad:
-        lhs, rhs = _assoc_sides(kernel.mult, a, b, c)
+        lhs, rhs = assoc_sides(kernel.mult, a, b, c)
         if aug(lhs) != aug(rhs):
             report.violate("frobenius", **_cells(lattice, a, b, c, replay=False))
     # nondegeneracy per degree (p and d-p share a rank via transposition)
@@ -646,9 +632,9 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
         "".join("psi"[int(k)] for k in t) for t in closed
     )
     report.checked = len(codes) ** 2
-    masks = kernel.residual_masks(codes)
+    masks = _residual_bits(kernel, lattice, codes)
     for i, partners in enumerate(_partners(kernel, _near(meet_masks(codes, lattice)))):
-        a, sign_a = codes[i], _sign(code_codim(codes[i], lattice))
+        a = codes[i]
         for j in partners:
             b = codes[j]
             # closure: every product cell stays in the subalgebra's span
@@ -658,8 +644,8 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
                     **_cells(lattice, a, b, replay=False),
                     escapes=lambda: _cell_str(c, lattice),
                 )
-            if masks[i] >> j & 1 if masks else _leibniz_residual(kernel, a, b, sign_a):
-                report.violate("leibniz", **_residual_fields(kernel, lattice, a, b, sign_a))
+            if masks[i] >> j & 1:
+                report.violate("leibniz", **_residual_fields(kernel, lattice, a, b))
     return report
 
 
@@ -755,7 +741,11 @@ def check_truncation(seed: int) -> CheckReport:
                     pairs.append((a, b))
             total = len(pairs)
             walk = ((k, a, b) for k, (a, b) in enumerate(pairs))
-        else:
+        # the residual bits of the pairs, over the cells or the sampled codes
+        listed = cells if sample is None else list(dict.fromkeys(c for ab in pairs for c in ab))
+        at = {c: k for k, c in enumerate(listed)}
+        masks = kernel.residual_masks(listed)
+        if sample is None:
             # every ordered pair of order x cells, ideal cells first when a
             # failure is expected: the product rule breaks on pairs touching them
             order = cells
@@ -770,10 +760,6 @@ def check_truncation(seed: int) -> CheckReport:
                 for r, a in enumerate(order)
                 for j in partners[at[a]]
             )
-        # the residual bits of the pairs, over the cells or the sampled codes
-        listed = cells if sample is None else list(dict.fromkeys(c for ab in pairs for c in ab))
-        at = {c: k for k, c in enumerate(listed)}
-        masks = kernel.residual_masks(listed)
         if sample is None and not expect_failure:
             walk = list(walk)
             pairs = [(a, b) for _, a, b in walk]
@@ -790,7 +776,7 @@ def check_truncation(seed: int) -> CheckReport:
                 )
             sign_a = _sign(codims[a])
             if masks[at[a]] >> at[b] & 1 if masks else _leibniz_residual(kernel, a, b, sign_a):
-                fields = _residual_fields(kernel, lattice, a, b, sign_a, expect_failure)
+                fields = _residual_fields(kernel, lattice, a, b, expect_failure)
                 if expect_failure:
                     report.witness("leibniz-failure", n=n, m=m, **fields)
                     witnessed, total = True, position + 1
@@ -830,7 +816,7 @@ def check_truncation(seed: int) -> CheckReport:
             for a, b, c in triples:
                 case["triples"] += 1
                 report.checked += 1
-                lhs, rhs = _assoc_sides(kernel.mult, a, b, c)
+                lhs, rhs = assoc_sides(kernel.mult, a, b, c)
                 if lhs != rhs:
                     report.violate(
                         "associativity", n=n, m=m, **_cells(lattice, a, b, c, replay=False)

@@ -327,7 +327,7 @@ def test_koszul_signs_are_a_two_cocycle_on_disjoint_point_masks(d):
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_koszul_signs_carry_the_boundary_past_a_product(d):
-    # (I1) and (I2) of `PyKernel.residual_rows`: the boundary of axis i
+    # (I1) and (I2) of `PyKernel.tensor`: the boundary of axis i
     # taken on a, on b or on a*b has the same sign times the product's
     sign = _kernel_py.koszul_sign_of_points
 
@@ -376,11 +376,17 @@ def test_zero_rows_are_the_transversality_law_per_axis():
             assert rows[fa] == expected, (n, fa)
 
 
+# every period tuple a golden invocation, a benchmark workload or S6 runs
+# is here, so a premise too strict for the standard kernel fails a test
+# rather than sending every check down its walk
 @pytest.mark.parametrize(
-    "periods", [(n,) for n in range(3, 10)] + [(3, 5), (4, 3, 3), (3, 5, 7), (4, 3, 3, 3)]
+    "periods",
+    [(n,) for n in range(3, 10)]
+    + [(3, 5), (4, 3, 3), (3, 5, 7), (4, 3, 3, 3), (3, 3, 3), (3, 3, 5), (5, 5, 5)]
+    + [(3, 3, 3, 3), (5,) * 4, (5,) * 5, (5,) * 6],
 )
-def test_the_kernel_is_local_and_a_subclass_overriding_its_laws_is_not(periods):
-    assert PyKernel(periods).local()
+def test_the_kernel_is_a_tensor_product_and_a_subclass_overriding_its_laws_is_not(periods):
+    assert PyKernel(periods).tensor()
 
     class Products(PyKernel):
         def mult(self, a, b):
@@ -394,8 +400,8 @@ def test_the_kernel_is_local_and_a_subclass_overriding_its_laws_is_not(periods):
         def scan_assoc(self, cells):
             return super().scan_assoc(cells)
 
-    assert not Products(periods).local() and not Boundaries(periods).local()
-    assert Scans(periods).local()
+    assert not Products(periods).tensor() and not Boundaries(periods).tensor()
+    assert Scans(periods).tensor()
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -426,17 +432,20 @@ def zero_sum_entry_kernel(periods):
 
 
 @pytest.mark.parametrize("periods", [(3,), (3, 5), (4, 3, 3), (3, 3, 3, 3)])
-def test_each_premise_of_the_product_rule_fact_is_needed(periods):
-    # each mutant breaks exactly one premise of `residual_rows`
+def test_each_premise_of_the_tensor_fact_is_needed(monkeypatch, periods):
+    # each mutant breaks one premise of `tensor`; the flipped sign breaks
+    # the sign identities, which unit signs cannot break one at a time
+    # since (I1) and (I2) imply the cocycle
     window = 1
-    assert PyKernel(periods).residual_rows() is not None
-    assert doubled_entry_kernel(periods, window, 0).residual_rows() is not None
-    assert kind_changed_kernel(periods, window, 0).residual_rows() is None  # additivity
-    assert squared_point_table_kernel(periods, window, 0).residual_rows() is None
-    assert zero_sum_entry_kernel(periods).residual_rows() is None
+    assert PyKernel(periods).tensor()
+    assert doubled_entry_kernel(periods, window, 0).tensor()
+    assert not kind_changed_kernel(periods, window, 0).tensor()  # additivity
+    assert not squared_point_table_kernel(periods, window, 0).tensor()
+    assert not zero_sum_entry_kernel(periods).tensor()
+    assert not sign_flipped_kernel(periods, window, 0).tensor()
     zeroed = PyKernel(periods)
-    zeroed._signs = [0] * len(zeroed._signs)  # (I1) and (I2) hold as 0 == 0
-    assert zeroed.residual_rows() is None
+    zeroed._signs = [0] * len(zeroed._signs)  # the sign identities hold as 0 == 0
+    assert not zeroed.tensor()
 
     class Products(PyKernel):
         def mult(self, a, b):
@@ -446,29 +455,33 @@ def test_each_premise_of_the_product_rule_fact_is_needed(periods):
         def boundary(self, code):
             return super().boundary(code)
 
-    assert Products(periods).residual_rows() is None
-    assert Boundaries(periods).residual_rows() is None
+    assert not Products(periods).tensor()
+    assert not Boundaries(periods).tensor()
+    # rows within meets: a product on a pair whose supports miss, on axis 0
+    patch_non_meeting_product(monkeypatch)
+    assert not PyKernel((5,) + periods[1:]).tensor()
 
 
 @pytest.mark.parametrize("d", range(1, 4))
-def test_a_flipped_sign_gives_no_product_rule_fact(d):
+def test_a_flipped_sign_gives_no_tensor_fact(d):
     # every sign of two disjoint point masks enters (I1) or (I2); at d = 1,
-    # s(1,0) only (I1) and s(0,1) only (I2)
+    # s(1,0) only (I1) and s(0,1) only (I2).  A sign of overlapping masks
+    # enters no premise, since such a product is zero
     flipped = 0
     for pa in range(1 << d):
         for pb in range(1 << d):
             kernel = PyKernel((3,) * d)
             kernel._signs[pa << d | pb] *= -1
-            assert (kernel.residual_rows() is None) == (not pa & pb), (pa, pb)
+            assert kernel.tensor() == bool(pa & pb), (pa, pb)
             flipped += not pa & pb
     assert flipped == 3**d
-    assert sign_flipped_kernel((3,) * d, 1, 0).residual_rows() is None
+    assert not sign_flipped_kernel((3,) * d, 1, 0).tensor()
 
 
 @pytest.mark.parametrize("periods", [(3,), (4,), (7,), (3, 4), (5, 3, 4)])
 def test_boundary_stays_in_the_closed_support(periods):
-    # every cell that meets a boundary cell of c meets c: the half of
-    # `PyKernel.local` that it does not test at run time
+    # every cell that meets a boundary cell of c meets c: the premise of
+    # `PyKernel.tensor`'s locality that it does not test at run time
     from cubalg.cells import meet_masks
 
     kernel = PyKernel(periods)
@@ -491,21 +504,29 @@ def test_memo_holds_no_zero_products():
     assert memo and () not in memo.values()
 
 
-def test_transversality_sees_a_table_product_on_a_non_meeting_pair(monkeypatch):
-    # the zero test reads the tables, so a wrong entry still reaches E; taken
-    # from `axis_meets`, it would hide this one
-    from cubalg.verify import check_transversality
-
-    n, fa, fb = 5, 0 * 3 + 1, 3 * 3 + 1  # s@0 and s@3 miss each other at period 5
+def patch_non_meeting_product(monkeypatch):
+    """Make every period-5 axis table give s@0*s@3 = s@0, a product on two
+    factors whose supports miss, with the row bit that lets `mult` see it."""
+    n, fa, fb = 5, 0 * 3 + 1, 3 * 3 + 1
     assert not axis_meets(n)[fa] >> fb & 1
     real = _kernel_py._axis_table
 
     def broken(period):
         table = real(period)
-        table[fa * 3 * period + fb] = ((fa, 4),)
+        if period == n:
+            table[fa * 3 * period + fb] = ((fa, 4),)
         return table
 
     monkeypatch.setattr(_kernel_py, "_axis_table", broken)
+
+
+def test_transversality_sees_a_table_product_on_a_non_meeting_pair(monkeypatch):
+    # the zero test reads the tables, so a wrong entry still reaches E; taken
+    # from `axis_meets`, it would hide this one
+    from cubalg.verify import check_transversality
+
+    n = 5
+    patch_non_meeting_product(monkeypatch)
     kernel_for.cache_clear()
     try:
         report = check_transversality(LatticeSpec((n,)), n)
@@ -515,22 +536,15 @@ def test_transversality_sees_a_table_product_on_a_non_meeting_pair(monkeypatch):
 
 
 def test_leibniz_sees_a_table_product_on_a_non_meeting_pair(monkeypatch):
-    # the table is no longer zero off meeting pairs, so the kernel is not
-    # local and C computes every pair, this one too
+    # the table is no longer zero off meeting pairs, so the kernel has no
+    # tensor fact and C computes every pair, this one too
     from cubalg.verify import check_leibniz
 
-    n, fa, fb = 5, 0 * 3 + 1, 3 * 3 + 1  # s@0 and s@3 miss each other at period 5
-    real = _kernel_py._axis_table
-
-    def broken(period):
-        table = real(period)
-        table[fa * 3 * period + fb] = ((fa, 4),)
-        return table
-
-    monkeypatch.setattr(_kernel_py, "_axis_table", broken)
+    n = 5
+    patch_non_meeting_product(monkeypatch)
     kernel_for.cache_clear()
     try:
-        assert not kernel_for((n,)).local()
+        assert not kernel_for((n,)).tensor()
         report = check_leibniz(LatticeSpec((n,)), n)
     finally:
         kernel_for.cache_clear()
