@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import astuple
 from functools import lru_cache, partial
 from itertools import product as _iterproduct
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .cells import axis_meets, meet_masks
 from .lattice import LatticeSpec
@@ -61,15 +61,6 @@ def bit_positions(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _submasks(mask: int) -> Iterator[int]:
-    """Every submask of mask, from mask itself down to 0."""
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
-    yield 0
-
-
 def _axis_boundary(fc: int, n: int) -> tuple[tuple[int, int], ...]:
     """The 1-d boundary of factor code fc modulo n as (factor code, sign)
     pairs: a stick's upper end point minus its lower one; zero for points
@@ -113,6 +104,16 @@ def times(mult, x, y) -> dict:
     return linear((((a, b), v * w) for a, v in x for b, w in y), lambda ab: mult(*ab))
 
 
+class CellRecord(NamedTuple):
+    """What the kernel reads of one cell, memoized per code (`PyKernel.cell`).
+    In `row` and `one` each axis owns a field of 3n bits, in axis order."""
+
+    factors: tuple[int, ...]  # the factor code on each axis
+    points: int  # bit i: the factor on axis i is a point
+    row: int  # per field, the row `_rows[i][fc]` of the cell's factor code fc
+    one: int  # per field, the single bit fc
+
+
 class PyKernel:
     """Basis-cell product, boundary and the associativity scan, in Python.
 
@@ -139,45 +140,31 @@ class PyKernel:
             [sum(1 << fb for fb in range(r) if table[fa * r + fb] is not None) for fa in range(r)]
             for table, r in zip(self._tables, self.radices)
         ]
-        self._mask_cache: dict[int, tuple[int, int]] = {}
+        self._cells: dict[int, CellRecord] = {}
         self._mult_cache: dict[int, tuple[tuple[int, int], ...]] = {}
         # one shared object per distinct product value; far fewer than keys
         self._values: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
         self._boundary_cache: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._factor_cache: dict[int, tuple[tuple[int, ...], int]] = {}
         # at (pa << d) | pb for the point-axis masks pa, pb of the two factors
         masks = range(1 << self.d)
         self._signs = [koszul_sign_of_points(pa, pb) for pa in masks for pb in masks]
 
     # -- helpers -----------------------------------------------------------
 
-    def factors(self, code: int) -> tuple[tuple[int, ...], int]:
-        """Per-axis factor codes of a cell and the mask of its point axes, memoized."""
-        cached = self._factor_cache.get(code)
+    def cell(self, code: int) -> CellRecord:
+        """The record of a cell, memoized."""
+        cached = self._cells.get(code)
         if cached is None:
-            out = []
-            points = 0
-            rest = code
-            for i, r in enumerate(self.radices):
+            factors = []
+            rest, points, row, one, shift = code, 0, 0, 0, 0
+            for i, (rows, r) in enumerate(zip(self._rows, self.radices)):
                 rest, fc = divmod(rest, r)
-                out.append(fc)
-                if fc % 3 == POINT:
-                    points |= 1 << i
-            cached = self._factor_cache[code] = (tuple(out), points)
-        return cached
-
-    def _masks(self, code: int) -> tuple[int, int]:
-        """A cell's row mask and one-hot mask, memoized.  Each axis owns a
-        field of 3n bits, in axis order: the row mask holds there the row of
-        the cell's factor code fc, the one-hot mask the single bit fc."""
-        cached = self._mask_cache.get(code)
-        if cached is None:
-            row = one = shift = 0
-            for fc, rows, r in zip(self.factors(code)[0], self._rows, self.radices):
+                factors.append(fc)
+                points |= (fc % 3 == POINT) << i
                 row |= rows[fc] << shift
                 one |= 1 << (fc + shift)
                 shift += r
-            cached = self._mask_cache[code] = (row, one)
+            cached = self._cells[code] = CellRecord(tuple(factors), points, row, one)
         return cached
 
     def supports_intersect(self, a: int, b: int) -> bool:
@@ -192,7 +179,7 @@ class PyKernel:
     def transverse(self, a: int, b: int) -> bool:
         """Supports intersect and the two direction sets span every axis:
         no axis is a point axis of both cells."""
-        return self.supports_intersect(a, b) and not (self.factors(a)[1] & self.factors(b)[1])
+        return self.supports_intersect(a, b) and not self.cell(a).points & self.cell(b).points
 
     # -- products ----------------------------------------------------------
 
@@ -206,12 +193,11 @@ class PyKernel:
         cached = self._mult_cache.get(key)
         if cached is not None:
             return cached
-        masks = self._mask_cache  # read inline: every zero product comes here
-        row = (masks.get(a) or self._masks(a))[0]
-        if (row & (masks.get(b) or self._masks(b))[1]).bit_count() < self.d:
+        cells = self._cells  # read inline: every zero product comes here
+        fa, pa, row, _ = cells.get(a) or self.cell(a)
+        fb, pb, _, one = cells.get(b) or self.cell(b)
+        if (row & one).bit_count() < self.d:
             return ()
-        fa, pa = self.factors(a)
-        fb, pb = self.factors(b)
         sign = self._signs[(pa << self.d) | pb]
         per_axis = [
             table[x * r + y] for table, r, x, y in zip(self._tables, self.radices, fa, fb)
@@ -243,7 +229,7 @@ class PyKernel:
         axes < i)."""
         out = []
         prefix_pts = 0
-        for fc, n, place in zip(self.factors(code)[0], self.periods, self.places):
+        for fc, n, place in zip(self.cell(code).factors, self.periods, self.places):
             sigma = -1 if prefix_pts & 1 else 1
             out += [(code + (u - fc) * place, sigma * s) for u, s in _axis_boundary(fc, n)]
             prefix_pts += fc % 3 == POINT
@@ -258,20 +244,26 @@ class PyKernel:
         tables, rows and signs may change after the kernel is built.
 
         The premises: `mult` and `boundary` are this class's own; every sign
-        s(pa,pb) = `_signs[pa << d | pb]` is a unit; on pairwise-disjoint
-        point masks pa, pb, pc the signs are a 2-cocycle,
-        s(pa,pb) s(pa|pb,pc) = s(pb,pc) s(pa,pb|pc), and, for every axis i
-        outside pa|pb, with |m<i| the number of bits of m below i,
+        s(pa,pb) = `_signs[pa << d | pb]` is a unit; on disjoint point masks
+        pa, pb, for every axis i outside pa|pb, with |m<i| the number of
+        bits of m below i,
 
             (I1) (-1)^|pa<i| s(pa|i, pb) = s(pa,pb) (-1)^|(pa|pb)<i|
-            (I2) (-1)^(|pa|+|pb<i|) s(pa, pb|i) = s(pa,pb) (-1)^|(pa|pb)<i|;
+            (I2) (-1)^(|pa|+|pb<i|) s(pa, pb|i) = s(pa,pb) (-1)^|(pa|pb)<i|,
 
-        and on every whole axis a point times a point is zero, point-ness is
-        additive (a term of x*y is a point exactly when x or y is), every
-        entry with a row bit merges to a nonzero chain and every row lies in
-        the axis's `axis_meets` row.  They cover whole axes because the
-        terms of x*y and of the boundary of x reach codes a cell set need
-        not use.
+        d * 3^(d-1) checks of each; and on every whole axis a point times a
+        point is zero, point-ness is additive (a term of x*y is a point
+        exactly when x or y is), every entry with a row bit merges to a
+        nonzero chain and every row lies in the axis's `axis_meets` row.
+        They cover whole axes because the terms of x*y and of the boundary
+        of x reach codes a cell set need not use.
+
+        The 2-cocycle s(pa,pb) s(pa|pb,pc) = s(pb,pc) s(pa,pb|pc) on
+        pairwise-disjoint point masks follows.  (I1) and (I2) fix every sign
+        of two disjoint masks from s(0,0), and the Koszul signs satisfy them,
+        so there the signs are s(0,0) times the Koszul signs, a 2-cocycle
+        (`test_koszul_signs_are_a_two_cocycle_on_disjoint_point_masks`);
+        each side of the cocycle has two signs, so s(0,0) cancels.
 
         Then, with P_j the entry x_j*y_j of the factor codes of a and b on
         axis j, read as `mult` reads it (`_entry`), every term of a*b has
@@ -302,21 +294,18 @@ class PyKernel:
         if any(s not in (1, -1) for s in signs):
             return False
         full = (1 << d) - 1
-        for pa in range(1 << d):
-            for pb in _submasks(full ^ pa):
-                sab = signs[pa << d | pb]
-                for pc in _submasks(full ^ pa ^ pb):
-                    s_a_bc = signs[pa << d | pb | pc]
-                    if sab * signs[(pa | pb) << d | pc] != signs[pb << d | pc] * s_a_bc:
-                        return False
-                    if pc.bit_count() != 1:
-                        continue
-                    below = pc - 1  # pc is the one axis i of (I1) and (I2)
-                    t = sab * (-1) ** ((pa | pb) & below).bit_count()
-                    if (-1) ** (pa & below).bit_count() * signs[(pa | pc) << d | pb] != t:
-                        return False
-                    if (-1) ** (pa.bit_count() + (pb & below).bit_count()) * s_a_bc != t:
-                        return False
+        for pa, pb in _iterproduct(range(1 << d), repeat=2):
+            if pa & pb:
+                continue  # a sign of overlapping masks multiplies a zero product
+            sab = signs[pa << d | pb]
+            for i in bit_positions(full ^ pa ^ pb):
+                pi, below = 1 << i, (1 << i) - 1
+                t = sab * (-1) ** ((pa | pb) & below).bit_count()
+                if (-1) ** (pa & below).bit_count() * signs[(pa | pi) << d | pb] != t:
+                    return False
+                s_a_bi = signs[pa << d | pb | pi]
+                if (-1) ** (pa.bit_count() + (pb & below).bit_count()) * s_a_bi != t:
+                    return False
         return all(self._per_axis(self._axis_tensor))
 
     def _per_axis(self, fact) -> list:
@@ -357,7 +346,7 @@ class PyKernel:
         the cells use, the 1-d sides (x*y)*z and x*(y*z) are equal."""
         if not self.tensor():
             return False
-        facs = [self.factors(c)[0] for c in cells]
+        facs = [self.cell(c).factors for c in cells]
         for axis in range(self.d):
             codes = {fs[axis] for fs in facs}
             entry = partial(self._entry, axis)

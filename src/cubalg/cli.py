@@ -124,9 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit_json(payload) -> None:
+    """Print payload as canonical JSON: sorted keys, no spaces."""
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+
+
 def _emit_chain(chain, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(chain_to_json_dict(chain), sort_keys=True, separators=(",", ":")))
+        _emit_json(chain_to_json_dict(chain))
     else:
         print(format_chain(chain))
 
@@ -166,13 +171,13 @@ def _dispatch(args) -> int:
         b = parse_chain(args.b, lattice)
         value = pairing(a, b)
         if args.json:
-            print(json.dumps({"pairing": format_rational(value)}))
+            _emit_json({"pairing": format_rational(value)})
         else:
             print(format_rational(value))
         return 0
     if args.command == "pairing-matrix":
         report = pairing_report(args.degree, lattice)
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        _emit_json(report)
         return 0
     if args.command == "crumble":
         _emit_chain(crumble(parse_chain(args.a, lattice), args.k), args.json)
@@ -180,29 +185,15 @@ def _dispatch(args) -> int:
     if args.command == "betti":
         numbers = betti(args.complex_kind, lattice)
         if args.json:
-            print(
-                json.dumps(
-                    {"complex": args.complex_kind, "betti": list(numbers)},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
+            _emit_json({"complex": args.complex_kind, "betti": list(numbers)})
         else:
             print(" ".join(str(b) for b in numbers))
         return 0
     if args.command == "star":
         dual = star(args.cell, lattice)
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "center": list(dual.center),
-                        "dirs": "".join("xyz"[i] for i in sorted(dual.directions)) or "-",
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
+            dirs = "".join("xyz"[i] for i in sorted(dual.directions)) or "-"
+            _emit_json({"center": list(dual.center), "dirs": dirs})
         else:
             print(str(dual))
         return 0
@@ -221,7 +212,7 @@ def _dispatch(args) -> int:
                 "passed": all_passed,
                 "reports": [r.to_json_dict(include_timings=args.timings) for r in reports],
             }
-            print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+            _emit_json(payload)
         else:
             for r in reports:
                 status = {"passed": "PASS", "failed": "FAIL", "skipped": "SKIP"}[r.status]

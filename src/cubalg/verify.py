@@ -410,11 +410,11 @@ def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
     )
     pairs = [(win.codes[i], win.codes[j]) for i, j in _meeting_pairs(win)]
     bases = [kernel.mult(a, b) for a, b in pairs]
-    moved = {c: kernel.factors(c) for c in {*win.codes, *(c for base in bases for c, _ in base)}}
+    moved = {c: kernel.cell(c) for c in {*win.codes, *(c for base in bases for c, _ in base)}}
     actions = [
         (sym, kernel_for(sym.periods).mult, {
-            code: (sum(table[factors[s]] for s, table in sym.axes), sym.signs[points])
-            for code, (factors, points) in moved.items()
+            code: (sum(table[cell.factors[s]] for s, table in sym.axes), sym.signs[cell.points])
+            for code, cell in moved.items()
         })
         for sym in _symmetries(lattice)
     ]
@@ -698,6 +698,111 @@ def check_crumbling(lattice: LatticeSpec, window: int, k: int) -> CheckReport:
     return report
 
 
+# (n, m, sample) of S6: the truncation of the n-torus of period 5 at level m,
+# every ordered pair of its window-2 cells or `sample` seeded meeting pairs
+_TRUNCATION_CASES = [(4, 2, None), (4, 3, None), (5, 3, 1200), (6, 4, 600)]
+
+
+def _truncation_case(report, rng, n: int, m: int, sample: int | None) -> dict:
+    """One S6 case.  Past the bound 3m <= 2n the product rule must break:
+    the first witness ends the walk.  Within the bound every pair walked
+    keeps closure and the product rule, and then commutativity (over the
+    pairs computed, or the first quarter of a sample) and associativity (on
+    a seeded third cell for the first 200 pairs) hold."""
+    lattice = LatticeSpec((5,) * n)
+    kernel = kernel_for(lattice.periods)
+    closed = kind_closure(n, m)
+    must_fail = 3 * m > 2 * n
+    ideal_dim = max_ideal_dimension(closed)
+    bound = 2 * m - n
+    case = {
+        "n": n,
+        "m": m,
+        "max_ideal_dimension": ideal_dim,
+        "ideal_dimension_bound": bound if bound >= 1 else None,
+        "pairs": 0,
+        "triples": 0,
+    }
+    if ideal_dim is not None and ideal_dim > bound:
+        report.violate(
+            "ideal-dimension-bound", n=n, m=m, max_ideal_dimension=ideal_dim, bound=bound
+        )
+    cells = window_codes(lattice, 2, closed)
+    if sample is None:
+        # every ordered pair of order x cells, ideal cells first when the
+        # rule must break (it breaks on pairs touching them), streamed: the
+        # walk stops at its first witness.  Under the tensor fact a pair
+        # whose supports miss keeps every law, so only the meeting pairs.
+        listed = cells
+        order = range(len(cells))
+        if must_fail:
+            order = sorted(order, key=lambda i: not code_is_ideal(cells[i], lattice))
+        rows = _partners(kernel, _near(meet_masks(cells, lattice)))
+        case["pairs"] = commuted = len(cells) ** 2
+        walk = (
+            (r * len(cells) + j, cells[i], cells[j]) for r, i in enumerate(order) for j in rows[i]
+        )
+        firsts = list(islice(_iterproduct(cells, repeat=2), 200))
+    else:
+        # the first `sample` meeting pairs of at most 100 * sample draws
+        draws = ((rng.choice(cells), rng.choice(cells)) for _ in range(100 * sample))
+        drawn = list(islice(((a, b) for a, b in draws if kernel.supports_intersect(a, b)), sample))
+        listed = list(dict.fromkeys(c for ab in drawn for c in ab))
+        case["pairs"], commuted = len(drawn), max(1, len(drawn) // 4)
+        walk = ((k, a, b) for k, (a, b) in enumerate(drawn))
+        firsts = drawn[: min(commuted, 200)]
+    # the residual bits and codimensions of the pairs' cells, by position
+    at = {c: k for k, c in enumerate(listed)}
+    codims = [code_codim(c, lattice) for c in listed]
+    masks = kernel.residual_masks(listed)
+    commuting = []
+    for position, a, b in walk:
+        escapes = _escapes(kernel.mult, a, b, closed, lattice)
+        if escapes:
+            report.violate(
+                "closure",
+                n=n,
+                m=m,
+                **_cells(lattice, a, b, replay=False),
+                escapes=lambda: _cell_str(escapes[0], lattice),
+            )
+        i, j = at[a], at[b]
+        if masks[i] >> j & 1 if masks else _leibniz_residual(kernel, a, b, _sign(codims[i])):
+            fields = _residual_fields(kernel, lattice, a, b, must_fail)
+            if must_fail:
+                report.witness("leibniz-failure", n=n, m=m, **fields)
+                case["pairs"] = position + 1
+                break
+            report.violate("leibniz", n=n, m=m, **fields)
+        if not must_fail and position < commuted:
+            commuting.append((i, j))
+    else:
+        if must_fail:
+            report.violate(
+                "expected-failure-missing",
+                n=n,
+                m=m,
+                note="truncating one past the bound must break the product rule",
+            )
+    report.checked += case["pairs"]
+    if must_fail:
+        return case
+    # a pair left out of the walk has two zero products
+    for i, j in commuting:
+        a, b = listed[i], listed[j]
+        if not _commutes(kernel.mult(a, b), kernel.mult(b, a), _sign(codims[i] * codims[j])):
+            report.violate("commutativity", n=n, m=m, **_cells(lattice, a, b, replay=False))
+    for a, b in firsts:
+        c = rng.choice(cells)
+        if kernel.supports_intersect(a, c) and kernel.supports_intersect(b, c):
+            case["triples"] += 1
+            report.checked += 1
+            lhs, rhs = assoc_sides(kernel.mult, a, b, c)
+            if lhs != rhs:
+                report.violate("associativity", n=n, m=m, **_cells(lattice, a, b, c, replay=False))
+    return case
+
+
 def check_truncation(seed: int) -> CheckReport:
     """The truncation bound: m = floor(2n/3) is the last level where the
     generated subalgebra keeps closure, commutativity, associativity and
@@ -710,123 +815,8 @@ def check_truncation(seed: int) -> CheckReport:
         seed=seed,
     )
     rng = random.Random(seed)
-
-    def run_case(n: int, m: int, expect_failure: bool, sample: int | None):
-        lattice = LatticeSpec((5,) * n)
-        kernel = kernel_for(lattice.periods)
-        closed = kind_closure(n, m)
-        ideal_dim = max_ideal_dimension(closed)
-        bound = 2 * m - n
-        case = {
-            "n": n,
-            "m": m,
-            "max_ideal_dimension": ideal_dim,
-            "ideal_dimension_bound": bound if bound >= 1 else None,
-            "pairs": 0,
-            "triples": 0,
-        }
-        if ideal_dim is not None and ideal_dim > bound:
-            report.violate(
-                "ideal-dimension-bound", n=n, m=m, max_ideal_dimension=ideal_dim, bound=bound
-            )
-        cells = window_codes(lattice, 2, closed)
-        codims = {c: code_codim(c, lattice) for c in cells}
-        if sample is not None:
-            pairs = []
-            attempts = 0
-            while len(pairs) < sample and attempts < 100 * sample:
-                attempts += 1
-                a, b = rng.choice(cells), rng.choice(cells)
-                if kernel.supports_intersect(a, b):
-                    pairs.append((a, b))
-            total = len(pairs)
-            walk = ((k, a, b) for k, (a, b) in enumerate(pairs))
-        # the residual bits of the pairs, over the cells or the sampled codes
-        listed = cells if sample is None else list(dict.fromkeys(c for ab in pairs for c in ab))
-        at = {c: k for k, c in enumerate(listed)}
-        masks = kernel.residual_masks(listed)
-        if sample is None:
-            # every ordered pair of order x cells, ideal cells first when a
-            # failure is expected: the product rule breaks on pairs touching them
-            order = cells
-            if expect_failure:
-                order = sorted(cells, key=lambda c: not code_is_ideal(c, lattice))
-            total = len(order) * len(cells)
-            partners = _partners(kernel, _near(meet_masks(cells, lattice)))
-            # (position, a, b) of the pairs to compute; streamed, since the
-            # expected failure stops at its first witness
-            walk = (
-                (r * len(cells) + j, a, cells[j])
-                for r, a in enumerate(order)
-                for j in partners[at[a]]
-            )
-        if sample is None and not expect_failure:
-            walk = list(walk)
-            pairs = [(a, b) for _, a, b in walk]
-        witnessed = False
-        for position, a, b in walk:
-            escapes = _escapes(kernel.mult, a, b, closed, lattice)
-            if escapes:
-                report.violate(
-                    "closure",
-                    n=n,
-                    m=m,
-                    **_cells(lattice, a, b, replay=False),
-                    escapes=lambda: _cell_str(escapes[0], lattice),
-                )
-            sign_a = _sign(codims[a])
-            if masks[at[a]] >> at[b] & 1 if masks else _leibniz_residual(kernel, a, b, sign_a):
-                fields = _residual_fields(kernel, lattice, a, b, expect_failure)
-                if expect_failure:
-                    report.witness("leibniz-failure", n=n, m=m, **fields)
-                    witnessed, total = True, position + 1
-                    break
-                report.violate("leibniz", n=n, m=m, **fields)
-        case["pairs"] = total
-        report.checked += total
-        if expect_failure:
-            if not witnessed:
-                report.violate(
-                    "expected-failure-missing",
-                    n=n,
-                    m=m,
-                    note="truncating one past the bound must break the product rule",
-                )
-        else:
-            # commutativity over the pairs computed above (a pair left out has
-            # two zero products) or the first quarter of a sample; associativity
-            # on a seeded third cell for the first 200 of every pair or of
-            # that quarter
-            if sample is None:
-                firsts = list(islice(_iterproduct(cells, repeat=2), 200))
-            else:
-                pairs = pairs[: max(1, len(pairs) // 4)]
-                firsts = pairs[:200]
-            for a, b in pairs:
-                sign = _sign(codims[a] * codims[b])
-                if not _commutes(kernel.mult(a, b), kernel.mult(b, a), sign):
-                    report.violate(
-                        "commutativity", n=n, m=m, **_cells(lattice, a, b, replay=False)
-                    )
-            triples = []
-            for a, b in firsts:
-                c = rng.choice(cells)
-                if kernel.supports_intersect(a, c) and kernel.supports_intersect(b, c):
-                    triples.append((a, b, c))
-            for a, b, c in triples:
-                case["triples"] += 1
-                report.checked += 1
-                lhs, rhs = assoc_sides(kernel.mult, a, b, c)
-                if lhs != rhs:
-                    report.violate(
-                        "associativity", n=n, m=m, **_cells(lattice, a, b, c, replay=False)
-                    )
-        report.details[f"n{n}m{m}"] = case
-
-    run_case(4, 2, expect_failure=False, sample=None)
-    run_case(4, 3, expect_failure=True, sample=None)
-    run_case(5, 3, expect_failure=False, sample=1200)
-    run_case(6, 4, expect_failure=False, sample=600)
+    for n, m, sample in _TRUNCATION_CASES:
+        report.details[f"n{n}m{m}"] = _truncation_case(report, rng, n, m, sample)
 
     # six-dimensional smoke value: triple product of three 4-cuboids crossing
     # along complementary axis pairs augments to exactly 1
@@ -984,7 +974,7 @@ def _normalize_axioms(axioms) -> list[str]:
         out.append(t)
     if not out:
         raise ValueError("no axiom ids given")
-    return out
+    return list(dict.fromkeys(out))  # each id once, at its first place
 
 
 # check id -> runner(lattice, window, seed, k).  Each runner looks its check

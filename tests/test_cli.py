@@ -45,6 +45,12 @@ def test_pair_command(capsys):
     code, out, _ = run_cli(capsys, "pair", "[p@0]", "[s@0]", "--periods", "7")
     assert code == 0
     assert out.strip() == "1/2"
+    # canonical JSON, as every --json output: sorted keys, no spaces
+    code, out, _ = run_cli(
+        capsys, "pair", "[p@0,p@0,p@0]", "[s@0,s@0,s@0]", "--periods", "5,5,5", "--json"
+    )
+    assert code == 0
+    assert out == '{"pairing":"1/8"}\n'
 
 
 def test_pairing_matrix_command(capsys):

@@ -53,7 +53,7 @@ def test_traced_child_runs_verify(tmp_path):
         "verify",
         "--json",
         "--axioms",
-        "A,B",
+        "A,B,S6",
         "--periods",
         "3,3,3",
         "--window",

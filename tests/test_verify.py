@@ -166,11 +166,21 @@ def test_crumbling_check_rejects_a_factor_crumble_refuses(k):
         check_crumbling(LatticeSpec((3, 3)), 2, k)
 
 
-def test_verify_i_pulls_dependencies():
+def test_verify_i_pulls_dependencies(monkeypatch):
     reports = verify_axioms((5, 5, 5), axioms="I", window=2)
     ids = [r.check_id for r in reports]
     assert ids == ["A", "B", "C", "D", "E", "F", "I"]
     assert all(r.passed for r in reports)
+    # a repeated id, named or pulled in by I, runs once
+    import cubalg.verify
+
+    once = [r.check_id for r in verify_axioms((3, 3, 3), "A,I", window=1)]
+    calls, real = [], cubalg.verify.check_commutativity
+    monkeypatch.setattr(
+        cubalg.verify, "check_commutativity", lambda *args: calls.append(args) or real(*args)
+    )
+    assert [r.check_id for r in verify_axioms((3, 3, 3), "A,A,I", window=1)] == once
+    assert len(calls) == 1
 
 
 def test_reports_deterministic(L3m):
