@@ -14,7 +14,7 @@ from functools import lru_cache, partial
 from itertools import product as _iterproduct
 from typing import Iterator, NamedTuple
 
-from .cells import axis_meets, meet_masks
+from .cells import axis_gather, axis_meets, meet_masks
 from .lattice import LatticeSpec
 from .table1d import CoefficientTable, mult1_terms
 
@@ -379,26 +379,18 @@ class PyKernel:
         (codes[i], codes[j]) has a nonzero product-rule residual, decided by
         `residual_rows`; None when that is None.
 
-        Per axis the positions are grouped by factor code, as
-        `cells.meet_masks` does.  Axis by axis, `every` keeps the j with a
-        row bit on every axis so far, and `one` those with a residual bit on
-        one of them and row bits on the others."""
+        Per axis `cells.axis_gather` gathers each position's row and residual
+        row, as it gathers `cells.meet_masks`' rows.  Axis by axis, `every`
+        keeps the j with a row bit on every axis so far, and `one` those with
+        a residual bit on one of them and row bits on the others."""
         residuals = self.residual_rows()
         if residuals is None:
             return None
-        every, one, rest = [-1] * len(codes), [0] * len(codes), list(codes)
-        for r, rows, axis in zip(self.radices, self._rows, residuals):
-            groups: dict[int, int] = {}
-            for pos, code in enumerate(rest):
-                rest[pos], fc = divmod(code, r)
-                groups[fc] = groups.get(fc, 0) | 1 << pos
-            for fa, group in groups.items():
-                row, residual = (
-                    sum(g for fb, g in groups.items() if m >> fb & 1) for m in (rows[fa], axis[fa])
-                )
-                for pos in bit_positions(group):
-                    one[pos] = one[pos] & row | every[pos] & residual
-                    every[pos] &= row
+        every, one = [-1] * len(codes), [0] * len(codes)
+        for gather, rows, axis in zip(axis_gather(codes, self.periods), self._rows, residuals):
+            for pos, (row, residual) in enumerate(zip(gather(rows), gather(axis))):
+                one[pos] = one[pos] & row | every[pos] & residual
+                every[pos] &= row
         return one
 
     # -- exhaustive associativity scan --------------------------------------
@@ -418,15 +410,8 @@ class PyKernel:
         """
         masks = meet_masks(cells, LatticeSpec(self.periods))
         # a mask depends only on the cells' supports, so there are few
-        # distinct masks; each one's list of positions is built once
-        positions: dict[int, list[int]] = {}
-        every = range(len(cells))
-
-        def bits(mask: int) -> list[int]:
-            found = positions.get(mask)
-            if found is None:
-                found = positions[mask] = [k for k in every if mask >> k & 1]
-            return found
+        # distinct masks; each one's positions are listed once
+        bits = lru_cache(maxsize=None)(lambda mask: tuple(bit_positions(mask)))
 
         decided = self.associative(cells)
         mult = self.mult

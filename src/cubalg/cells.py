@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from itertools import product as _iterproduct
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .lattice import LatticeSpec
 
@@ -224,29 +224,37 @@ def axis_meets(n: int) -> tuple[int, ...]:
     )
 
 
-def meet_masks(codes: list[int], lattice: LatticeSpec) -> list[int]:
-    """Bit j of entry i is set when the closed supports of codes[i] and
-    codes[j] meet, that is, when on every axis their factors share a
-    lattice point.
-
-    Per axis the positions are grouped by factor code, and each factor code
-    gets the OR of the groups whose factor codes meet it (`axis_meets`); a
-    cell's mask is the AND of its factors' bitsets over the axes.  No pair
-    of cells is tested on its own."""
-    size = len(codes)
-    masks = [(1 << size) - 1] * size
+def axis_gather(codes: list[int], periods) -> Iterator[Callable[[Sequence[int]], list[int]]]:
+    """Per axis of the lattice with these periods, in order, a function
+    gather(rows) of a bitset row per factor code: for each position of
+    `codes`, the positions whose factor code on the axis is a bit of the
+    row of its own.  The positions are grouped by factor code once per
+    axis and a row gathers whole groups, so no pair is tested on its own."""
     rest = list(codes)
-    for n in lattice.periods:
-        meets = axis_meets(n)
+    for n in periods:
         factors = []
         groups: dict[int, int] = {}
         for pos, code in enumerate(rest):
             rest[pos], fc = divmod(code, 3 * n)
             factors.append(fc)
             groups[fc] = groups.get(fc, 0) | 1 << pos
-        # the groups are disjoint, so their sum is their OR
-        near = {fa: sum(g for fb, g in groups.items() if meets[fa] >> fb & 1) for fa in groups}
-        masks = [mask & near[fc] for mask, fc in zip(masks, factors)]
+
+        def gather(rows, factors=factors, groups=groups) -> list[int]:
+            # the groups are disjoint, so their sum is their OR
+            near = {fa: sum(g for fb, g in groups.items() if rows[fa] >> fb & 1) for fa in groups}
+            return [near[fc] for fc in factors]
+
+        yield gather
+
+
+def meet_masks(codes: list[int], lattice: LatticeSpec) -> list[int]:
+    """Bit j of entry i is set when the closed supports of codes[i] and
+    codes[j] meet, that is, when on every axis their factors share a
+    lattice point: the AND over the axes of the `axis_meets` rows gathered
+    by `axis_gather`."""
+    masks = [(1 << len(codes)) - 1] * len(codes)
+    for n, gather in zip(lattice.periods, axis_gather(codes, lattice.periods)):
+        masks = [mask & near for mask, near in zip(masks, gather(axis_meets(n)))]
     return masks
 
 

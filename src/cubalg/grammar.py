@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cells import CHAR_KINDS, KIND_CHARS, Cell, Factor, FactorKind, make_cell
+from .cells import CHAR_KINDS, KIND_CHARS, Cell, Factor, make_cell
 from .chain import Chain
 from .lattice import LatticeSpec
 
@@ -192,10 +192,10 @@ def chain_to_json_dict(chain: Chain) -> dict:
     return {"lattice": {"periods": list(chain.lattice.periods)}, "terms": terms}
 
 
-def _json_coord(coord) -> int:
-    if type(coord) is not int:  # a float would be truncated, a bool is no coordinate
-        raise ValueError(f"coordinate must be an integer, got {coord!r}")
-    return coord
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # a float would be truncated, a bool is no integer
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _json_coef(coef) -> Fraction:
@@ -214,22 +214,31 @@ def _json_key(data, key: str):
         raise ValueError(f"chain JSON has no {key!r} key") from None
 
 
-def _json_kind(kind) -> FactorKind:
+def _json_list(data, key: str) -> list:
+    value = _json_key(data, key)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"chain JSON {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _json_factor(factor) -> Factor:
+    if not isinstance(factor, (list, tuple)) or len(factor) != 2:
+        raise ValueError(f"a 'cell' factor must be [kind, coordinate], got {factor!r}")
+    kind, coord = factor
     if not isinstance(kind, str) or kind not in CHAR_KINDS:
         raise ValueError(f"factor kind must be 'p', 's' or 'i', got {kind!r}")
-    return CHAR_KINDS[kind]
+    return Factor(CHAR_KINDS[kind], _json_int(coord, "coordinate"))
 
 
 def chain_from_json_dict(data: dict) -> Chain:
     """Inverse of chain_to_json_dict.  Coordinates must be integers,
     coefficients integers or rational strings ("n" or "n/d") and kinds
-    "p", "s" or "i"; anything else, floats and missing keys included,
-    raises ValueError."""
-    lattice = LatticeSpec(tuple(_json_key(_json_key(data, "lattice"), "periods")))
+    "p", "s" or "i"; anything else, floats, missing keys and values of the
+    wrong shape included, raises ValueError."""
+    periods = _json_list(_json_key(data, "lattice"), "periods")
+    lattice = LatticeSpec(tuple(_json_int(n, "a 'periods' entry") for n in periods))
     terms: dict[Cell, Fraction] = {}
-    for entry in _json_key(data, "terms"):
-        cell = Cell(
-            tuple(Factor(_json_kind(k), _json_coord(c)) for k, c in _json_key(entry, "cell"))
-        )
+    for entry in _json_list(data, "terms"):
+        cell = Cell(tuple(_json_factor(f) for f in _json_list(entry, "cell")))
         terms[cell] = terms.get(cell, Fraction(0)) + _json_coef(_json_key(entry, "coef"))
     return Chain(lattice, terms)

@@ -17,7 +17,7 @@ from .chain import Chain
 from .lattice import LatticeSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoHCell:
     center: tuple[int, ...]
     directions: frozenset[int]

@@ -35,7 +35,6 @@ from .cells import (
     join_code,
     meet_masks,
     require_window,
-    split_code,
     window_codes,
 )
 from .cells import encode_cell  # noqa: F401  (a traced site, see perfbench/tracing.py)
@@ -154,7 +153,7 @@ def _residual_fields(kernel, lattice: LatticeSpec, a: int, b: int, replay=True):
     """`_cells` fields of a and b, and their residual, computed only if recorded."""
     fields = _cells(lattice, a, b, replay=replay)
     fields["residual"] = lambda: _chain_str(
-        _leibniz_residual(kernel, a, b, _sign(code_codim(a, lattice))), lattice, 4**lattice.d
+        _leibniz_residual(kernel, a, b, _sign(_codim(kernel, a))), lattice, 4**lattice.d
     )
     return fields
 
@@ -162,6 +161,11 @@ def _residual_fields(kernel, lattice: LatticeSpec, a: int, b: int, replay=True):
 def _sign(codim: int) -> int:
     """(-1)**codim."""
     return -1 if codim % 2 else 1
+
+
+def _codim(kernel, code: int) -> int:
+    """The codimension of a multiplied cell, from the kernel's record of it."""
+    return kernel.cell(code).points.bit_count()
 
 
 def _commutes(ab, ba, sign: int) -> bool:
@@ -198,44 +202,27 @@ def _assoc_scan(kernel, window: int) -> tuple[int, list[tuple[int, int, int]]]:
 
 
 class _Window(NamedTuple):
-    """Per-cell facts of a window, indexed by position in `codes`."""
+    """The pair table of a cell set, indexed by position in `codes`.  It
+    holds only what the codes and the lattice give, no kernel fact, so a
+    cached one serves any kernel."""
 
     codes: tuple[int, ...]
     masks: tuple[int, ...]  # bit j: the closed supports of codes[i] and codes[j] meet
     near: tuple[tuple[int, ...], ...]  # the positions of those bits, ascending
-    codims: tuple[int, ...]
-    points: tuple[int, ...]  # bit k: the factor on axis k is a point
-    ideal: tuple[bool, ...]
+
+
+def _table(codes: list[int], lattice: LatticeSpec) -> _Window:
+    """The pair table of `codes`: their `meet_masks`, and per mask the
+    tuple of its bit positions, one tuple per distinct mask."""
+    masks = meet_masks(codes, lattice)
+    near = lru_cache(maxsize=None)(lambda mask: tuple(bit_positions(mask)))
+    return _Window(tuple(codes), tuple(masks), tuple(map(near, masks)))
 
 
 @lru_cache(maxsize=1)
 def _window(lattice: LatticeSpec, window: int) -> _Window:
-    """The window table, built once and shared by the pair checks."""
-    codes = window_codes(lattice, window)
-    masks = meet_masks(codes, lattice)
-    points, ideal = [], []
-    for code in codes:
-        kinds = [kind for _, kind in split_code(code, lattice)]
-        points.append(sum(1 << axis for axis, kind in enumerate(kinds) if kind == POINT))
-        ideal.append(INF in kinds)
-    return _Window(
-        tuple(codes),
-        tuple(masks),
-        _near(masks),
-        tuple(p.bit_count() for p in points),
-        tuple(points),
-        tuple(ideal),
-    )
-
-
-def _near(masks: list[int]) -> tuple[tuple[int, ...], ...]:
-    """Per `meet_masks` entry, the positions of its bits, ascending; one
-    tuple per distinct mask."""
-    rows: dict[int, tuple[int, ...]] = {}
-    for mask in masks:
-        if mask not in rows:
-            rows[mask] = tuple(j for j in range(len(masks)) if mask >> j & 1)
-    return tuple(rows[mask] for mask in masks)
+    """The window's `_table`, built once and shared by the pair checks."""
+    return _table(window_codes(lattice, window), lattice)
 
 
 def _partners(kernel, near: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -248,13 +235,13 @@ def _partners(kernel, near: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...
     return (tuple(range(len(near))),) * len(near)
 
 
-def _residual_bits(kernel, lattice: LatticeSpec, codes) -> list[int]:
+def _residual_bits(kernel, codes) -> list[int]:
     """Per position i, the bitset of the positions j whose pair has a
     nonzero product-rule residual: `residual_masks`, or, on a kernel
     without the tensor fact, each pair's residual computed."""
     return kernel.residual_masks(codes) or [
         sum(1 << j for j, b in enumerate(codes) if _leibniz_residual(kernel, a, b, sign))
-        for a, sign in zip(codes, [_sign(code_codim(a, lattice)) for a in codes])
+        for a, sign in zip(codes, [_sign(_codim(kernel, a)) for a in codes])
     ]
 
 
@@ -273,7 +260,8 @@ def _meeting_pairs(win: _Window) -> Iterator[tuple[int, int]]:
 def check_commutativity(lattice: LatticeSpec, window: int) -> CheckReport:
     kernel = kernel_for(lattice.periods)
     win = _window(lattice, window)
-    codes, codims = win.codes, win.codims
+    codes = win.codes
+    codims = [_codim(kernel, c) for c in codes]
     mult = kernel.mult
     scale = 4 ** lattice.d
     report = CheckReport(
@@ -329,8 +317,8 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
     win = _window(lattice, window)
     codes = win.codes
     report.checked = len(codes) ** 2
-    masks = _residual_bits(kernel, lattice, codes)
-    ideal = sum(1 << i for i, flag in enumerate(win.ideal) if flag)
+    masks = _residual_bits(kernel, codes)
+    ideal = sum(1 << i for i, c in enumerate(codes) if code_is_ideal(c, lattice))
     ideal_failures = 0
     for i, mask in enumerate(masks):
         hit = mask if ideal >> i & 1 else mask & ideal
@@ -436,7 +424,8 @@ def check_transversality(lattice: LatticeSpec, window: int) -> CheckReport:
     supports meet and no axis is a point axis of both cells."""
     kernel = kernel_for(lattice.periods)
     win = _window(lattice, window)
-    codes, points = win.codes, win.points
+    codes = win.codes
+    points = [kernel.cell(c).points for c in codes]
     mult = kernel.mult
     report = CheckReport(
         "E",
@@ -632,8 +621,8 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
         "".join("psi"[int(k)] for k in t) for t in closed
     )
     report.checked = len(codes) ** 2
-    masks = _residual_bits(kernel, lattice, codes)
-    for i, partners in enumerate(_partners(kernel, _near(meet_masks(codes, lattice)))):
+    masks = _residual_bits(kernel, codes)
+    for i, partners in enumerate(_partners(kernel, _table(codes, lattice).near)):
         a = codes[i]
         for j in partners:
             b = codes[j]
@@ -737,7 +726,7 @@ def _truncation_case(report, rng, n: int, m: int, sample: int | None) -> dict:
         order = range(len(cells))
         if must_fail:
             order = sorted(order, key=lambda i: not code_is_ideal(cells[i], lattice))
-        rows = _partners(kernel, _near(meet_masks(cells, lattice)))
+        rows = _partners(kernel, _table(cells, lattice).near)
         case["pairs"] = commuted = len(cells) ** 2
         walk = (
             (r * len(cells) + j, cells[i], cells[j]) for r, i in enumerate(order) for j in rows[i]
@@ -751,9 +740,8 @@ def _truncation_case(report, rng, n: int, m: int, sample: int | None) -> dict:
         case["pairs"], commuted = len(drawn), max(1, len(drawn) // 4)
         walk = ((k, a, b) for k, (a, b) in enumerate(drawn))
         firsts = drawn[: min(commuted, 200)]
-    # the residual bits and codimensions of the pairs' cells, by position
+    # the residual bits of the pairs' cells, by position
     at = {c: k for k, c in enumerate(listed)}
-    codims = [code_codim(c, lattice) for c in listed]
     masks = kernel.residual_masks(listed)
     commuting = []
     for position, a, b in walk:
@@ -767,7 +755,9 @@ def _truncation_case(report, rng, n: int, m: int, sample: int | None) -> dict:
                 escapes=lambda: _cell_str(escapes[0], lattice),
             )
         i, j = at[a], at[b]
-        if masks[i] >> j & 1 if masks else _leibniz_residual(kernel, a, b, _sign(codims[i])):
+        if masks[i] >> j & 1 if masks else _leibniz_residual(
+            kernel, a, b, _sign(_codim(kernel, a))
+        ):
             fields = _residual_fields(kernel, lattice, a, b, must_fail)
             if must_fail:
                 report.witness("leibniz-failure", n=n, m=m, **fields)
@@ -775,7 +765,7 @@ def _truncation_case(report, rng, n: int, m: int, sample: int | None) -> dict:
                 break
             report.violate("leibniz", n=n, m=m, **fields)
         if not must_fail and position < commuted:
-            commuting.append((i, j))
+            commuting.append((a, b))
     else:
         if must_fail:
             report.violate(
@@ -788,9 +778,9 @@ def _truncation_case(report, rng, n: int, m: int, sample: int | None) -> dict:
     if must_fail:
         return case
     # a pair left out of the walk has two zero products
-    for i, j in commuting:
-        a, b = listed[i], listed[j]
-        if not _commutes(kernel.mult(a, b), kernel.mult(b, a), _sign(codims[i] * codims[j])):
+    for a, b in commuting:
+        ab, ba = kernel.mult(a, b), kernel.mult(b, a)
+        if not _commutes(ab, ba, _sign(_codim(kernel, a) * _codim(kernel, b))):
             report.violate("commutativity", n=n, m=m, **_cells(lattice, a, b, replay=False))
     for a, b in firsts:
         c = rng.choice(cells)
@@ -893,8 +883,8 @@ def check_star(lattice: LatticeSpec, k: int) -> CheckReport:
     if lattice.d != 3:
         report.details["skipped"] = "the star operator is defined for 3-d lattices"
         return report
-    for p in range(4):
-        basis = two_h_basis(p, lattice)
+    bases = [two_h_basis(p, lattice) for p in range(4)]
+    for p, basis in enumerate(bases):
         images = set()
         for cell in basis:
             dual = star(cell, lattice)
@@ -904,10 +894,11 @@ def check_star(lattice: LatticeSpec, k: int) -> CheckReport:
             if dual.dimension != 3 - p:
                 report.violate("star-degree", cell=str(cell))
             images.add(dual)
-        if sorted(images, key=TwoHCell.sort_key) != two_h_basis(3 - p, lattice):
+        if sorted(images, key=TwoHCell.sort_key) != bases[3 - p]:
             report.violate("star-bijection", degree=p)
     # per-vertex counts (1,3,3,1)
-    counts = [len(two_h_basis(p, lattice)) // (lattice.periods[0] * lattice.periods[1] * lattice.periods[2]) for p in range(4)]
+    vertices = lattice.periods[0] * lattice.periods[1] * lattice.periods[2]
+    counts = [len(basis) // vertices for basis in bases]
     report.details["cells_per_vertex"] = counts
     if counts != [1, 3, 3, 1]:
         report.violate("two-h-counts", got=counts)

@@ -92,6 +92,11 @@ def test_json_rejects_inexact_values(cell, coef, message):
         ({"lattice": {"periods": [5]}, "terms": [{"coef": 1}]}, "'cell'"),
         ({"lattice": {"periods": [5]}, "terms": [{"cell": [["p", 0]]}]}, "'coef'"),
         ({"lattice": {"periods": [5]}, "terms": [[["p", 0]]]}, "'cell'"),
+        ({"lattice": {"periods": [5.0]}, "terms": []}, "'periods'"),
+        ({"lattice": {"periods": 5}, "terms": []}, "'periods'"),
+        ({"lattice": {"periods": [5]}, "terms": 5}, "'terms'"),
+        ({"lattice": {"periods": [5]}, "terms": [{"cell": 5, "coef": 1}]}, "'cell'"),
+        ({"lattice": {"periods": [5]}, "terms": [{"cell": [["p"]], "coef": 1}]}, "'cell'"),
     ],
 )
 def test_json_rejects_unknown_kinds_and_missing_keys(data, message):

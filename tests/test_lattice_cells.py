@@ -159,22 +159,47 @@ def test_entry_bits_is_the_closed_support(n):
 
 
 @pytest.mark.parametrize(
-    "periods,window",
-    [((3, 3, 3), 2), ((3, 5), 2), ((4, 3, 3), 1), ((5,), 3), ((3, 3, 3, 3), 1)],
+    "periods,window,closure",
+    [
+        ((3, 3, 3), 2, None),
+        ((3, 5), 2, None),
+        ((4, 3, 3), 1, None),
+        ((5,), 3, None),
+        ((3, 3, 3, 3), 1, None),
+        # the kind-restricted cell sets of H and of S6's exhaustive n=4, m=3 case
+        ((3, 3, 5), 1, (3, 2)),
+        ((5, 5, 5, 5), 2, (4, 3)),
+    ],
 )
-def test_meet_masks_equal_the_per_pair_support_test(periods, window):
+def test_meet_masks_equal_the_per_pair_support_test(periods, window, closure):
     from cubalg._kernel_py import PyKernel
     from cubalg.cells import meet_masks, window_codes
+    from cubalg.truncation import kind_closure
 
     lattice = LatticeSpec(periods)
     kernel = PyKernel(periods)
-    codes = window_codes(lattice, window)
+    codes = window_codes(lattice, window, closure and kind_closure(*closure))
     masks = meet_masks(codes, lattice)
     assert len(masks) == len(codes)
+    supports = [decode_cell(c, lattice).support(lattice) for c in codes]
     for i, a in enumerate(codes):
-        supports = decode_cell(a, lattice).support(lattice)
         for j, b in enumerate(codes):
             meets = bool(masks[i] >> j & 1)
             assert meets == kernel.supports_intersect(a, b), (i, j)
             # the same, from the closed supports as lattice-point sets
-            assert meets == _supports_meet(supports, decode_cell(b, lattice).support(lattice))
+            assert meets == _supports_meet(supports[i], supports[j])
+
+
+@pytest.mark.parametrize("periods", [(5, 5, 5, 5), (3, 5, 4)])
+def test_kernel_cell_record_agrees_with_the_cell_view(periods):
+    # the harness reads a multiplied cell's codimension and point axes from
+    # the kernel's record, and sorts and filters cells by the Cell view
+    from cubalg._kernel_py import PyKernel
+    from cubalg.cells import window_codes
+
+    lattice = LatticeSpec(periods)
+    kernel = PyKernel(periods)
+    for c in window_codes(lattice, 2):
+        record, cell = kernel.cell(c), decode_cell(c, lattice)
+        assert record.points.bit_count() == cell.codimension
+        assert tuple(f % 3 for f in record.factors) == cell.kinds
