@@ -34,6 +34,10 @@ class Factor:
     kind: FactorKind
     coord: int
 
+    def __post_init__(self):
+        # a kind outside FactorKind raises ValueError here, not a wrong cell later
+        object.__setattr__(self, "kind", FactorKind(self.kind))
+
     @property
     def degree(self) -> int:
         """Grading dimension: 0 for points, 1 for sticks and infinitesimals."""

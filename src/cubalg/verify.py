@@ -28,7 +28,6 @@ from typing import Iterator, NamedTuple
 from ._kernel_py import assoc_sides, bit_positions, kernel_for, linear, product_rule_residual, times
 from .cells import (
     FactorKind,
-    code_codim,
     code_is_ideal,
     code_kinds,
     decode_cell,
@@ -143,18 +142,15 @@ def _chain_str(terms, lattice: LatticeSpec, scale: int) -> str:
     return format_chain(chain)
 
 
-def _leibniz_residual(kernel, a: int, b: int, sign_a: int) -> dict[int, int]:
-    """The kernel's product-rule residual of cells a and b, scaled 4**d;
-    sign_a is (-1)**codim(a)."""
-    return product_rule_residual(kernel.mult, kernel.boundary, a, b, sign_a)
+def _leibniz_residual(kernel, a: int, b: int) -> dict[int, int]:
+    """The kernel's product-rule residual of cells a and b, scaled 4**d."""
+    return product_rule_residual(kernel.mult, kernel.boundary, a, b, _sign(_codim(kernel, a)))
 
 
 def _residual_fields(kernel, lattice: LatticeSpec, a: int, b: int, replay=True):
     """`_cells` fields of a and b, and their residual, computed only if recorded."""
     fields = _cells(lattice, a, b, replay=replay)
-    fields["residual"] = lambda: _chain_str(
-        _leibniz_residual(kernel, a, b, _sign(_codim(kernel, a))), lattice, 4**lattice.d
-    )
+    fields["residual"] = lambda: _chain_str(_leibniz_residual(kernel, a, b), lattice, 4**lattice.d)
     return fields
 
 
@@ -240,8 +236,7 @@ def _residual_bits(kernel, codes) -> list[int]:
     nonzero product-rule residual: `residual_masks`, or, on a kernel
     without the tensor fact, each pair's residual computed."""
     return kernel.residual_masks(codes) or [
-        sum(1 << j for j, b in enumerate(codes) if _leibniz_residual(kernel, a, b, sign))
-        for a, sign in zip(codes, [_sign(_codim(kernel, a)) for a in codes])
+        sum(1 << j for j, b in enumerate(codes) if _leibniz_residual(kernel, a, b)) for a in codes
     ]
 
 
@@ -561,13 +556,9 @@ def check_pairing(lattice: LatticeSpec, window: int) -> CheckReport:
     # <a*b,c> = <a,b*c> augments (a*b)*c = a*(b*c) over B's triples; the
     # arithmetic is exact, so only triples breaking associativity can break it
     report.checked, bad = _assoc_scan(kernel, window)
-
-    def aug(chain: dict[int, int]) -> int:
-        return sum(num for u, num in chain.items() if code_codim(u, lattice) == lattice.d)
-
     for a, b, c in bad:
         lhs, rhs = assoc_sides(kernel.mult, a, b, c)
-        if aug(lhs) != aug(rhs):
+        if augment(Chain._from_codes(lattice, lhs)) != augment(Chain._from_codes(lattice, rhs)):
             report.violate("frobenius", **_cells(lattice, a, b, c, replay=False))
     # nondegeneracy per degree (p and d-p share a rank via transposition)
     degeneracy = []
@@ -755,9 +746,7 @@ def _truncation_case(report, rng, n: int, m: int, sample: int | None) -> dict:
                 escapes=lambda: _cell_str(escapes[0], lattice),
             )
         i, j = at[a], at[b]
-        if masks[i] >> j & 1 if masks else _leibniz_residual(
-            kernel, a, b, _sign(_codim(kernel, a))
-        ):
+        if masks[i] >> j & 1 if masks else _leibniz_residual(kernel, a, b):
             fields = _residual_fields(kernel, lattice, a, b, must_fail)
             if must_fail:
                 report.witness("leibniz-failure", n=n, m=m, **fields)
@@ -955,8 +944,8 @@ def _normalize_axioms(axioms) -> list[str]:
         axioms = axioms.split(",")
     out = []
     for token in axioms:
-        t = token.strip().upper()
-        if not t:
+        t = token.strip().upper() if isinstance(token, str) else token
+        if t == "":
             continue
         if t == "ALL":
             return list(CHECK_ORDER)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cubalg import _kernel_py
 from cubalg._kernel_py import PyKernel, kernel_for
 from cubalg.cells import Cell, FactorKind, axis_meets, decode_cell, encode_cell, window_codes
-from cubalg.lattice import LatticeSpec
+from cubalg.lattice import MAX_DIMENSION, LatticeSpec
 from cubalg.table1d import CoefficientTable, mult1, mult1_terms
 
 
@@ -311,7 +311,7 @@ def test_equal_products_share_one_object():
 # -- the two facts that let the scan decide the standard tables per axis -----
 
 
-@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("d", range(1, MAX_DIMENSION + 1))
 def test_koszul_signs_are_a_two_cocycle_on_disjoint_point_masks(d):
     sign = _kernel_py.koszul_sign_of_points
     triples = 0
@@ -325,16 +325,15 @@ def test_koszul_signs_are_a_two_cocycle_on_disjoint_point_masks(d):
     assert triples == 4**d
 
 
-@pytest.mark.parametrize("d", range(1, 7))
-def test_koszul_signs_carry_the_boundary_past_a_product(d):
-    # (I1) and (I2) of `PyKernel.tensor`: the boundary of axis i
-    # taken on a, on b or on a*b has the same sign times the product's
-    sign = _kernel_py.koszul_sign_of_points
+def sign_identities(sign, d):
+    """Per pair pa, pb of disjoint point masks and axis i outside them,
+    (pa, pb, i, whether (I1) and (I2) of `PyKernel.tensor` hold there for
+    the sign function `sign`): the boundary of axis i taken on a, on b or
+    on a*b has the same sign times the product's."""
 
     def parity(m):
         return (-1) ** m.bit_count()
 
-    cases = 0
     for pa in range(1 << d):
         for pb in range(1 << d):
             for i in range(d):
@@ -342,10 +341,33 @@ def test_koszul_signs_carry_the_boundary_past_a_product(d):
                 if pa & pb or (pa | pb) & bit:
                     continue
                 t = sign(pa, pb) * parity((pa | pb) & below)
-                assert parity(pa & below) * sign(pa | bit, pb) == t, (pa, pb, i)
-                assert parity(pa) * parity(pb & below) * sign(pa, pb | bit) == t, (pa, pb, i)
-                cases += 1
-    assert cases == d * 3 ** (d - 1)
+                i1 = parity(pa & below) * sign(pa | bit, pb) == t
+                i2 = parity(pa) * parity(pb & below) * sign(pa, pb | bit) == t
+                yield pa, pb, i, i1 and i2
+
+
+@pytest.mark.parametrize("d", range(1, MAX_DIMENSION + 1))
+def test_koszul_signs_carry_the_boundary_past_a_product(d):
+    cases = list(sign_identities(_kernel_py.koszul_sign_of_points, d))
+    assert [case for case in cases if not case[-1]] == []
+    assert len(cases) == d * 3 ** (d - 1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_the_sign_identities_hold_exactly_for_plus_or_minus_koszul(d):
+    # the lemma under `PyKernel.tensor`'s sign premise: of every unit sign
+    # table on disjoint point masks, (I1) and (I2) keep just s(0,0) times
+    # the Koszul signs
+    koszul = _kernel_py.koszul_sign_of_points
+    pairs = [(pa, pb) for pa in range(1 << d) for pb in range(1 << d) if not pa & pb]
+    tables = 0
+    for values in iterproduct((1, -1), repeat=len(pairs)):
+        table = dict(zip(pairs, values))
+        plus_or_minus = all(table[p] == table[0, 0] * koszul(*p) for p in pairs)
+        cases = sign_identities(lambda pa, pb: table[pa, pb], d)
+        assert all(holds for *_, holds in cases) == plus_or_minus, table
+        tables += 1
+    assert tables == 2 ** 3**d
 
 
 def test_point_ness_is_additive_under_the_one_dimensional_product():
@@ -414,11 +436,11 @@ def test_the_one_dimensional_residual_needs_an_infinitesimal_stick(n):
     (axis,) = kernel.residual_rows()
     for x in range(3 * n):
         for y in range(3 * n):
-            residual = _leibniz_residual(kernel, x, y, -1 if x % 3 == 0 else 1)
+            residual = _leibniz_residual(kernel, x, y)
             assert bool(axis[x] >> y & 1) == bool(residual), (n, x, y)
             assert not residual or 2 in (x % 3, y % 3), (n, x, y)
     inf, stick, point = 2, 1, 0  # the factor codes at coordinate 0
-    assert _leibniz_residual(kernel, inf, stick, 1) == {point: -1}
+    assert _leibniz_residual(kernel, inf, stick) == {point: -1}
 
 
 def zero_sum_entry_kernel(periods):
@@ -433,9 +455,8 @@ def zero_sum_entry_kernel(periods):
 
 @pytest.mark.parametrize("periods", [(3,), (3, 5), (4, 3, 3), (3, 3, 3, 3)])
 def test_each_premise_of_the_tensor_fact_is_needed(monkeypatch, periods):
-    # each mutant breaks one premise of `tensor`; the flipped sign breaks
-    # the sign identities, which unit signs cannot break one at a time
-    # since (I1) and (I2) imply the cocycle
+    # each mutant breaks one premise of `tensor`; the flipped sign is no
+    # longer s(0,0) times its Koszul sign
     window = 1
     assert PyKernel(periods).tensor()
     assert doubled_entry_kernel(periods, window, 0).tensor()
@@ -444,7 +465,7 @@ def test_each_premise_of_the_tensor_fact_is_needed(monkeypatch, periods):
     assert not zero_sum_entry_kernel(periods).tensor()
     assert not sign_flipped_kernel(periods, window, 0).tensor()
     zeroed = PyKernel(periods)
-    zeroed._signs = [0] * len(zeroed._signs)  # the sign identities hold as 0 == 0
+    zeroed._signs = [0] * len(zeroed._signs)  # each sign is s(0,0) times Koszul's, as 0 == 0
     assert not zeroed.tensor()
 
     class Products(PyKernel):
@@ -464,8 +485,8 @@ def test_each_premise_of_the_tensor_fact_is_needed(monkeypatch, periods):
 
 @pytest.mark.parametrize("d", range(1, 4))
 def test_a_flipped_sign_gives_no_tensor_fact(d):
-    # every sign of two disjoint point masks enters (I1) or (I2); at d = 1,
-    # s(1,0) only (I1) and s(0,1) only (I2).  A sign of overlapping masks
+    # every sign of two disjoint point masks is compared with s(0,0) times
+    # its Koszul sign, s(0,0) with the others'.  A sign of overlapping masks
     # enters no premise, since such a product is zero
     flipped = 0
     for pa in range(1 << d):
@@ -476,6 +497,11 @@ def test_a_flipped_sign_gives_no_tensor_fact(d):
             flipped += not pa & pb
     assert flipped == 3**d
     assert not sign_flipped_kernel((3,) * d, 1, 0).tensor()
+    # every sign flipped is s(0,0) = -1 times the Koszul signs: each law
+    # has as many signs on either side, so the fact still holds
+    negated = PyKernel((3,) * d)
+    negated._signs = [-s for s in negated._signs]
+    assert negated.tensor()
 
 
 @pytest.mark.parametrize("periods", [(3,), (4,), (7,), (3, 4), (5, 3, 4)])

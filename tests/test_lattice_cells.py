@@ -89,6 +89,11 @@ def test_coordinate_reduction_and_arity():
         make_cell([stick(0)], lat)
     with pytest.raises(TypeError):
         make_cell([Factor(FactorKind.POINT, "x")], LatticeSpec((5,)))
+    # a kind outside FactorKind is refused, not encoded as another cell
+    for kind in (3, -1, "p"):
+        with pytest.raises(ValueError):
+            Factor(kind, 0)
+    assert Factor(1, 0).kind is FactorKind.STICK
 
 
 def test_encode_decode_roundtrip():

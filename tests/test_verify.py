@@ -1,9 +1,11 @@
 """The verification harness: reports, expected failures, determinism, replay."""
 
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +137,9 @@ def test_verify_axioms_sorted_and_selectable(L3m):
     assert [r.check_id for r in reports] == ["A", "C"]
     with pytest.raises(ValueError):
         verify_axioms((5, 5, 5), axioms="Q")
+    # only the Python API can pass an id that is not a string
+    with pytest.raises(ValueError, match="unknown axiom id 5"):
+        verify_axioms((5, 5, 5), axioms=["A", 5])
 
 
 @pytest.mark.parametrize(
@@ -195,7 +200,8 @@ def test_witness_replay_through_cli():
     rep = check_leibniz(LatticeSpec((5, 5, 5)), 2)
     witness = rep.witnesses[0]
     argv = [sys.executable, "-m", "cubalg.cli"] + witness["replay"]
-    out = subprocess.run(argv, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert out.returncode == 0
     # the replayed product reproduces the product underlying the violation
     lattice = LatticeSpec((5, 5, 5))
@@ -672,9 +678,9 @@ def test_leibniz_multiplies_only_the_entries_it_records(monkeypatch):
             stray.append((a, b))
         return real_mult(a, b)
 
-    def residual(kernel, a, b, sign_a):
+    def residual(kernel, a, b):
         residuals.append((a, b))
-        out = real_residual(kernel, a, b, sign_a)
+        out = real_residual(kernel, a, b)
         residuals.append(None)
         return out
 
