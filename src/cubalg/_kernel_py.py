@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import astuple
 from functools import lru_cache, partial
 from itertools import product as _iterproduct
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .cells import axis_gather, axis_meets, meet_masks
-from .lattice import LatticeSpec
+from .cells import PairTable, axis_gather, axis_meets, bit_positions
 from .table1d import CoefficientTable, mult1_terms
 
 POINT, STICK, INF = 0, 1, 2
@@ -51,14 +50,6 @@ def koszul_sign_of_points(pa: int, pb: int) -> int:
         (pb & ((1 << i) - 1)).bit_count() for i in range(pa.bit_length()) if pa >> i & 1
     )
     return -1 if inversions & 1 else 1
-
-
-def bit_positions(mask: int) -> Iterator[int]:
-    """The positions of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _axis_boundary(fc: int, n: int) -> tuple[tuple[int, int], ...]:
@@ -389,40 +380,35 @@ class PyKernel:
 
     # -- exhaustive associativity scan --------------------------------------
 
-    def scan_assoc(self, cells: list[int]) -> tuple[int, list[tuple[int, int, int]]]:
-        """Check (a*b)*c == a*(b*c) over all ordered triples from `cells`
-        whose closed supports pairwise intersect.
+    def scan_assoc(self, table: PairTable) -> tuple[int, list[tuple[int, int, int]]]:
+        """Check (a*b)*c == a*(b*c) over all ordered triples from the cells
+        of `table` whose closed supports pairwise intersect.
 
         Returns (number of triples checked, violating triples), the
         violations in the order a, then b, then c of their positions in
-        `cells`.  For one pair (a, b) the third cells c are the positions in
-        the AND of the two cells' support masks (`cells.meet_masks`).
+        `table.codes`.  For one pair (a, b) the third cells c are the
+        positions in the AND of the two cells' masks.
 
         When `associative(cells)` holds, the walk only counts the triples:
         every one of them holds.  Otherwise each triple is computed, both
-        sides multiplied out through `self.mult`.
+        sides multiplied out through `self.mult` (`assoc_sides`).
         """
-        masks = meet_masks(cells, LatticeSpec(self.periods))
-        # a mask depends only on the cells' supports, so there are few
-        # distinct masks; each one's positions are listed once
-        bits = lru_cache(maxsize=None)(lambda mask: tuple(bit_positions(mask)))
-
+        cells, masks, near = table
         decided = self.associative(cells)
-        mult = self.mult
         checked = 0
         violations: list[tuple[int, int, int]] = []
         for i, a in enumerate(cells):
             mi = masks[i]
-            for j in bits(mi):
+            for j in near[i]:
                 mask = mi & masks[j]
                 checked += mask.bit_count()
                 if decided:
                     continue
                 b = cells[j]
-                ab = mult(a, b)
-                for k in bits(mask):
+                for k in bit_positions(mask):
                     c = cells[k]
-                    if linear(ab, lambda u: mult(u, c)) != linear(mult(b, c), lambda u: mult(a, u)):
+                    lhs, rhs = assoc_sides(self.mult, a, b, c)
+                    if lhs != rhs:
                         violations.append((a, b, c))
         return checked, violations
 

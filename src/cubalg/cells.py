@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from itertools import product as _iterproduct
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .lattice import LatticeSpec
 
@@ -260,6 +260,32 @@ def meet_masks(codes: list[int], lattice: LatticeSpec) -> list[int]:
     for n, gather in zip(lattice.periods, axis_gather(codes, lattice.periods)):
         masks = [mask & near for mask, near in zip(masks, gather(axis_meets(n)))]
     return masks
+
+
+def bit_positions(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class PairTable(NamedTuple):
+    """The pair table of a cell set, indexed by position in `codes`.  It
+    holds only what the codes and the lattice give, no kernel fact, so a
+    cached one serves any kernel."""
+
+    codes: tuple[int, ...]
+    masks: tuple[int, ...]  # bit j: the closed supports of codes[i] and codes[j] meet
+    near: tuple[tuple[int, ...], ...]  # the positions of those bits, ascending
+
+
+def pair_table(codes: list[int], lattice: LatticeSpec) -> PairTable:
+    """The pair table of `codes`: their `meet_masks`, and per mask the
+    tuple of its bit positions, one tuple per distinct mask."""
+    masks = meet_masks(codes, lattice)
+    near = lru_cache(maxsize=None)(lambda mask: tuple(bit_positions(mask)))
+    return PairTable(tuple(codes), tuple(masks), tuple(map(near, masks)))
 
 
 def near_codes(code: int, lattice: LatticeSpec, kinds=_KINDS) -> list[int]:

@@ -60,8 +60,8 @@ class Chain:
         return cls(lattice)
 
     @classmethod
-    def from_cell(cls, cell: Cell, lattice: LatticeSpec, coef: Rational = 1) -> "Chain":
-        return cls(lattice, {cell: coef})
+    def from_cell(cls, cell: Cell, lattice: LatticeSpec) -> "Chain":
+        return cls(lattice, {cell: 1})
 
     # -- mapping access -------------------------------------------------------
 

@@ -60,10 +60,10 @@ class _Parser:
         start = self.pos
         if self.peek() in "+-":
             self.pos += 1
-        if not self.peek().isdigit():
+        if not "0" <= self.peek() <= "9":  # ASCII only: str.isdigit takes any Unicode digit
             self.pos = start
             raise self.error("expected an integer")
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         return int(self.text[start : self.pos])
 

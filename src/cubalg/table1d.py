@@ -124,20 +124,14 @@ def mult1_terms(ka: int, a: int, kb: int, b: int, n: int, table: CoefficientTabl
     return ((I, a, table.epsilon),) if a == b else ()
 
 
-def mult1(
-    f: Factor,
-    g: Factor,
-    lattice: LatticeSpec,
-    table: CoefficientTable | None = None,
-) -> Chain:
+def mult1(f: Factor, g: Factor, lattice: LatticeSpec) -> Chain:
     """Product of two one-dimensional basis factors: `mult1_terms` as a chain."""
     from .chain import Chain
 
     if lattice.d != 1:
         raise ValueError("mult1 works on one-dimensional lattices")
     n = lattice.periods[0]
-    tab = table or CoefficientTable.standard()
-    terms = mult1_terms(f.kind, f.coord % n, g.kind, g.coord % n, n, tab)
+    terms = mult1_terms(f.kind, f.coord % n, g.kind, g.coord % n, n, CoefficientTable.standard())
     return Chain(lattice, {Cell((Factor(kind, coord),)): coef for kind, coord, coef in terms})
 
 

@@ -25,14 +25,16 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations, product as _iterproduct
 from typing import Iterator, NamedTuple
 
-from ._kernel_py import assoc_sides, bit_positions, kernel_for, linear, product_rule_residual, times
+from ._kernel_py import assoc_sides, kernel_for, linear, product_rule_residual, times
 from .cells import (
     FactorKind,
+    PairTable,
+    bit_positions,
     code_is_ideal,
     code_kinds,
     decode_cell,
     join_code,
-    meet_masks,
+    pair_table,
     require_window,
     window_codes,
 )
@@ -60,7 +62,10 @@ CHECK_ORDER = ["A", "B", "C", "D", "E", "F", "G", "H", "I", "J", "S6", "BETTI", 
 
 _MAX_RECORDED = 10
 
-# F draws at most this many cuboid pairs
+# F checks _PAIRS cuboid pairs whose edges have length 1.._MAX_EDGE, drawn
+# from at most _MAX_ATTEMPTS; every period is at least _MAX_EDGE
+_PAIRS = 200
+_MAX_EDGE = 3
 _MAX_ATTEMPTS = 100000
 
 
@@ -194,31 +199,14 @@ def _cells(lattice: LatticeSpec, *codes: int, replay: bool = True) -> dict:
 @lru_cache(maxsize=1)
 def _assoc_scan(kernel, window: int) -> tuple[int, list[tuple[int, int, int]]]:
     """The window's associativity scan, made once for B and G together."""
-    return kernel.scan_assoc(window_codes(LatticeSpec(kernel.periods), window))
-
-
-class _Window(NamedTuple):
-    """The pair table of a cell set, indexed by position in `codes`.  It
-    holds only what the codes and the lattice give, no kernel fact, so a
-    cached one serves any kernel."""
-
-    codes: tuple[int, ...]
-    masks: tuple[int, ...]  # bit j: the closed supports of codes[i] and codes[j] meet
-    near: tuple[tuple[int, ...], ...]  # the positions of those bits, ascending
-
-
-def _table(codes: list[int], lattice: LatticeSpec) -> _Window:
-    """The pair table of `codes`: their `meet_masks`, and per mask the
-    tuple of its bit positions, one tuple per distinct mask."""
-    masks = meet_masks(codes, lattice)
-    near = lru_cache(maxsize=None)(lambda mask: tuple(bit_positions(mask)))
-    return _Window(tuple(codes), tuple(masks), tuple(map(near, masks)))
+    return kernel.scan_assoc(_window(LatticeSpec(kernel.periods), window))
 
 
 @lru_cache(maxsize=1)
-def _window(lattice: LatticeSpec, window: int) -> _Window:
-    """The window's `_table`, built once and shared by the pair checks."""
-    return _table(window_codes(lattice, window), lattice)
+def _window(lattice: LatticeSpec, window: int) -> PairTable:
+    """The window's `pair_table`, built once and shared by the pair checks
+    and B's triple scan."""
+    return pair_table(window_codes(lattice, window), lattice)
 
 
 def _partners(kernel, near: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -240,7 +228,7 @@ def _residual_bits(kernel, codes) -> list[int]:
     ]
 
 
-def _meeting_pairs(win: _Window) -> Iterator[tuple[int, int]]:
+def _meeting_pairs(win: PairTable) -> Iterator[tuple[int, int]]:
     """Positions (i, j), j >= i, of the window cells whose supports meet;
     i ascending, then j."""
     for i, row in enumerate(win.near):
@@ -445,20 +433,20 @@ def check_transversality(lattice: LatticeSpec, window: int) -> CheckReport:
     return report
 
 
-def _axis_entries(n: int, max_edge: int) -> list[AxisEntry]:
+def _axis_entries(n: int) -> list[AxisEntry]:
     """Every axis entry a draw can produce, by entry index: the points 0..n-1,
-    then the intervals (a, a + length) by anchor a and length 1..max_edge."""
-    return [*range(n), *((a, a + length) for a in range(n) for length in range(1, max_edge + 1))]
+    then the intervals (a, a + length) by anchor a and length 1.._MAX_EDGE."""
+    return [*range(n), *((a, a + length) for a in range(n) for length in range(1, _MAX_EDGE + 1))]
 
 
 def general_position_pairs(
-    lattice: LatticeSpec, seed: int, count: int, max_edge: int = 3
+    lattice: LatticeSpec, seed: int, count: int
 ) -> tuple[list[tuple[Cuboid, Cuboid]], int]:
     """The first `count` seeded cuboid pairs in general position, and the
     number of pairs drawn for them (at most _MAX_ATTEMPTS).
 
     A cuboid is drawn axis by axis: an anchor below the period, then with
-    probability 2/3 an interval of length 1..max_edge from it, else the
+    probability 2/3 an interval of length 1.._MAX_EDGE from it, else the
     point at the anchor.  Each draw repeats getrandbits(k), k the bit length
     of its bound, until the value is below the bound, as Random.randrange
     does, so Random(seed) yields the pairs randrange draws would.  Draws are
@@ -466,13 +454,10 @@ def general_position_pairs(
     fails on some axis builds no Cuboid, and `in_general_position` decides
     each pair that every axis accepts.
     """
-    if not 2 <= max_edge <= min(lattice.periods):
-        why = "cuboids with unit edges are never in general position"
-        raise ValueError(f"max_edge must be in 2..{min(lattice.periods)} ({why}), got {max_edge}")
     getrandbits = random.Random(seed).getrandbits
-    edge_bits = max_edge.bit_length()
+    edge_bits = _MAX_EDGE.bit_length()
     bounds = [(n, n.bit_length()) for n in lattice.periods]
-    entries = [_axis_entries(n, max_edge) for n in lattice.periods]
+    entries = [_axis_entries(n) for n in lattice.periods]
     tables = [
         [[axis_in_general_position(e1, e2, n) for e2 in axis] for e1 in axis]
         for n, axis in zip(lattice.periods, entries)
@@ -489,9 +474,9 @@ def general_position_pairs(
                 kind = getrandbits(2)
             if kind:
                 length = getrandbits(edge_bits)
-                while length >= max_edge:
+                while length >= _MAX_EDGE:
                     length = getrandbits(edge_bits)
-                picks.append(n + anchor * max_edge + length)
+                picks.append(n + anchor * _MAX_EDGE + length)
             else:
                 picks.append(anchor)
         return picks
@@ -509,9 +494,7 @@ def general_position_pairs(
     return pairs, attempts
 
 
-def check_general_position(
-    lattice: LatticeSpec, seed: int, count: int = 200, max_edge: int = 3
-) -> CheckReport:
+def check_general_position(lattice: LatticeSpec, seed: int) -> CheckReport:
     """Product of decomposed cuboids equals the geometric oracle on
     seeded random general-position pairs."""
     report = CheckReport(
@@ -523,7 +506,7 @@ def check_general_position(
     if lattice.d != 3:
         report.details["skipped"] = "general-position sampling is defined for 3-d lattices"
         return report
-    pairs, attempts = general_position_pairs(lattice, seed, count, max_edge)
+    pairs, attempts = general_position_pairs(lattice, seed, _PAIRS)
     for q1, q2 in pairs:
         got = product(cuboid_to_chain(q1, lattice), cuboid_to_chain(q2, lattice))
         expected = geometric_intersection(q1, q2, lattice)
@@ -537,7 +520,7 @@ def check_general_position(
                 oracle=lambda: format_chain(expected),
             )
     report.details["attempts"] = attempts
-    if report.checked < count:
+    if report.checked < _PAIRS:
         report.violate("sampling", note=f"only {report.checked} general-position pairs found")
     return report
 
@@ -613,7 +596,7 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
     )
     report.checked = len(codes) ** 2
     masks = _residual_bits(kernel, codes)
-    for i, partners in enumerate(_partners(kernel, _table(codes, lattice).near)):
+    for i, partners in enumerate(_partners(kernel, pair_table(codes, lattice).near)):
         a = codes[i]
         for j in partners:
             b = codes[j]
@@ -717,7 +700,7 @@ def _truncation_case(report, rng, n: int, m: int, sample: int | None) -> dict:
         order = range(len(cells))
         if must_fail:
             order = sorted(order, key=lambda i: not code_is_ideal(cells[i], lattice))
-        rows = _partners(kernel, _table(cells, lattice).near)
+        rows = _partners(kernel, pair_table(cells, lattice).near)
         case["pairs"] = commuted = len(cells) ** 2
         walk = (
             (r * len(cells) + j, cells[i], cells[j]) for r, i in enumerate(order) for j in rows[i]

@@ -18,7 +18,7 @@ from cubalg import (
 )
 from cubalg import verify
 from cubalg.cuboid import _axis_intersection, axis_in_general_position
-from cubalg.verify import _axis_entries, check_general_position, general_position_pairs
+from cubalg.verify import check_general_position, general_position_pairs
 
 
 def test_to_chain_1d():
@@ -221,16 +221,12 @@ def drawn_general_position_pairs(lattice, seed, count, max_edge=3):
 
 @pytest.mark.parametrize("periods", [(3, 3, 3), (4, 4, 4), (5, 5, 5), (3, 3, 5), (7, 5, 3)])
 def test_sampler_reads_the_stream_as_randrange(periods, monkeypatch):
-    # a lower cap keeps the max_edge values that never or rarely accept cheap
+    # a lower cap keeps the lattices that rarely accept cheap
     monkeypatch.setattr(verify, "_MAX_ATTEMPTS", 2000)
     lattice = LatticeSpec(periods)
-    for max_edge in range(2, min(periods) + 1):
-        for seed in range(5):
-            expected = drawn_general_position_pairs(lattice, seed, 20, max_edge)
-            assert general_position_pairs(lattice, seed, 20, max_edge) == expected, (
-                max_edge,
-                seed,
-            )
+    for seed in range(5):
+        expected = drawn_general_position_pairs(lattice, seed, 20)
+        assert general_position_pairs(lattice, seed, 20) == expected, seed
 
 
 def test_sampler_matches_full_f_sample():
@@ -240,10 +236,15 @@ def test_sampler_matches_full_f_sample():
     assert attempts == 29023
 
 
+def every_axis_entry(n):
+    """The points 0..n-1, then every interval of length 1..n by anchor."""
+    return [*range(n), *((a, a + length) for a in range(n) for length in range(1, n + 1))]
+
+
 @pytest.mark.parametrize("n", range(3, 8))
 def test_axis_table_matches_general_position(n):
     lattice = LatticeSpec((n,))
-    entries = _axis_entries(n, n)
+    entries = every_axis_entry(n)
     assert len(entries) == n * (n + 1)
     for e1 in entries:
         for e2 in entries:
@@ -256,8 +257,8 @@ def test_axis_table_matches_general_position(n):
 @pytest.mark.parametrize("n", range(3, 8))
 def test_axis_intersection_matches_the_set_form(n):
     raised = set()
-    for e1 in _axis_entries(n, n):
-        for e2 in _axis_entries(n, n):
+    for e1 in every_axis_entry(n):
+        for e2 in every_axis_entry(n):
             try:
                 expected = set_intersection(e1, e2, n)
             except ValueError as err:
@@ -268,15 +269,6 @@ def test_axis_intersection_matches_the_set_form(n):
                 assert _axis_intersection(e1, e2, n) == expected, (e1, e2)
     assert "intersection covers a whole axis; not a cuboid entry" in raised
     assert ("axis intersection is disconnected" in raised) == (n >= 4)
-
-
-@pytest.mark.parametrize("max_edge", [0, -1, 1, 4])
-def test_sampler_rejects_max_edge_out_of_range(max_edge):
-    lattice = LatticeSpec((5, 3, 5))
-    with pytest.raises(ValueError, match="max_edge"):
-        general_position_pairs(lattice, 0, 10, max_edge)
-    with pytest.raises(ValueError, match="max_edge"):
-        check_general_position(lattice, 0, max_edge=max_edge)
 
 
 # -- the oracle -------------------------------------------------------------------

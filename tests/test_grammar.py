@@ -47,6 +47,11 @@ def test_parse_error_position(L5):
         parse_chain("[s@0", L5)
     with pytest.raises(ChainParseError):
         parse_chain("[s@0] [s@1]", L5)
+    # an int is ASCII digits: another script's digit or a superscript is an error there
+    for text, pos in [("[p@\u0663]", 3), ("[p@\u00b2]", 3), ("1/\u00b2*[p@0]", 2)]:
+        with pytest.raises(ChainParseError) as err:
+            parse_chain(text, L5)
+        assert err.value.pos == pos, text
 
 
 def test_wrong_arity_rejected(L3):
@@ -73,6 +78,7 @@ def test_json_rendering(L3):
         ([["p", 0]], [1, 2], "coefficient"),
         ([["p", 1.7]], "1", "coordinate"),  # would be truncated to p@1
         ([["p", True]], "1", "coordinate"),
+        ([["p", 0]], "\u0663", "expected an integer"),  # Arabic-Indic three read as 3
     ],
 )
 def test_json_rejects_inexact_values(cell, coef, message):

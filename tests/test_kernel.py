@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 
 from cubalg import _kernel_py
 from cubalg._kernel_py import PyKernel, kernel_for
-from cubalg.cells import Cell, FactorKind, axis_meets, decode_cell, encode_cell, window_codes
+from cubalg.cells import (
+    Cell,
+    FactorKind,
+    axis_meets,
+    decode_cell,
+    encode_cell,
+    pair_table,
+    window_codes,
+)
 from cubalg.lattice import MAX_DIMENSION, LatticeSpec
 from cubalg.table1d import CoefficientTable, mult1, mult1_terms
 
@@ -51,6 +59,11 @@ def test_six_dimensional_product_reuses_the_truncation_kernel(monkeypatch):
 
 
 # -- the pure kernel's memoized scan, products and boundaries ---------------
+
+
+def scan(kernel, cells):
+    """kernel.scan_assoc over the pair table of `cells`."""
+    return kernel.scan_assoc(pair_table(cells, LatticeSpec(kernel.periods)))
 
 
 def per_triple_scan(kernel, cells):
@@ -193,7 +206,7 @@ def test_scan_matches_per_triple_loop(periods, window):
     cells = window_codes(LatticeSpec(periods), window)
     expected = per_triple_scan(PyKernel(periods), cells)
     assert expected[0] > 0 and expected[1] == []
-    assert PyKernel(periods).scan_assoc(cells) == expected
+    assert scan(PyKernel(periods), cells) == expected
 
 
 @pytest.mark.parametrize("broken,periods,window,seed", BROKEN_CASES)
@@ -201,7 +214,7 @@ def test_scan_matches_per_triple_loop_on_broken_tables(broken, periods, window, 
     cells = window_codes(LatticeSpec(periods), window)
     checked, violations = per_triple_scan(broken(periods, window, seed), cells)
     assert violations  # every mutant here breaks associativity
-    assert broken(periods, window, seed).scan_assoc(cells) == (checked, violations)
+    assert scan(broken(periods, window, seed), cells) == (checked, violations)
 
 
 @pytest.mark.parametrize(
@@ -210,12 +223,12 @@ def test_scan_matches_per_triple_loop_on_broken_tables(broken, periods, window, 
 def test_scan_keys_products_on_their_exact_terms(periods, window):
     # a repeated code must not merge with the single term of half the weight
     cells = window_codes(LatticeSpec(periods), window)
-    scanned = Rewritten(periods).scan_assoc(cells)
+    scanned = scan(Rewritten(periods), cells)
     assert scanned == per_triple_scan(Rewritten(periods), cells)
-    assert scanned == PyKernel(periods).scan_assoc(cells)
+    assert scanned == scan(PyKernel(periods), cells)
     broken = RewrittenDoubled(periods, window, 1)
     expected = per_triple_scan(RewrittenDoubled(periods, window, 1), cells)
-    assert expected[1] and broken.scan_assoc(cells) == expected
+    assert expected[1] and scan(broken, cells) == expected
 
 
 class SquaredPoint(PyKernel):
@@ -232,7 +245,7 @@ class SquaredPoint(PyKernel):
 def test_scan_asks_an_overriding_mult_for_every_product(periods, window):
     cells = window_codes(LatticeSpec(periods), window)
     expected = per_triple_scan(SquaredPoint(periods), cells)
-    assert expected[1] and SquaredPoint(periods).scan_assoc(cells) == expected
+    assert expected[1] and scan(SquaredPoint(periods), cells) == expected
 
 
 @pytest.mark.parametrize(
@@ -256,7 +269,7 @@ def test_a_term_of_the_wrong_kind_is_caught_where_the_axis_sides_agree():
     periods = (3, 3)
     cells = [c for c in window_codes(LatticeSpec(periods), 1) if c % 9 == 2]
     expected = per_triple_scan(kind_changed_kernel(periods, 1, 1), cells)
-    assert expected[1] and kind_changed_kernel(periods, 1, 1).scan_assoc(cells) == expected
+    assert expected[1] and scan(kind_changed_kernel(periods, 1, 1), cells) == expected
 
 
 @pytest.mark.parametrize("overriding", [SquaredPoint, Rewritten])
@@ -278,7 +291,7 @@ def test_the_scan_decides_the_standard_tables_without_a_product():
         return real(a, b)
 
     kernel.mult = counting
-    assert kernel.scan_assoc(window_codes(LatticeSpec(periods), 2)) == (729000, [])
+    assert scan(kernel, window_codes(LatticeSpec(periods), 2)) == (729000, [])
     assert calls == [] and not kernel._mult_cache
 
 
@@ -419,8 +432,8 @@ def test_the_kernel_is_a_tensor_product_and_a_subclass_overriding_its_laws_is_no
             return super().boundary(code)
 
     class Scans(PyKernel):
-        def scan_assoc(self, cells):
-            return super().scan_assoc(cells)
+        def scan_assoc(self, table):
+            return super().scan_assoc(table)
 
     assert not Products(periods).tensor() and not Boundaries(periods).tensor()
     assert Scans(periods).tensor()

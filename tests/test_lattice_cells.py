@@ -146,9 +146,9 @@ def test_axis_meets_is_the_support_intersection(n):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_entry_bits_is_the_closed_support(n):
     from cubalg.cells import entry_bits
-    from cubalg.verify import _axis_entries
+    from tests.test_cuboid import every_axis_entry
 
-    entries = _axis_entries(n, n)
+    entries = every_axis_entry(n)
     assert len(entries) == n * (n + 1)
     for entry in entries:
         if isinstance(entry, tuple):

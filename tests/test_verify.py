@@ -66,8 +66,8 @@ def test_symmetry_and_transversality(L3m):
 
 
 def test_general_position_check(L3m):
-    rep = check_general_position(L3m, seed=0, count=40)
-    assert rep.passed and rep.checked == 40
+    rep = check_general_position(L3m, seed=0)
+    assert rep.passed and rep.checked == 200
 
 
 def test_pairing_check_odd_vs_even():
@@ -267,9 +267,9 @@ def test_associativity_and_frobenius_share_one_scan(monkeypatch):
     class CountingKernel(PyKernel):
         scans = 0
 
-        def scan_assoc(self, cells):
+        def scan_assoc(self, table):
             self.scans += 1
-            return super().scan_assoc(cells)
+            return super().scan_assoc(table)
 
     both = _patch_kernel(monkeypatch, CountingKernel((3, 3, 3)))
     reports = verify_axioms((3, 3, 3), axioms="B,G", window=1)
@@ -279,6 +279,32 @@ def test_associativity_and_frobenius_share_one_scan(monkeypatch):
     alone = _patch_kernel(monkeypatch, CountingKernel((3, 3, 3)))
     (g,) = verify_axioms((3, 3, 3), axioms="G", window=1)
     assert alone.scans == 1 and g.checked == reports[1].checked
+
+
+def test_the_pair_checks_and_the_triple_scan_read_one_table(monkeypatch):
+    import cubalg.verify
+    from cubalg.verify import _assoc_scan, _window
+
+    kernel_for.cache_clear()
+    _window.cache_clear()
+    _assoc_scan.cache_clear()
+    tables, codes_calls = [], []
+    scan, window_codes = PyKernel.scan_assoc, cubalg.verify.window_codes
+
+    def recording_scan(self, table):
+        tables.append(table)
+        return scan(self, table)
+
+    def counting_codes(*args):
+        codes_calls.append(args)
+        return window_codes(*args)
+
+    monkeypatch.setattr(PyKernel, "scan_assoc", recording_scan)
+    monkeypatch.setattr(cubalg.verify, "window_codes", counting_codes)
+    reports = verify_axioms((3, 3, 3), "A,B,C,E,G", 2)
+    assert all(r.passed for r in reports)
+    assert len(tables) == 1 and tables[0] is _window(LatticeSpec((3, 3, 3)), 2)
+    assert len(codes_calls) == 1
 
 
 def test_violations_capped_and_counted(monkeypatch):
