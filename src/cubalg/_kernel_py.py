@@ -109,8 +109,9 @@ class PyKernel:
     """Basis-cell product, boundary and the associativity scan, in Python.
 
     `tensor()` is the one fact under which a law is decided per axis from
-    the 1-d tables: `associative` and `residual_rows` read it, and so does
-    the harness before it leaves out the pairs whose supports miss."""
+    the 1-d tables: `associative`, `commutative`, `transversal`, `covariant`
+    and `residual_rows` read it, and so does the harness before it leaves
+    out the pairs whose supports miss."""
 
     def __init__(self, periods: tuple[int, ...]):
         self.periods = tuple(periods)
@@ -277,7 +278,23 @@ class PyKernel:
           (-1)^|(pa|pb)<i| (P_1 x ... x R_i x ... x P_d).  The terms of
           summand i have the point mask pa|pb|i, so no two summands cancel:
           the residual is nonzero exactly when some axis has R_i != 0 and
-          every other axis a row bit (`residual_rows`).
+          every other axis a row bit (`residual_rows`);
+        - on disjoint masks s(pa,pb) s(pb,pa) = (-1)^(|pa||pb|): each point
+          axis of a and each of b make an inversion in one order of the two.
+          A point times a point is zero, so a*b = (-1)^(|pa||pb|) b*a when
+          every axis has x*y == y*x (`commutative`);
+        - a*b != 0 exactly when every axis has a row bit, so transversality
+          holds when each axis's row bit is "closed supports meet and x and
+          y are not both points" (`transversal`);
+        - a symmetry carries target axis j from source axis s by a factor
+          map img that keeps point-ness, so a cell's image has the point
+          mask pi(pa), pi moving bit s to j, and the image of a*b is
+          sigma(pa) sigma(pb) sigma(pa|pb) img(a*b) for its sign sigma by
+          point mask.  When the target kernel has the fact too, that is the
+          product of the images if every target axis has
+          P'_j(img x, img y) == img(P_s(x, y)) and, on disjoint masks,
+          s'(pi pa, pi pb) = sigma(pa) sigma(pb) sigma(pa|pb) s(pa,pb)
+          (`covariant`).
         """
         cls = type(self)
         if cls.mult is not PyKernel.mult or cls.boundary is not PyKernel.boundary:
@@ -321,9 +338,17 @@ class PyKernel:
                 point = POINT in (x % 3, y % 3)
                 if any((u % 3 == POINT) != point for u, _ in xy):
                     return False
-                if not linear(xy, lambda u: ((u, 1),)):
+                if not self._chain(axis, x, y):
                     return False
         return True
+
+    def _chain(self, axis: int, x: int, y: int) -> dict:
+        """`_entry` merged into a chain {factor code: coefficient}."""
+        return linear(self._entry(axis, x, y), lambda u: ((u, 1),))
+
+    def _axis_codes(self, cells) -> list[set[int]]:
+        """Per axis, the factor codes that `cells` use on it."""
+        return [{c // place % r for c in cells} for place, r in zip(self.places, self.radices)]
 
     def associative(self, cells: list[int]) -> bool:
         """Whether every triple of `cells` associates, decided without a
@@ -331,14 +356,69 @@ class PyKernel:
         the cells use, the 1-d sides (x*y)*z and x*(y*z) are equal."""
         if not self.tensor():
             return False
-        facs = [self.cell(c).factors for c in cells]
-        for axis in range(self.d):
-            codes = {fs[axis] for fs in facs}
+        for axis, codes in enumerate(self._axis_codes(cells)):
             entry = partial(self._entry, axis)
             for x, y, z in _iterproduct(codes, repeat=3):
                 lhs, rhs = assoc_sides(entry, x, y, z)
                 if lhs != rhs:
                     return False
+        return True
+
+    def commutative(self, cells: list[int]) -> bool:
+        """Whether a*b = (-1)^(codim a codim b) b*a for every pair of
+        `cells`, decided without a product: `tensor()` holds and, on every
+        axis, over the factor codes the cells use, x*y == y*x (a point
+        times a point is zero, so the 1-d sign is +1)."""
+        return self.tensor() and all(
+            self._chain(axis, x, y) == self._chain(axis, y, x)
+            for axis, codes in enumerate(self._axis_codes(cells))
+            for x, y in _iterproduct(codes, repeat=2)
+        )
+
+    def transversal(self, cells: list[int]) -> bool:
+        """Whether a*b != 0 exactly when the closed supports of a and b meet
+        and no axis is a point axis of both, for every pair of `cells`,
+        decided without a product: `tensor()` holds and, on every axis,
+        over the factor codes the cells use, the row bit of (x, y) is set
+        exactly when `axis_meets` has it and x and y are not both points."""
+        return self.tensor() and all(
+            bool(self._rows[axis][x] >> y & 1)
+            == (bool(self._meets[axis][x] >> y & 1) and not x % 3 == y % 3 == POINT)
+            for axis, codes in enumerate(self._axis_codes(cells))
+            for x, y in _iterproduct(codes, repeat=2)
+        )
+
+    def covariant(self, cells: list[int], actions) -> bool:
+        """Whether each symmetry of `actions` carries the product of every
+        pair of `cells` to the product of their images, decided without a
+        product as `tensor()` shows.  An action is (target kernel, per target
+        axis its source axis and factor map, the sign by point mask), as
+        `verify._Symmetry` holds it: each factor map keeps the kind of every
+        factor.  They are read over the factor codes the cells use on the
+        source axis."""
+        if not self.tensor():
+            return False
+        d, codes, tensors = self.d, self._axis_codes(cells), {self: True}
+        masks = range(1 << d)
+        for target, axes, signs in actions:
+            if target not in tensors:
+                tensors[target] = target.tensor()
+            if not tensors[target]:
+                return False
+            pi = [sum(1 << j for j, (s, _) in enumerate(axes) if m >> s & 1) for m in masks]
+            if any(
+                target._signs[pi[pa] << d | pi[pb]]
+                != signs[pa] * signs[pb] * signs[pa | pb] * self._signs[pa << d | pb]
+                for pa in masks
+                for pb in masks
+                if not pa & pb
+            ):
+                return False
+            for j, (s, img) in enumerate(axes):
+                for x, y in _iterproduct(codes[s], repeat=2):
+                    image = {img[u]: w for u, w in self._chain(s, x, y).items()}
+                    if target._chain(j, img[x], img[y]) != image:
+                        return False
         return True
 
     def residual_rows(self) -> list[list[int]] | None:

@@ -228,6 +228,11 @@ def _residual_bits(kernel, codes) -> list[int]:
     ]
 
 
+def _meeting_pair_count(win: PairTable) -> int:
+    """The number of pairs `_meeting_pairs` yields."""
+    return sum((mask >> i).bit_count() for i, mask in enumerate(win.masks))
+
+
 def _meeting_pairs(win: PairTable) -> Iterator[tuple[int, int]]:
     """Positions (i, j), j >= i, of the window cells whose supports meet;
     i ascending, then j."""
@@ -241,18 +246,24 @@ def _meeting_pairs(win: PairTable) -> Iterator[tuple[int, int]]:
 
 
 def check_commutativity(lattice: LatticeSpec, window: int) -> CheckReport:
+    """Graded commutativity on the window pairs whose supports meet, each
+    unordered pair once; decided per axis when `PyKernel.commutative`
+    holds, else each pair's two products compared."""
     kernel = kernel_for(lattice.periods)
     win = _window(lattice, window)
     codes = win.codes
-    codims = [_codim(kernel, c) for c in codes]
-    mult = kernel.mult
-    scale = 4 ** lattice.d
     report = CheckReport(
         "A",
         "graded commutativity: a*b = (-1)**(codim a * codim b) * b*a",
         lattice.periods,
         window,
     )
+    if kernel.commutative(codes):
+        report.checked = _meeting_pair_count(win)
+        return report
+    codims = [_codim(kernel, c) for c in codes]
+    mult = kernel.mult
+    scale = 4 ** lattice.d
     for i, j in _meeting_pairs(win):
         a, b = codes[i], codes[j]
         sign = _sign(codims[i] * codims[j])
@@ -334,7 +345,7 @@ class _Symmetry(NamedTuple):
     kind: str  # the violation kind it reports
     label: dict  # the violation field naming it: shift, axis or perm
     periods: tuple[int, ...]  # of the target lattice
-    axes: list  # per target axis: (source axis, source factor code -> image factor code * place)
+    axes: list  # per target axis: (source axis, source factor code -> image factor code)
     signs: list[int]  # Koszul sign by the cell's point-axis mask
 
 
@@ -349,11 +360,10 @@ def _symmetries(lattice: LatticeSpec) -> list[_Symmetry]:
     def add(kind, label, sources, move):
         # move(s, coord, kind) is the image coordinate of a factor on source axis s
         periods = tuple(lattice.periods[s] for s in sources)
-        maps, place = [], 1
-        for s, n in zip(sources, periods):
-            images = [(move(s, *divmod(f, 3)) % n * 3 + f % 3) * place for f in range(3 * n)]
-            maps.append((s, images))
-            place *= 3 * n
+        maps = [
+            (s, [move(s, *divmod(f, 3)) % n * 3 + f % 3 for f in range(3 * n)])
+            for s, n in zip(sources, periods)
+        ]
         to = [sources.index(s) for s in axes]
         signs = [_sign(sum(to[x] > to[y] for x, y in pairs if m >> x & m >> y & 1)) for m in masks]
         out.append(_Symmetry(kind, label, periods, maps, signs))
@@ -370,7 +380,9 @@ def _symmetries(lattice: LatticeSpec) -> list[_Symmetry]:
 def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
     """Covariance of the product under translations, reflections and
     axis permutations (the latter with the Koszul sign of the permuted
-    point factors): the product of the images is the image of the product."""
+    point factors): the product of the images is the image of the product.
+    Decided per axis when `PyKernel.covariant` holds, else each meeting
+    pair's images multiplied."""
     kernel = kernel_for(lattice.periods)
     win = _window(lattice, window)
     report = CheckReport(
@@ -379,15 +391,22 @@ def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
         lattice.periods,
         window,
     )
+    symmetries = [(sym, kernel_for(sym.periods)) for sym in _symmetries(lattice)]
+    if kernel.covariant(win.codes, [(target, sym.axes, sym.signs) for sym, target in symmetries]):
+        report.checked = _meeting_pair_count(win) * len(symmetries)
+        return report
     pairs = [(win.codes[i], win.codes[j]) for i, j in _meeting_pairs(win)]
     bases = [kernel.mult(a, b) for a, b in pairs]
     moved = {c: kernel.cell(c) for c in {*win.codes, *(c for base in bases for c, _ in base)}}
     actions = [
-        (sym, kernel_for(sym.periods).mult, {
-            code: (sum(table[cell.factors[s]] for s, table in sym.axes), sym.signs[cell.points])
+        (sym, target.mult, {
+            code: (
+                sum(img[cell.factors[s]] * p for (s, img), p in zip(sym.axes, target.places)),
+                sym.signs[cell.points],
+            )
             for code, cell in moved.items()
         })
-        for sym in _symmetries(lattice)
+        for sym, target in symmetries
     ]
     for (a, b), base in zip(pairs, bases):
         for sym, mult, images in actions:
@@ -404,12 +423,11 @@ def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
 
 def check_transversality(lattice: LatticeSpec, window: int) -> CheckReport:
     """Product nonzero exactly on transverse pairs of basis cells: the closed
-    supports meet and no axis is a point axis of both cells."""
+    supports meet and no axis is a point axis of both cells.  Decided per
+    axis when `PyKernel.transversal` holds, else each pair multiplied."""
     kernel = kernel_for(lattice.periods)
     win = _window(lattice, window)
     codes = win.codes
-    points = [kernel.cell(c).points for c in codes]
-    mult = kernel.mult
     report = CheckReport(
         "E",
         "product is nonzero exactly when supports meet and directions span",
@@ -417,6 +435,10 @@ def check_transversality(lattice: LatticeSpec, window: int) -> CheckReport:
         window,
     )
     report.checked = len(codes) ** 2
+    if kernel.transversal(codes):
+        return report
+    points = [kernel.cell(c).points for c in codes]
+    mult = kernel.mult
     for i, partners in enumerate(_partners(kernel, win.near)):
         a, mask, points_a = codes[i], win.masks[i], points[i]
         for j in partners:

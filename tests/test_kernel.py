@@ -517,6 +517,102 @@ def test_a_flipped_sign_gives_no_tensor_fact(d):
     assert negated.tensor()
 
 
+# -- the per-axis decisions of A, D and E --------------------------------------
+
+
+@pytest.mark.parametrize("d", range(1, MAX_DIMENSION + 1))
+def test_koszul_signs_commute_to_the_codimension_sign(d):
+    # A's sign identity, which `tensor()`'s sign premise implies: on
+    # disjoint masks s(pa,pb) s(pb,pa) = (-1)^(|pa||pb|), s(0,0) squared away
+    sign = _kernel_py.koszul_sign_of_points
+    for pa in range(1 << d):
+        for pb in range(1 << d):
+            if not pa & pb:
+                codims = pa.bit_count() * pb.bit_count()
+                assert sign(pa, pb) * sign(pb, pa) == (-1) ** codims, (pa, pb)
+
+
+def _scaled_entries(kernel, slots, factor):
+    """Multiply the axis-0 entries at the (x, y) `slots` by `factor`."""
+    table, size = kernel._tables[0], kernel.radices[0]
+    for x, y in slots:
+        table[x * size + y] = tuple((u, factor * w) for u, w in table[x * size + y])
+    return kernel
+
+
+STICK0, INF0 = 1, 2  # the factor codes of s@0 and i@0
+
+
+def asymmetric_entry_kernel(periods):
+    """A pure kernel whose axis-0 entry s@0*i@0 is doubled and i@0*s@0 is
+    not: the 1-d product no longer commutes there."""
+    return _scaled_entries(PyKernel(periods), [(STICK0, INF0)], 2)
+
+
+def uneven_coordinate_kernel(periods):
+    """A pure kernel whose axis-0 entries s@0*i@0 and i@0*s@0 are both
+    doubled: the 1-d product still commutes, but coordinate 0 no longer
+    multiplies as its translates do."""
+    return _scaled_entries(PyKernel(periods), [(STICK0, INF0), (INF0, STICK0)], 2)
+
+
+def dropped_entry_kernel(periods):
+    """A pure kernel whose axis-0 entry s@0*s@0, on a pair that meets, is
+    dropped together with its row bit."""
+    kernel = PyKernel(periods)
+    kernel._tables[0][STICK0 * kernel.radices[0] + STICK0] = None
+    kernel._rows[0][STICK0] &= ~(1 << STICK0)
+    return kernel
+
+
+def pair_decisions(kernel, periods, window):
+    """(commutative, transversal, covariant) of the window's cells.  D's
+    targets are `kernel` on its own lattice and standard kernels elsewhere."""
+    from cubalg.verify import _symmetries
+
+    lattice = LatticeSpec(periods)
+    cells = window_codes(lattice, window)
+    actions = [
+        (kernel if sym.periods == kernel.periods else kernel_for(sym.periods), sym.axes, sym.signs)
+        for sym in _symmetries(lattice)
+    ]
+    return kernel.commutative(cells), kernel.transversal(cells), kernel.covariant(cells, actions)
+
+
+# each mutant keeps `tensor()`; the A and E mutants move a single entry and
+# so break D's translations as well, the D mutant breaks D alone
+PREMISE_MUTANTS = {
+    "commutative": (asymmetric_entry_kernel, (False, True, False)),
+    "transversal": (dropped_entry_kernel, (True, False, False)),
+    "covariant": (uneven_coordinate_kernel, (True, True, False)),
+}
+
+
+@pytest.mark.parametrize(
+    "periods,window", SCAN_CASES + [((3, 3, 3), 2), ((3, 5, 4, 7), 1), ((3, 3, 3, 3, 3), 1)]
+)
+def test_the_standard_tables_decide_a_d_and_e(periods, window):
+    assert pair_decisions(PyKernel(periods), periods, window) == (True, True, True)
+
+
+@pytest.mark.parametrize("decision", sorted(PREMISE_MUTANTS))
+@pytest.mark.parametrize("periods,window", [((3, 5), 2), ((3, 3, 3), 2), ((4, 3, 3), 1)])
+def test_each_premise_of_the_pair_decisions_is_needed(decision, periods, window):
+    make, expected = PREMISE_MUTANTS[decision]
+    kernel = make(periods)
+    assert kernel.tensor()
+    assert pair_decisions(kernel, periods, window) == expected
+
+
+@pytest.mark.parametrize("broken,periods,window,seed", BROKEN_CASES)
+def test_a_table_without_the_tensor_fact_decides_no_pair_law(broken, periods, window, seed):
+    # a mutant that breaks a premise of `tensor()` decides nothing; one that
+    # keeps it (a doubled entry) may decide the laws its entry keeps
+    kernel = broken(periods, window, seed)
+    if not kernel.tensor():
+        assert pair_decisions(kernel, periods, window) == (False, False, False)
+
+
 @pytest.mark.parametrize("periods", [(3,), (4,), (7,), (3, 4), (5, 3, 4)])
 def test_boundary_stays_in_the_closed_support(periods):
     # every cell that meets a boundary cell of c meets c: the premise of

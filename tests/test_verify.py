@@ -1,6 +1,7 @@
 """The verification harness: reports, expected failures, determinism, replay."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -27,7 +28,7 @@ from cubalg.verify import (
     check_associativity,
     verify_axioms,
 )
-from tests.test_kernel import BROKEN_CASES, doubled_entry_kernel
+from tests.test_kernel import BROKEN_CASES, PREMISE_MUTANTS, doubled_entry_kernel
 
 
 @pytest.fixture(scope="module")
@@ -63,11 +64,6 @@ def test_leibniz_canonical_witness_1d():
 def test_symmetry_and_transversality(L3m):
     assert check_symmetry(L3m, 2).passed
     assert check_transversality(L3m, 2).passed
-
-
-def test_general_position_check(L3m):
-    rep = check_general_position(L3m, seed=0)
-    assert rep.passed and rep.checked == 200
 
 
 def test_pairing_check_odd_vs_even():
@@ -651,11 +647,27 @@ def test_window_table_checks_match_per_pair_loops_on_broken_kernels(
     assert reports[flagged_by].violation_count > 0
 
 
-@pytest.mark.parametrize("periods,window", [((3, 3, 3), 2), ((3, 5), 2), ((4, 3, 3), 1), ((3, 3, 5), 1)])
-@pytest.mark.parametrize("check", [check_leibniz, check_transversality, check_fc_subalgebra])
+# (3, 5, 4, 7) has four distinct periods, so each of D's 23 permutations
+# lands on a lattice of its own
+FACT_CASES = [
+    ((3, 3, 3), 2),
+    ((3, 5), 2),
+    ((4, 3, 3), 1),
+    ((3, 3, 5), 1),
+    ((3, 3, 3, 3), 1),
+    ((3, 5, 4, 7), 1),
+]
+
+
+@pytest.mark.parametrize("periods,window", FACT_CASES)
+@pytest.mark.parametrize(
+    "check",
+    [check_commutativity, check_leibniz, check_symmetry, check_transversality, check_fc_subalgebra],
+)
 def test_meeting_pair_walks_report_what_the_full_walks_do(monkeypatch, check, periods, window):
-    # the tensor fact lets C, E and H compute only the pairs whose supports
-    # meet, or none; a kernel without it computes every pair
+    # the tensor fact lets A, D and E decide every pair per axis, and C and
+    # H compute only the pairs whose supports meet, or none; a kernel
+    # without it computes every pair
     lattice = LatticeSpec(periods)
     assert kernel_for(periods).tensor()
     fast = check(lattice, window).to_json_dict()
@@ -667,9 +679,6 @@ def test_truncation_meeting_pair_walks_report_what_the_full_walks_do(monkeypatch
     fast = check_truncation(0).to_json_dict()
     monkeypatch.setattr(PyKernel, "tensor", lambda self: False)
     assert check_truncation(0).to_json_dict() == fast
-
-
-FACT_CASES = [((3, 3, 3), 2), ((3, 5), 2), ((4, 3, 3), 1), ((3, 3, 5), 1), ((3, 3, 3, 3), 1)]
 
 
 @pytest.mark.parametrize("periods,window", FACT_CASES)
@@ -735,6 +744,130 @@ def test_leibniz_on_broken_tables_matches_the_per_pair_loop(
     assert got.violations == expected.violations
     assert got.witnesses == expected.witnesses
     assert got.details["ideal_pair_failures"] == expected.details["ideal_pair_failures"]
+
+
+# the kernel decision each of A, D and E asks before its walk
+PAIR_DECISIONS = {
+    "commutative": check_commutativity,
+    "covariant": check_symmetry,
+    "transversal": check_transversality,
+}
+
+
+def _decided_and_walked(monkeypatch, decision, kernel, lattice, window):
+    """The JSON reports of the decision's check on `kernel`, first as it
+    runs and then with the decision forced off."""
+    check = PAIR_DECISIONS[decision]
+    _patch_kernels(monkeypatch, {lattice.periods: kernel})
+    decided = check(lattice, window).to_json_dict()
+    monkeypatch.setattr(PyKernel, decision, lambda self, *args: False)
+    walked = check(lattice, window).to_json_dict()
+    monkeypatch.undo()
+    return decided, walked
+
+
+@pytest.mark.parametrize("broken,periods,window,seed", BROKEN_CASES)
+@pytest.mark.parametrize("decision", sorted(PAIR_DECISIONS))
+def test_pair_decisions_on_broken_tables_report_what_the_walk_does(
+    monkeypatch, decision, broken, periods, window, seed
+):
+    kernel, lattice = broken(periods, window, seed), LatticeSpec(periods)
+    decided, walked = _decided_and_walked(monkeypatch, decision, kernel, lattice, window)
+    assert decided == walked
+
+
+@pytest.mark.parametrize("periods,window", [((3, 3, 3), 2), ((3, 5), 2)])
+@pytest.mark.parametrize("decision", sorted(PREMISE_MUTANTS))
+def test_a_broken_premise_fails_its_check_as_the_walk_does(monkeypatch, decision, periods, window):
+    # each mutant keeps the tensor fact and breaks its own decision's per-axis
+    # premise: the check walks and reports what the per-pair loop does
+    make = PREMISE_MUTANTS[decision][0]
+    lattice = LatticeSpec(periods)
+    decided, walked = _decided_and_walked(monkeypatch, decision, make(periods), lattice, window)
+    assert decided == walked and decided["violation_count"] > 0
+    if decision == "covariant":
+        kernel = make(periods)
+        expected = reference_symmetry(
+            lambda p: kernel if p == periods else kernel_for(p), lattice, window
+        )
+    else:
+        reference = {"commutative": reference_commutativity, "transversal": reference_transversality}
+        expected = reference[decision](make(periods), lattice, window)
+    assert decided["checked"] == expected.checked
+    assert decided["violation_count"] == expected.violation_count
+    assert decided["violations"] == expected.violations
+
+
+def negated_sign_kernel(periods):
+    """A pure kernel with every sign negated: it keeps the tensor fact and
+    every table."""
+    kernel = PyKernel(periods)
+    kernel._signs = [-s for s in kernel._signs]
+    return kernel
+
+
+def doubled_image_kernel(periods):
+    """A kernel of 5,3 whose class doubles the product of the image of one
+    pair of 3,5 that D multiplies, under its permutation: it has no tensor
+    fact."""
+    kernel = DoubledProduct(periods)
+    source = LatticeSpec((3, 5))
+    a, b = _seeded_pair(source, 2, 0, lambda a, b: a < b and kernel_for((3, 5)).mult(a, b))
+    kernel.target = tuple(permute_code(c, (1, 0), source)[0] for c in (a, b))
+    return kernel
+
+
+@pytest.mark.parametrize("make", [negated_sign_kernel, doubled_image_kernel])
+def test_a_broken_permuted_lattice_fails_symmetry_as_the_walk_does(monkeypatch, make):
+    # D on 3,5 multiplies the permuted pairs in the kernel of 5,3; with that
+    # kernel broken only the permutation breaks, and the decision must see it
+    lattice, window = LatticeSpec((3, 5)), 2
+    _patch_kernels(monkeypatch, {(5, 3): make((5, 3))})
+    decided = check_symmetry(lattice, window).to_json_dict()
+    monkeypatch.setattr(PyKernel, "covariant", lambda self, *args: False)
+    assert check_symmetry(lattice, window).to_json_dict() == decided
+    target = make((5, 3))
+    expected = reference_symmetry(lambda p: target if p == (5, 3) else kernel_for(p), lattice, window)
+    assert decided["violation_count"] == expected.violation_count > 0
+    assert decided["violations"] == expected.violations
+    assert {v["kind"] for v in decided["violations"]} == {"permutation"}
+
+
+def test_commutativity_symmetry_and_transversality_multiply_nothing(monkeypatch):
+    # on the standard tables A, D and E decide every pair per axis
+    kernel = _patch_kernel(monkeypatch, PyKernel((3, 3, 3)))
+    real, calls = kernel.mult, []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    kernel.mult = counting
+    reports = [check(LatticeSpec((3, 3, 3)), 2) for check in PAIR_DECISIONS.values()]
+    assert [r.checked for r in reports] == [7020, 7020 * 12, 46656]
+    assert all(r.passed for r in reports)
+    assert calls == [] and not kernel._mult_cache
+
+
+def test_pair_counts_are_products_of_one_axis_counts():
+    # the window is a product set and meeting a per-axis relation: with M
+    # the ordered meeting pairs and N the cells, A counts (M + N) / 2 pairs
+    # and D each of them once per symmetry (d unit shifts, the diagonal one,
+    # d reflections and d! - 1 permutations)
+    from cubalg.cells import axis_meets
+
+    periods, window = (3, 5, 4), 2
+    d, size = len(periods), 3 * window  # the factor codes anchored in the window
+    below = (1 << size) - 1
+    meeting = math.prod(
+        sum((axis_meets(n)[x] & below).bit_count() for x in range(size)) for n in periods
+    )
+    cells = size**d
+    pairs = (meeting + cells) // 2
+    lattice = LatticeSpec(periods)
+    reports = [check(lattice, window) for check in PAIR_DECISIONS.values()]
+    assert [r.checked for r in reports] == [pairs, pairs * (2 * d + math.factorial(d)), cells**2]
+    assert all(r.passed for r in reports)
 
 
 def test_truncation_streams_its_expected_failure_pairs():
