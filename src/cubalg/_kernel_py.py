@@ -109,9 +109,9 @@ class PyKernel:
     """Basis-cell product, boundary and the associativity scan, in Python.
 
     `tensor()` is the one fact under which a law is decided per axis from
-    the 1-d tables: `associative`, `commutative`, `transversal`, `covariant`
-    and `residual_rows` read it, and so does the harness before it leaves
-    out the pairs whose supports miss."""
+    the 1-d tables: `associative`, `commutative`, `transversal`, `covariant`,
+    `residual_rows` and `pairing_rows` read it, and so does the harness
+    before it leaves out the pairs whose supports miss."""
 
     def __init__(self, periods: tuple[int, ...]):
         self.periods = tuple(periods)
@@ -294,7 +294,14 @@ class PyKernel:
           product of the images if every target axis has
           P'_j(img x, img y) == img(P_s(x, y)) and, on disjoint masks,
           s'(pi pa, pi pb) = sigma(pa) sigma(pb) sigma(pa|pb) s(pa,pb)
-          (`covariant`).
+          (`covariant`);
+        - augment(a*c) sums the numerators of the point cells among the
+          terms of a*c, which all have the point mask pa|pc.  A point times
+          a point is zero, so it is nonzero only when pc = ~pa; then every
+          term is a point cell, and the numerators of a tensor product sum
+          to the product of the per-axis sums: augment(a*c) = s(pa,~pa)
+          times the product over j of the sum of the numerators of P_j
+          (`pairing_rows`).
         """
         cls = type(self)
         if cls.mult is not PyKernel.mult or cls.boundary is not PyKernel.boundary:
@@ -420,6 +427,38 @@ class PyKernel:
                     if target._chain(j, img[x], img[y]) != image:
                         return False
         return True
+
+    def pairing_rows(self, cells: list[int]) -> list[dict[int, int]] | None:
+        """Per cell a of `cells`, {c: numerator of augment(a*c) at scale
+        4**d} over the non-ideal cells c where it is nonzero, decided
+        without a product as `tensor()` shows: s(pa,~pa) times the product
+        of one partner list per axis (`_axis_pairing`).  None unless
+        `tensor()` holds."""
+        if not self.tensor():
+            return None
+        partners, d = self._per_axis(self._axis_pairing), self.d
+        rows = []
+        for code in cells:
+            factors, points, _, _ = self.cell(code)
+            row = {0: self._signs[points << d | ((1 << d) - 1) ^ points]}
+            for place, axis, x in zip(self.places, partners, factors):
+                row = {c + y * place: v * w for c, v in row.items() for y, w in axis[x]}
+            rows.append(row)
+        return rows
+
+    def _axis_pairing(self, axis: int) -> list[list[tuple[int, int]]]:
+        """`pairing_rows` on one axis: per factor code x, the (y, sum of the
+        numerators of x*y) of the non-ideal y, a point exactly when x is
+        not, where that sum is nonzero."""
+        r = self.radices[axis]
+        return [
+            [
+                (y, w)
+                for y in range(STICK if x % 3 == POINT else POINT, r, 3)
+                if (w := sum(v for _, v in self._entry(axis, x, y)))
+            ]
+            for x in range(r)
+        ]
 
     def residual_rows(self) -> list[list[int]] | None:
         """Per axis and factor code x, the bitset of the factor codes y whose

@@ -3,7 +3,9 @@
 <a, b> = augment(a * b).  Restricted to the non-ideal bases of degrees p
 and d-p this gives a square matrix whose rank (and exact determinant)
 decide nondegeneracy; it is nondegenerate exactly when every period is
-odd.
+odd.  The matrix is kept as sparse integer rows at the kernel's scale
+4**d, which `linalg.rank` reads as they are; the dense `Fraction` view is
+built only when read.
 """
 
 from __future__ import annotations
@@ -47,16 +49,25 @@ def c_basis(p: int, lattice: LatticeSpec) -> list[Cell]:
 @dataclass(frozen=True)
 class PairingMatrix:
     """The degree-p pairing matrix; rows and cols are the cell codes of
-    the two bases, in `c_basis_codes` order."""
+    the two bases, in `c_basis_codes` order, and `numerators` holds per
+    row its nonzero entries as {column code: numerator at `scale`}."""
 
     degree: int
     rows: tuple[int, ...]
     cols: tuple[int, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+    numerators: tuple[dict[int, int], ...]
+    scale: int
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense view: one tuple of `Fraction`s per row, in `cols` order."""
+        return tuple(
+            tuple(Fraction(row.get(c, 0), self.scale) for c in self.cols) for row in self.numerators
+        )
 
     @cached_property
     def rank(self) -> int:
-        return linalg.rank(self.entries)
+        return linalg.rank(self.numerators)
 
     @cached_property
     def determinant(self) -> Fraction:
@@ -70,25 +81,27 @@ class PairingMatrix:
 def pairing_matrix(p: int, lattice: LatticeSpec) -> PairingMatrix:
     """Matrix of the pairing on C_p x C_{d-p} over the non-ideal bases.
 
-    Only the cells that `near_codes` gives, those whose closed supports
-    meet, are multiplied: every other product is zero."""
+    Under the tensor fact the kernel assembles each row per axis with no
+    product (`PyKernel.pairing_rows`).  Otherwise each row cell is
+    multiplied by the cells that `near_codes` gives, those whose closed
+    supports meet it; a pair whose supports miss is taken as zero."""
     rows = tuple(c_basis_codes(p, lattice))
     cols = tuple(c_basis_codes(lattice.d - p, lattice))
-    position = {code: k for k, code in enumerate(cols)}
     kernel = kernel_for(lattice.periods)
-    scale = 4 ** lattice.d
-    zero = Fraction(0)
-    entries = []
-    for r in rows:
-        row = [zero] * len(cols)
-        for c in near_codes(r, lattice, (FactorKind.POINT, FactorKind.STICK)):
-            k = position.get(c)
-            if k is not None:
-                # complementary codimensions: every term of r*c is a point
-                # cell, so augmenting the product sums all of its numerators
-                row[k] = Fraction(sum(num for _, num in kernel.mult(r, c)), scale)
-        entries.append(tuple(row))
-    return PairingMatrix(p, rows, cols, tuple(entries))
+    numerators = kernel.pairing_rows(rows)
+    if numerators is None:
+        columns = set(cols)
+        # complementary codimensions: every term of r*c is a point cell, so
+        # augmenting the product sums all of its numerators
+        numerators = [
+            {
+                c: v
+                for c in near_codes(r, lattice, (FactorKind.POINT, FactorKind.STICK))
+                if c in columns and (v := sum(num for _, num in kernel.mult(r, c)))
+            }
+            for r in rows
+        ]
+    return PairingMatrix(p, rows, cols, tuple(numerators), 4**lattice.d)
 
 
 def pairing_report(p: int, lattice: LatticeSpec) -> dict:

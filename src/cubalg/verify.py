@@ -23,12 +23,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product as _iterproduct
+from math import prod
 from typing import Iterator, NamedTuple
 
 from ._kernel_py import assoc_sides, kernel_for, linear, product_rule_residual, times
 from .cells import (
     FactorKind,
     PairTable,
+    axis_meets,
     bit_positions,
     code_is_ideal,
     code_kinds,
@@ -203,10 +205,16 @@ def _assoc_scan(kernel, window: int) -> tuple[int, list[tuple[int, int, int]]]:
 
 
 @lru_cache(maxsize=1)
+def _window_codes(lattice: LatticeSpec, window: int) -> tuple[int, ...]:
+    """The window's `window_codes`, listed once for every check."""
+    return tuple(window_codes(lattice, window))
+
+
+@lru_cache(maxsize=1)
 def _window(lattice: LatticeSpec, window: int) -> PairTable:
-    """The window's `pair_table`, built once and shared by the pair checks
+    """The window's `pair_table`, built once and shared by the pair walks
     and B's triple scan."""
-    return pair_table(window_codes(lattice, window), lattice)
+    return pair_table(_window_codes(lattice, window), lattice)
 
 
 def _partners(kernel, near: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -228,9 +236,16 @@ def _residual_bits(kernel, codes) -> list[int]:
     ]
 
 
-def _meeting_pair_count(win: PairTable) -> int:
-    """The number of pairs `_meeting_pairs` yields."""
-    return sum((mask >> i).bit_count() for i, mask in enumerate(win.masks))
+def _meeting_pair_count(lattice: LatticeSpec, window: int) -> int:
+    """The number of pairs `_meeting_pairs` yields on the window, (M + N)/2
+    for its N cells: they are every cell of factor codes below 3 * window,
+    so the M ordered meeting pairs are a product of one-axis counts."""
+    size = 3 * window
+    meeting = prod(
+        sum((axis_meets(n)[x] & (1 << size) - 1).bit_count() for x in range(size))
+        for n in lattice.periods
+    )
+    return (meeting + size**lattice.d) // 2
 
 
 def _meeting_pairs(win: PairTable) -> Iterator[tuple[int, int]]:
@@ -250,17 +265,17 @@ def check_commutativity(lattice: LatticeSpec, window: int) -> CheckReport:
     unordered pair once; decided per axis when `PyKernel.commutative`
     holds, else each pair's two products compared."""
     kernel = kernel_for(lattice.periods)
-    win = _window(lattice, window)
-    codes = win.codes
     report = CheckReport(
         "A",
         "graded commutativity: a*b = (-1)**(codim a * codim b) * b*a",
         lattice.periods,
         window,
     )
-    if kernel.commutative(codes):
-        report.checked = _meeting_pair_count(win)
+    if kernel.commutative(_window_codes(lattice, window)):
+        report.checked = _meeting_pair_count(lattice, window)
         return report
+    win = _window(lattice, window)
+    codes = win.codes
     codims = [_codim(kernel, c) for c in codes]
     mult = kernel.mult
     scale = 4 ** lattice.d
@@ -308,8 +323,7 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
         lattice.periods,
         window,
     )
-    win = _window(lattice, window)
-    codes = win.codes
+    codes = _window_codes(lattice, window)
     report.checked = len(codes) ** 2
     masks = _residual_bits(kernel, codes)
     ideal = sum(1 << i for i, c in enumerate(codes) if code_is_ideal(c, lattice))
@@ -384,7 +398,6 @@ def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
     Decided per axis when `PyKernel.covariant` holds, else each meeting
     pair's images multiplied."""
     kernel = kernel_for(lattice.periods)
-    win = _window(lattice, window)
     report = CheckReport(
         "D",
         "invariance under lattice symmetries (translations, reflections, axis permutations)",
@@ -392,9 +405,11 @@ def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
         window,
     )
     symmetries = [(sym, kernel_for(sym.periods)) for sym in _symmetries(lattice)]
-    if kernel.covariant(win.codes, [(target, sym.axes, sym.signs) for sym, target in symmetries]):
-        report.checked = _meeting_pair_count(win) * len(symmetries)
+    actions = [(target, sym.axes, sym.signs) for sym, target in symmetries]
+    if kernel.covariant(_window_codes(lattice, window), actions):
+        report.checked = _meeting_pair_count(lattice, window) * len(symmetries)
         return report
+    win = _window(lattice, window)
     pairs = [(win.codes[i], win.codes[j]) for i, j in _meeting_pairs(win)]
     bases = [kernel.mult(a, b) for a, b in pairs]
     moved = {c: kernel.cell(c) for c in {*win.codes, *(c for base in bases for c, _ in base)}}
@@ -426,8 +441,7 @@ def check_transversality(lattice: LatticeSpec, window: int) -> CheckReport:
     supports meet and no axis is a point axis of both cells.  Decided per
     axis when `PyKernel.transversal` holds, else each pair multiplied."""
     kernel = kernel_for(lattice.periods)
-    win = _window(lattice, window)
-    codes = win.codes
+    codes = _window_codes(lattice, window)
     report = CheckReport(
         "E",
         "product is nonzero exactly when supports meet and directions span",
@@ -437,6 +451,7 @@ def check_transversality(lattice: LatticeSpec, window: int) -> CheckReport:
     report.checked = len(codes) ** 2
     if kernel.transversal(codes):
         return report
+    win = _window(lattice, window)
     points = [kernel.cell(c).points for c in codes]
     mult = kernel.mult
     for i, partners in enumerate(_partners(kernel, win.near)):

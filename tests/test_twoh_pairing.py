@@ -1,5 +1,6 @@
 """2h cells, star duality, and the augmentation pairing in three dimensions."""
 
+import importlib
 from fractions import Fraction
 from itertools import product as iterproduct
 
@@ -20,6 +21,10 @@ from cubalg import (
 )
 from cubalg.pairing import c_basis, pairing_matrix
 from cubalg.twoh import abstract_boundary
+from tests.test_kernel import BROKEN_CASES, doubled_entry_kernel, squared_point_table_kernel
+
+# the package exports the function `pairing`, which hides the module's name
+PAIRING = importlib.import_module("cubalg.pairing")
 
 
 @pytest.fixture
@@ -133,25 +138,96 @@ def test_pairing_values_3d(L333):
     assert pairing(a, cube) == Fraction(1, 8)
 
 
+def all_pairs_entries(kernel, p, lattice):
+    """The degree-p pairing matrix with every pair multiplied: the oracle."""
+    from cubalg.pairing import c_basis_codes
+
+    rows, cols = c_basis_codes(p, lattice), c_basis_codes(lattice.d - p, lattice)
+    return tuple(
+        tuple(Fraction(sum(num for _, num in kernel.mult(r, c)), 4**lattice.d) for c in cols)
+        for r in rows
+    )
+
+
 @pytest.mark.parametrize("periods", [(3, 3, 5), (5, 5, 5), (5,)])
 def test_pairing_matrix_equals_all_pairs_assembly(periods):
-    # the matrix multiplies only nearby cells; every product it skips is zero
+    # the matrix multiplies no pair; every pair multiplied gives its entries
     from cubalg._kernel_py import kernel_for
     from cubalg.linalg import det
     from cubalg.pairing import c_basis_codes
 
     lattice = LatticeSpec(periods)
     kernel = kernel_for(periods)
-    scale = 4**lattice.d
     for p in range(lattice.d + 1):
         rows, cols = c_basis_codes(p, lattice), c_basis_codes(lattice.d - p, lattice)
-        all_pairs = tuple(
-            tuple(Fraction(sum(num for _, num in kernel.mult(r, c)), scale) for c in cols)
-            for r in rows
-        )
+        all_pairs = all_pairs_entries(kernel, p, lattice)
         mat = pairing_matrix(p, lattice)
         assert (mat.rows, mat.cols) == (tuple(rows), tuple(cols))
         assert mat.entries == all_pairs
         assert len(mat.entries) == len(rows) and all(len(row) == len(cols) for row in mat.entries)
+        assert all(row and all(row.values()) for row in mat.numerators)
         if lattice.d == 1:
             assert mat.determinant == det(all_pairs) != 0
+
+
+def _decided_and_walked(monkeypatch, kernel, lattice):
+    """Per degree, the pairing matrix of `kernel` as `pairing_matrix` builds
+    it, then with the tensor fact forced off, so that it walks."""
+    from cubalg._kernel_py import PyKernel
+
+    monkeypatch.setattr(PAIRING, "kernel_for", lambda periods: kernel)
+    decided = [pairing_matrix(p, lattice) for p in range(lattice.d + 1)]
+    monkeypatch.setattr(PyKernel, "tensor", lambda self: False)
+    walked = [pairing_matrix(p, lattice) for p in range(lattice.d + 1)]
+    monkeypatch.undo()
+    return decided, walked
+
+
+def _assert_same_matrices(decided, walked):
+    for got, expected in zip(decided, walked, strict=True):
+        assert (got.rows, got.cols) == (expected.rows, expected.cols)
+        assert got.numerators == expected.numerators
+        assert got.rank == expected.rank
+        # the dense view and Bareiss cost n**2 and n**3 in Python: past 120
+        # rows they would dominate the suite, and equal rows fix them
+        if len(got.rows) <= 120:
+            assert got.entries == expected.entries
+            assert got.determinant == expected.determinant
+
+
+@pytest.mark.parametrize(
+    "periods", [(3,), (4,), (5,), (3, 3), (4, 3, 3), (3, 3, 5), (3, 3, 3, 3)]
+)
+def test_pairing_rows_equal_the_walk(monkeypatch, periods):
+    from cubalg._kernel_py import PyKernel
+
+    kernel, lattice = PyKernel(periods), LatticeSpec(periods)
+    assert kernel.tensor()
+    _assert_same_matrices(*_decided_and_walked(monkeypatch, kernel, lattice))
+
+
+@pytest.mark.parametrize("broken,periods,window,seed", BROKEN_CASES)
+def test_pairing_rows_on_broken_tables_equal_the_walk(monkeypatch, broken, periods, window, seed):
+    # a doubled entry keeps the tensor fact, so the rows are read from the
+    # doubled table; the other mutants break it and walk
+    kernel, lattice = broken(periods, window, seed), LatticeSpec(periods)
+    decided, walked = _decided_and_walked(monkeypatch, kernel, lattice)
+    assert (kernel.pairing_rows(decided[0].rows) is not None) == (broken is doubled_entry_kernel)
+    _assert_same_matrices(decided, walked)
+
+
+def test_a_point_times_a_point_gets_the_walks_matrix(monkeypatch):
+    # p@0 * p@0 = p@0 on axis 0 breaks the tensor fact: rows built per axis
+    # would pair a point only with sticks there and miss the entries it adds
+    from cubalg._kernel_py import kernel_for
+
+    lattice = LatticeSpec((3, 3, 3))
+    kernel = squared_point_table_kernel(lattice.periods, 1, 0)
+    monkeypatch.setattr(PAIRING, "kernel_for", lambda periods: kernel)
+    changed = 0
+    for p in range(lattice.d + 1):
+        mat = pairing_matrix(p, lattice)
+        assert kernel.pairing_rows(mat.rows) is None
+        assert mat.entries == all_pairs_entries(kernel, p, lattice)
+        changed += mat.entries != all_pairs_entries(kernel_for(lattice.periods), p, lattice)
+    assert changed

@@ -279,9 +279,10 @@ def test_associativity_and_frobenius_share_one_scan(monkeypatch):
 
 def test_the_pair_checks_and_the_triple_scan_read_one_table(monkeypatch):
     import cubalg.verify
-    from cubalg.verify import _assoc_scan, _window
+    from cubalg.verify import _assoc_scan, _window, _window_codes
 
     kernel_for.cache_clear()
+    _window_codes.cache_clear()
     _window.cache_clear()
     _assoc_scan.cache_clear()
     tables, codes_calls = [], []
@@ -847,6 +848,43 @@ def test_commutativity_symmetry_and_transversality_multiply_nothing(monkeypatch)
     assert [r.checked for r in reports] == [7020, 7020 * 12, 46656]
     assert all(r.passed for r in reports)
     assert calls == [] and not kernel._mult_cache
+
+
+def test_pairing_multiplies_nothing(monkeypatch):
+    # on the standard tables G reads Frobenius off B's decided scan and
+    # assembles each pairing matrix per axis (`PyKernel.pairing_rows`)
+    import importlib
+
+    kernel = _patch_kernel(monkeypatch, PyKernel((3, 3, 3)))
+    monkeypatch.setattr(importlib.import_module("cubalg.pairing"), "kernel_for", lambda p: kernel)
+    real, calls = kernel.mult, []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    kernel.mult = counting
+    report = check_pairing(LatticeSpec((3, 3, 3)), 2)
+    assert report.passed and [d["rank"] for d in report.details["degrees"]] == [27, 81]
+    assert calls == [] and not kernel._mult_cache
+
+
+def test_decided_pair_checks_build_no_pair_table(monkeypatch):
+    # decided, A, D and E count their pairs from one-axis counts, so a run
+    # of them alone builds no window table
+    import cubalg.verify
+    from cubalg.verify import _window
+
+    _window.cache_clear()
+    build, calls = cubalg.verify.pair_table, []
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cubalg.verify, "pair_table", counting)
+    reports = verify_axioms((3, 3, 3), "A,D,E", 2)
+    assert all(r.passed for r in reports) and calls == []
 
 
 def test_pair_counts_are_products_of_one_axis_counts():
