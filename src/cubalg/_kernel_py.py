@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import astuple
 from functools import lru_cache, partial
-from itertools import product as _iterproduct
-from typing import NamedTuple
+from itertools import combinations, product as _iterproduct
+from math import prod
+from typing import Iterator, NamedTuple
 
 from .cells import PairTable, axis_gather, axis_meets, bit_positions
+from .linalg import _eliminate
 from .table1d import CoefficientTable, mult1_terms
 
 POINT, STICK, INF = 0, 1, 2
@@ -110,8 +112,8 @@ class PyKernel:
 
     `tensor()` is the one fact under which a law is decided per axis from
     the 1-d tables: `associative`, `commutative`, `transversal`, `covariant`,
-    `residual_rows` and `pairing_rows` read it, and so does the harness
-    before it leaves out the pairs whose supports miss."""
+    `residual_rows`, `pairing_rows` and `pairing_rank` read it, and so does
+    the harness before it leaves out the pairs whose supports miss."""
 
     def __init__(self, periods: tuple[int, ...]):
         self.periods = tuple(periods)
@@ -272,13 +274,19 @@ class PyKernel:
           A triple whose point masks overlap has an axis where x*y or y*z
           is a point times a point, or where x, z and every term of x*y are
           points; there L_j == R_j == 0.  The cocycle equates the signs of
-          every other triple (`associative`);
+          every other triple (`associative`).  Closed supports meet when
+          they meet on every axis, so on a cell set that is a product over
+          the axes, such as a window, the pairwise-meeting triples are the
+          product over the axes of the pairwise-meeting triples of factor
+          codes, and a decided scan counts them from one-axis counts;
         - with R_i the 1-d residual of (x_i, y_i), (I1) and (I2) make the
           residual of (a, b) s(pa,pb) times the sum over i of
           (-1)^|(pa|pb)<i| (P_1 x ... x R_i x ... x P_d).  The terms of
           summand i have the point mask pa|pb|i, so no two summands cancel:
           the residual is nonzero exactly when some axis has R_i != 0 and
-          every other axis a row bit (`residual_rows`);
+          every other axis a row bit (`residual_rows`); on a cell set that
+          is a product over the axes, the pairs are counted by a programme
+          over the axes (`residual_counts`);
         - on disjoint masks s(pa,pb) s(pb,pa) = (-1)^(|pa||pb|): each point
           axis of a and each of b make an inversion in one order of the two.
           A point times a point is zero, so a*b = (-1)^(|pa||pb|) b*a when
@@ -301,7 +309,14 @@ class PyKernel:
           term is a point cell, and the numerators of a tensor product sum
           to the product of the per-axis sums: augment(a*c) = s(pa,~pa)
           times the product over j of the sum of the numerators of P_j
-          (`pairing_rows`).
+          (`pairing_rows`);
+        - so the degree-p pairing matrix is block-diagonal by the row's
+          point mask pa, whose block meets only the columns of mask ~pa, and
+          that block is s(pa,~pa) times the Kronecker product over the axes
+          of the 1-d blocks of those sums: point rows against stick columns
+          on the axes in pa, stick rows against point columns on the others.
+          A Kronecker product has the product of its factors' ranks, so the
+          rank is the sum over pa of those products (`pairing_rank`).
         """
         cls = type(self)
         if cls.mult is not PyKernel.mult or cls.boundary is not PyKernel.boundary:
@@ -460,6 +475,31 @@ class PyKernel:
             for x in range(r)
         ]
 
+    def pairing_rank(self, p: int) -> int | None:
+        """The rank of the degree-p pairing matrix (`pairing.pairing_matrix`)
+        decided per axis as `tensor()` shows: the sum over the row point
+        masks pa with d - p bits of the product over the axes of the rank of
+        the 1-d block, point rows on the axes in pa and stick rows on the
+        others (`_axis_pairing_ranks`).  None unless `tensor()` holds."""
+        if not self.tensor():
+            return None
+        ranks = self._per_axis(self._axis_pairing_ranks)
+        return sum(
+            prod(rank[axis in pa] for axis, rank in enumerate(ranks))
+            for pa in combinations(range(self.d), self.d - p)
+        )
+
+    def _axis_pairing_ranks(self, axis: int) -> tuple[int, int]:
+        """The ranks of `_axis_pairing`'s two 1-d blocks on one axis: the
+        stick rows against the point columns, then the point rows against
+        the stick columns."""
+        partners, r = [dict(x) for x in self._axis_pairing(axis)], self.radices[axis]
+        blocks = [
+            [[partners[x].get(y, 0) for y in range(other, r, 3)] for x in range(kind, r, 3)]
+            for kind, other in ((STICK, POINT), (POINT, STICK))
+        ]
+        return _eliminate(blocks[0])[0], _eliminate(blocks[1])[0]
+
     def residual_rows(self) -> list[list[int]] | None:
         """Per axis and factor code x, the bitset of the factor codes y whose
         1-d product-rule residual (dx)y + (-1)^[x is a point] x(dy) - d(xy)
@@ -478,10 +518,11 @@ class PyKernel:
             for x in range(r)
         ]
 
-    def residual_masks(self, codes: list[int]) -> list[int] | None:
-        """Per position i of `codes`, the bitset of the positions j whose pair
-        (codes[i], codes[j]) has a nonzero product-rule residual, decided by
-        `residual_rows`; None when that is None.
+    def residual_masks(self, codes: list[int]) -> Iterator[int] | None:
+        """Per position i of `codes`, in order, the bitset of the positions j
+        whose pair (codes[i], codes[j]) has a nonzero product-rule residual,
+        decided by `residual_rows`; None when that is None.  Each row is
+        computed as it is drawn, so a caller holds only the rows it keeps.
 
         Per axis `cells.axis_gather` gathers each position's row and residual
         row, as it gathers `cells.meet_masks`' rows.  Axis by axis, `every`
@@ -490,30 +531,62 @@ class PyKernel:
         residuals = self.residual_rows()
         if residuals is None:
             return None
-        every, one = [-1] * len(codes), [0] * len(codes)
-        for gather, rows, axis in zip(axis_gather(codes, self.periods), self._rows, residuals):
-            for pos, (row, residual) in enumerate(zip(gather(rows), gather(axis))):
-                one[pos] = one[pos] & row | every[pos] & residual
-                every[pos] &= row
-        return one
+        axes = [
+            (gather(rows), gather(axis))
+            for gather, rows, axis in zip(axis_gather(codes, self.periods), self._rows, residuals)
+        ]
+
+        def masks() -> Iterator[int]:
+            for pos in range(len(codes)):
+                every, one = -1, 0
+                for rows, residual in axes:
+                    one = one & rows[pos] | every & residual[pos]
+                    every &= rows[pos]
+                yield one
+
+        return masks()
+
+    def residual_counts(self, size: int) -> tuple[int, int] | None:
+        """Over the ordered pairs of the cells whose factor codes are all
+        below `size`, the number with a nonzero product-rule residual and no
+        ideal cell, and the number with one and an ideal cell; decided by
+        `residual_rows`, None when that is None.
+
+        Such a cell set is a product over the axes, and `residual_masks`'
+        `every` and `one` are per axis, so a programme over the axes counts
+        the pairs by the state (`every`, `one`, a or b ideal so far)."""
+        residuals = self.residual_rows()
+        if residuals is None:
+            return None
+        states = {(True, False, False): 1}
+        for rows, axis in zip(self._rows, residuals):
+            step: dict[tuple[bool, bool, bool], int] = {}
+            for x, y in _iterproduct(range(size), repeat=2):
+                row, residual = bool(rows[x] >> y & 1), bool(axis[x] >> y & 1)
+                ideal = INF in (x % 3, y % 3)
+                for (every, one, was), count in states.items():
+                    key = (every and row, one and row or every and residual, was or ideal)
+                    if key[0] or key[1]:
+                        step[key] = step.get(key, 0) + count
+            states = step
+        return tuple(
+            sum(count for (_, one, was), count in states.items() if one and was == ideal)
+            for ideal in (False, True)
+        )
 
     # -- exhaustive associativity scan --------------------------------------
 
     def scan_assoc(self, table: PairTable) -> tuple[int, list[tuple[int, int, int]]]:
         """Check (a*b)*c == a*(b*c) over all ordered triples from the cells
-        of `table` whose closed supports pairwise intersect.
+        of `table` whose closed supports pairwise intersect, both sides
+        multiplied out through `self.mult` (`assoc_sides`).
 
         Returns (number of triples checked, violating triples), the
         violations in the order a, then b, then c of their positions in
         `table.codes`.  For one pair (a, b) the third cells c are the
         positions in the AND of the two cells' masks.
-
-        When `associative(cells)` holds, the walk only counts the triples:
-        every one of them holds.  Otherwise each triple is computed, both
-        sides multiplied out through `self.mult` (`assoc_sides`).
         """
         cells, masks, near = table
-        decided = self.associative(cells)
         checked = 0
         violations: list[tuple[int, int, int]] = []
         for i, a in enumerate(cells):
@@ -521,8 +594,6 @@ class PyKernel:
             for j in near[i]:
                 mask = mi & masks[j]
                 checked += mask.bit_count()
-                if decided:
-                    continue
                 b = cells[j]
                 for k in bit_positions(mask):
                     c = cells[k]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product as _iterproduct
-from math import prod
+from math import comb, prod
 from typing import Iterator, NamedTuple
 
 from ._kernel_py import assoc_sides, kernel_for, linear, product_rule_residual, times
@@ -200,8 +200,13 @@ def _cells(lattice: LatticeSpec, *codes: int, replay: bool = True) -> dict:
 
 @lru_cache(maxsize=1)
 def _assoc_scan(kernel, window: int) -> tuple[int, list[tuple[int, int, int]]]:
-    """The window's associativity scan, made once for B and G together."""
-    return kernel.scan_assoc(_window(LatticeSpec(kernel.periods), window))
+    """The window's associativity scan, made once for B and G together.
+    When `PyKernel.associative` holds every triple holds, so the triples
+    are only counted (`_meeting_counts`); otherwise each one is computed."""
+    lattice = LatticeSpec(kernel.periods)
+    if kernel.associative(_window_codes(lattice, window)):
+        return _meeting_counts(lattice, window)[1], []
+    return kernel.scan_assoc(_window(lattice, window))
 
 
 @lru_cache(maxsize=1)
@@ -227,25 +232,28 @@ def _partners(kernel, near: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...
     return (tuple(range(len(near))),) * len(near)
 
 
-def _residual_bits(kernel, codes) -> list[int]:
-    """Per position i, the bitset of the positions j whose pair has a
-    nonzero product-rule residual: `residual_masks`, or, on a kernel
+def _residual_bits(kernel, codes) -> Iterator[int]:
+    """Per position i, in order, the bitset of the positions j whose pair
+    has a nonzero product-rule residual: `residual_masks`, or, on a kernel
     without the tensor fact, each pair's residual computed."""
-    return kernel.residual_masks(codes) or [
+    return kernel.residual_masks(codes) or (
         sum(1 << j for j, b in enumerate(codes) if _leibniz_residual(kernel, a, b)) for a in codes
-    ]
-
-
-def _meeting_pair_count(lattice: LatticeSpec, window: int) -> int:
-    """The number of pairs `_meeting_pairs` yields on the window, (M + N)/2
-    for its N cells: they are every cell of factor codes below 3 * window,
-    so the M ordered meeting pairs are a product of one-axis counts."""
-    size = 3 * window
-    meeting = prod(
-        sum((axis_meets(n)[x] & (1 << size) - 1).bit_count() for x in range(size))
-        for n in lattice.periods
     )
-    return (meeting + size**lattice.d) // 2
+
+
+def _meeting_counts(lattice: LatticeSpec, window: int) -> tuple[int, int]:
+    """(P, T) on the window: P the pairs `_meeting_pairs` yields, (M + N)/2
+    for the M ordered meeting pairs of its N cells, and T the ordered
+    triples whose supports meet pairwise.  The window holds every cell of
+    factor codes below 3 * window and meeting is per axis, so M and T are
+    products of one-axis counts."""
+    size = 3 * window
+    pairs = triples = 1
+    for n in lattice.periods:
+        rows = [axis_meets(n)[x] & (1 << size) - 1 for x in range(size)]
+        pairs *= sum(row.bit_count() for row in rows)
+        triples *= sum((row & rows[y]).bit_count() for row in rows for y in bit_positions(row))
+    return (pairs + size**lattice.d) // 2, triples
 
 
 def _meeting_pairs(win: PairTable) -> Iterator[tuple[int, int]]:
@@ -272,7 +280,7 @@ def check_commutativity(lattice: LatticeSpec, window: int) -> CheckReport:
         window,
     )
     if kernel.commutative(_window_codes(lattice, window)):
-        report.checked = _meeting_pair_count(lattice, window)
+        report.checked = _meeting_counts(lattice, window)[0]
         return report
     win = _window(lattice, window)
     codes = win.codes
@@ -325,10 +333,15 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
     )
     codes = _window_codes(lattice, window)
     report.checked = len(codes) ** 2
-    masks = _residual_bits(kernel, codes)
     ideal = sum(1 << i for i, c in enumerate(codes) if code_is_ideal(c, lattice))
+    # decided, the counts come first and the rows are drawn, in position
+    # order, only until both record lists hold what they can
+    counts = kernel.residual_counts(3 * window)
+    full = counts and [min(count, _MAX_RECORDED) for count in counts]
     ideal_failures = 0
-    for i, mask in enumerate(masks):
+    for i, mask in enumerate(_residual_bits(kernel, codes)):
+        if [len(report.violations), len(report.witnesses)] == full:
+            break
         hit = mask if ideal >> i & 1 else mask & ideal
         ideal_failures += hit.bit_count()
         for j in bit_positions(mask & ~hit):
@@ -336,6 +349,9 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
         for j in islice(bit_positions(hit), _MAX_RECORDED - len(report.witnesses)):
             fields = _residual_fields(kernel, lattice, codes[i], codes[j])
             report.witness("leibniz-failure-on-ideal-cells", **fields)
+    if counts is not None:
+        # the rows left undrawn hold the rest of both counts
+        report.violation_count, ideal_failures = counts
     report.details["ideal_pair_failures"] = ideal_failures
     if ideal_failures == 0:
         report.violate(
@@ -407,7 +423,7 @@ def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
     symmetries = [(sym, kernel_for(sym.periods)) for sym in _symmetries(lattice)]
     actions = [(target, sym.axes, sym.signs) for sym, target in symmetries]
     if kernel.covariant(_window_codes(lattice, window), actions):
-        report.checked = _meeting_pair_count(lattice, window) * len(symmetries)
+        report.checked = _meeting_counts(lattice, window)[0] * len(symmetries)
         return report
     win = _window(lattice, window)
     pairs = [(win.codes[i], win.codes[j]) for i, j in _meeting_pairs(win)]
@@ -580,12 +596,18 @@ def check_pairing(lattice: LatticeSpec, window: int) -> CheckReport:
         lhs, rhs = assoc_sides(kernel.mult, a, b, c)
         if augment(Chain._from_codes(lattice, lhs)) != augment(Chain._from_codes(lattice, rhs)):
             report.violate("frobenius", **_cells(lattice, a, b, c, replay=False))
-    # nondegeneracy per degree (p and d-p share a rank via transposition)
+    # nondegeneracy per degree (p and d-p share a rank via transposition);
+    # the matrix is built when its rank is not decided per axis, and in
+    # one dimension, where its determinant is read
     degeneracy = []
     for p in range(lattice.d // 2 + 1):
-        mat = pairing_matrix(p, lattice)
-        size = len(mat.rows)
-        entry = {"degree": p, "size": size, "rank": mat.rank, "nondegenerate": mat.nondegenerate}
+        rank = kernel.pairing_rank(p) if lattice.d > 1 else None
+        if rank is None:
+            mat = pairing_matrix(p, lattice)
+            rank = mat.rank
+        # the bases of degrees p and d - p have this many cells each
+        size = comb(lattice.d, p) * prod(lattice.periods)
+        entry = {"degree": p, "size": size, "rank": rank, "nondegenerate": rank == size}
         if lattice.d == 1 and p == 0:
             entry["det"] = format_rational(mat.determinant)
             n1 = lattice.periods[0]
@@ -632,7 +654,7 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
         "".join("psi"[int(k)] for k in t) for t in closed
     )
     report.checked = len(codes) ** 2
-    masks = _residual_bits(kernel, codes)
+    masks = list(_residual_bits(kernel, codes))
     for i, partners in enumerate(_partners(kernel, pair_table(codes, lattice).near)):
         a = codes[i]
         for j in partners:
@@ -754,6 +776,7 @@ def _truncation_case(report, rng, n: int, m: int, sample: int | None) -> dict:
     # the residual bits of the pairs' cells, by position
     at = {c: k for k, c in enumerate(listed)}
     masks = kernel.residual_masks(listed)
+    masks = masks and list(masks)
     commuting = []
     for position, a, b in walk:
         escapes = _escapes(kernel.mult, a, b, closed, lattice)

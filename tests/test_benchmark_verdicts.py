@@ -5,11 +5,14 @@ then holds every report to counts computed apart from the program
 (perfbench/checks.py).  The same invocations and checks run here, untimed,
 so a report the benchmark would count as a failed operation (a check that
 fails, or a `checked` count that drifts from its closed form) fails a test
-first.
+first.  The six-dimensional window row runs in a child process, held to
+the same counts and to its memory budget.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,3 +54,29 @@ def test_benchmark_invocation_passes_its_verdict_checks(inv, capsys):
     expected = inv.expected()
     for rep in reports:
         assert bench.checks.check_report(rep, inv.periods, expected) == [], rep["check"]
+
+
+def test_the_six_dimensional_window_row_runs_within_its_budget():
+    # at 3^6 window 2 (46,656 cells) every window check but J decides and
+    # counts per axis: none builds a pair table or a pairing matrix, and C
+    # draws only the rows it records, so the row stays below 500 MB
+    periods, axioms = (3,) * 6, "A,B,C,D,E,G"
+    argv = ["verify", "--axioms", axioms, "--periods", "3,3,3,3,3,3", "--window", "2", "--json"]
+    code = (
+        "import resource, sys\n"
+        "from cubalg.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    reports = json.loads(done.stdout)["reports"]
+    expected = bench.checks.expected_checked(periods, 2)
+    assert [r["check"] for r in reports] == axioms.split(",")
+    assert all(r["status"] == "passed" for r in reports)
+    assert [r["checked"] for r in reports] == [expected[c] for c in axioms.split(",")]
+    assert int(done.stderr.split()[-1]) < 500_000  # ru_maxrss in KB

@@ -66,6 +66,14 @@ def scan(kernel, cells):
     return kernel.scan_assoc(pair_table(cells, LatticeSpec(kernel.periods)))
 
 
+def window_scan(kernel, window):
+    """B's scan of the window cells: counted per axis when `associative`
+    holds, else walked."""
+    from cubalg.verify import _assoc_scan
+
+    return _assoc_scan(kernel, window)
+
+
 def per_triple_scan(kernel, cells):
     """The associativity scan as one independent loop per triple: the
     oracle for scan_assoc."""
@@ -203,18 +211,21 @@ BROKEN_CASES = [
 
 @pytest.mark.parametrize("periods,window", SCAN_CASES)
 def test_scan_matches_per_triple_loop(periods, window):
+    # decided, the triples are a product of one-axis counts
     cells = window_codes(LatticeSpec(periods), window)
     expected = per_triple_scan(PyKernel(periods), cells)
     assert expected[0] > 0 and expected[1] == []
-    assert scan(PyKernel(periods), cells) == expected
+    assert window_scan(PyKernel(periods), window) == expected
 
 
 @pytest.mark.parametrize("broken,periods,window,seed", BROKEN_CASES)
 def test_scan_matches_per_triple_loop_on_broken_tables(broken, periods, window, seed):
+    # a mutant is not associative, so B walks and reports every violation,
+    # in the oracle's order
     cells = window_codes(LatticeSpec(periods), window)
     checked, violations = per_triple_scan(broken(periods, window, seed), cells)
     assert violations  # every mutant here breaks associativity
-    assert scan(broken(periods, window, seed), cells) == (checked, violations)
+    assert window_scan(broken(periods, window, seed), window) == (checked, violations)
 
 
 @pytest.mark.parametrize(
@@ -225,7 +236,7 @@ def test_scan_keys_products_on_their_exact_terms(periods, window):
     cells = window_codes(LatticeSpec(periods), window)
     scanned = scan(Rewritten(periods), cells)
     assert scanned == per_triple_scan(Rewritten(periods), cells)
-    assert scanned == scan(PyKernel(periods), cells)
+    assert scanned == window_scan(PyKernel(periods), window)
     broken = RewrittenDoubled(periods, window, 1)
     expected = per_triple_scan(RewrittenDoubled(periods, window, 1), cells)
     assert expected[1] and scan(broken, cells) == expected
@@ -278,20 +289,24 @@ def test_a_kernel_overriding_mult_is_not_associative(overriding, periods, window
     assert not overriding(periods).associative(window_codes(LatticeSpec(periods), window))
 
 
-def test_the_scan_decides_the_standard_tables_without_a_product():
-    # a wrapper on the instance leaves the class's `mult`, so the scan
-    # decides every triple from the axis tables and the Koszul signs
+def test_the_scan_decides_the_standard_tables_without_a_product(monkeypatch):
+    # a wrapper on the instance leaves the class's `mult`, so B decides
+    # every triple from the axis tables and the Koszul signs, and counts
+    # them with no pair table
+    import cubalg.verify
+
     periods = (3, 3, 3)
     kernel = PyKernel(periods)
     real = kernel.mult
     calls = []
 
-    def counting(a, b):
-        calls.append((a, b))
-        return real(a, b)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
     kernel.mult = counting
-    assert scan(kernel, window_codes(LatticeSpec(periods), 2)) == (729000, [])
+    monkeypatch.setattr(cubalg.verify, "pair_table", counting)
+    assert window_scan(kernel, 2) == (729000, [])
     assert calls == [] and not kernel._mult_cache
 
 

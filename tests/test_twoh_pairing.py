@@ -21,7 +21,15 @@ from cubalg import (
 )
 from cubalg.pairing import c_basis, pairing_matrix
 from cubalg.twoh import abstract_boundary
-from tests.test_kernel import BROKEN_CASES, doubled_entry_kernel, squared_point_table_kernel
+from tests.test_kernel import (
+    BROKEN_CASES,
+    STICK0,
+    _scaled_entries,
+    doubled_entry_kernel,
+    squared_point_table_kernel,
+)
+
+POINT0 = 0  # the factor code of p@0
 
 # the package exports the function `pairing`, which hides the module's name
 PAIRING = importlib.import_module("cubalg.pairing")
@@ -214,6 +222,56 @@ def test_pairing_rows_on_broken_tables_equal_the_walk(monkeypatch, broken, perio
     decided, walked = _decided_and_walked(monkeypatch, kernel, lattice)
     assert (kernel.pairing_rows(decided[0].rows) is not None) == (broken is doubled_entry_kernel)
     _assert_same_matrices(decided, walked)
+
+
+@pytest.mark.parametrize(
+    "periods",
+    [(3,), (4,), (5,), (6,), (3, 5), (3, 3, 3), (4, 3, 3), (4, 4, 3), (4, 4, 4, 3)],
+)
+def test_the_per_axis_rank_is_the_matrix_rank(periods):
+    # on an even axis the 1-d blocks are degenerate, and so is the matrix
+    from cubalg import linalg
+    from cubalg._kernel_py import PyKernel
+
+    kernel, lattice = PyKernel(periods), LatticeSpec(periods)
+    for p in range(lattice.d + 1):
+        mat = pairing_matrix(p, lattice)
+        rank = kernel.pairing_rank(p)
+        assert rank == linalg.rank(mat.numerators)
+        assert (rank == len(mat.rows)) == all(n % 2 for n in periods)
+
+
+@pytest.mark.parametrize("broken,periods,window,seed", BROKEN_CASES)
+def test_the_per_axis_rank_on_broken_tables_is_the_matrix_rank(
+    monkeypatch, broken, periods, window, seed
+):
+    # a doubled entry keeps the tensor fact, so the rank is read from the
+    # doubled table; the other mutants break it and get no rank
+    from cubalg import linalg
+
+    kernel, lattice = broken(periods, window, seed), LatticeSpec(periods)
+    monkeypatch.setattr(PAIRING, "kernel_for", lambda periods: kernel)
+    for p in range(lattice.d + 1):
+        rank = kernel.pairing_rank(p)
+        if broken is doubled_entry_kernel:
+            assert rank == linalg.rank(pairing_matrix(p, lattice).numerators)
+        else:
+            assert rank is None
+
+
+def test_a_doubled_entry_on_an_even_axis_raises_the_rank(monkeypatch):
+    # p@0*s@0 doubled on a period-4 axis makes that axis's point block
+    # nondegenerate; the per-axis rank follows the doubled rows
+    from cubalg import linalg
+    from cubalg._kernel_py import PyKernel
+
+    lattice = LatticeSpec((4, 3))
+    kernel = _scaled_entries(PyKernel(lattice.periods), [(POINT0, STICK0)], 2)
+    monkeypatch.setattr(PAIRING, "kernel_for", lambda periods: kernel)
+    for p in range(lattice.d + 1):
+        rank = kernel.pairing_rank(p)
+        assert rank == linalg.rank(pairing_matrix(p, lattice).numerators)
+    assert kernel.pairing_rank(1) > PyKernel(lattice.periods).pairing_rank(1)
 
 
 def test_a_point_times_a_point_gets_the_walks_matrix(monkeypatch):

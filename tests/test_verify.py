@@ -28,7 +28,7 @@ from cubalg.verify import (
     check_associativity,
     verify_axioms,
 )
-from tests.test_kernel import BROKEN_CASES, PREMISE_MUTANTS, doubled_entry_kernel
+from tests.test_kernel import BROKEN_CASES, PREMISE_MUTANTS, SCAN_CASES, doubled_entry_kernel
 
 
 @pytest.fixture(scope="module")
@@ -215,20 +215,31 @@ def test_general_position_check_at_period_three():
 
 
 def test_pairing_check_ranks_each_matrix_once(monkeypatch):
+    # decided, G ranks per axis and builds no matrix; without the tensor
+    # fact it builds and ranks one matrix per degree
     import cubalg.linalg
+    import cubalg.verify
 
-    calls = []
-    rank = cubalg.linalg.rank
+    calls, built = [], []
+    rank, build = cubalg.linalg.rank, cubalg.verify.pairing_matrix
 
     def counting_rank(entries):
         calls.append(len(entries))
         return rank(entries)
 
+    def counting_build(*args):
+        built.append(args)
+        return build(*args)
+
     monkeypatch.setattr(cubalg.linalg, "rank", counting_rank)
+    monkeypatch.setattr(cubalg.verify, "pairing_matrix", counting_build)
     lattice = LatticeSpec((3, 3, 3))
-    rep = check_pairing(lattice, 1)
-    assert rep.passed
-    assert len(calls) == len(rep.details["degrees"]) == lattice.d // 2 + 1
+    decided = check_pairing(lattice, 1)
+    assert decided.passed and calls == built == []
+    monkeypatch.setattr(PyKernel, "tensor", lambda self: False)
+    walked = check_pairing(lattice, 1)
+    assert walked.to_json_dict() == decided.to_json_dict()
+    assert len(calls) == len(built) == len(walked.details["degrees"]) == lattice.d // 2 + 1
 
 
 @pytest.mark.parametrize(
@@ -257,11 +268,18 @@ def _patch_kernel(monkeypatch, kernel):
     return kernel
 
 
-def test_associativity_and_frobenius_share_one_scan(monkeypatch):
+@pytest.mark.parametrize("walks", [False, True])
+def test_associativity_and_frobenius_share_one_scan(monkeypatch, walks):
+    # decided, B and G ask `associative` once and walk nothing; otherwise
+    # they share one walk
     from cubalg._kernel_py import PyKernel
 
     class CountingKernel(PyKernel):
-        scans = 0
+        decisions = scans = 0
+
+        def associative(self, cells):
+            self.decisions += 1
+            return not walks and super().associative(cells)
 
         def scan_assoc(self, table):
             self.scans += 1
@@ -269,15 +287,18 @@ def test_associativity_and_frobenius_share_one_scan(monkeypatch):
 
     both = _patch_kernel(monkeypatch, CountingKernel((3, 3, 3)))
     reports = verify_axioms((3, 3, 3), axioms="B,G", window=1)
-    assert both.scans == 1
+    assert (both.decisions, both.scans) == (1, walks)
     assert all(r.passed for r in reports)
     assert reports[1].checked == reports[0].checked + 2  # plus one per pairing degree
     alone = _patch_kernel(monkeypatch, CountingKernel((3, 3, 3)))
     (g,) = verify_axioms((3, 3, 3), axioms="G", window=1)
-    assert alone.scans == 1 and g.checked == reports[1].checked
+    assert (alone.decisions, alone.scans) == (1, walks) and g.checked == reports[1].checked
 
 
-def test_the_pair_checks_and_the_triple_scan_read_one_table(monkeypatch):
+@pytest.mark.parametrize("walks,window", [(False, 2), (True, 1)])
+def test_the_pair_checks_and_the_triple_scan_read_one_table(monkeypatch, walks, window):
+    # decided, the window's checks build no pair table at all; without the
+    # tensor fact the pair walks and the triple scan read one
     import cubalg.verify
     from cubalg.verify import _assoc_scan, _window, _window_codes
 
@@ -285,22 +306,31 @@ def test_the_pair_checks_and_the_triple_scan_read_one_table(monkeypatch):
     _window_codes.cache_clear()
     _window.cache_clear()
     _assoc_scan.cache_clear()
-    tables, codes_calls = [], []
-    scan, window_codes = PyKernel.scan_assoc, cubalg.verify.window_codes
+    tables, builds, codes_calls = [], [], []
+    scan, build = PyKernel.scan_assoc, cubalg.verify.pair_table
+    window_codes = cubalg.verify.window_codes
 
     def recording_scan(self, table):
         tables.append(table)
         return scan(self, table)
+
+    def counting_build(*args):
+        builds.append(args)
+        return build(*args)
 
     def counting_codes(*args):
         codes_calls.append(args)
         return window_codes(*args)
 
     monkeypatch.setattr(PyKernel, "scan_assoc", recording_scan)
+    monkeypatch.setattr(cubalg.verify, "pair_table", counting_build)
     monkeypatch.setattr(cubalg.verify, "window_codes", counting_codes)
-    reports = verify_axioms((3, 3, 3), "A,B,C,E,G", 2)
+    if walks:
+        monkeypatch.setattr(PyKernel, "tensor", lambda self: False)
+    reports = verify_axioms((3, 3, 3), "A,B,C,E,G", window)
     assert all(r.passed for r in reports)
-    assert len(tables) == 1 and tables[0] is _window(LatticeSpec((3, 3, 3)), 2)
+    assert len(builds) == len(tables) == walks
+    assert all(table is _window(LatticeSpec((3, 3, 3)), window) for table in tables)
     assert len(codes_calls) == 1
 
 
@@ -747,6 +777,44 @@ def test_leibniz_on_broken_tables_matches_the_per_pair_loop(
     assert got.details["ideal_pair_failures"] == expected.details["ideal_pair_failures"]
 
 
+def _leibniz_counted_and_looped(monkeypatch, kernel, lattice, window):
+    """C's JSON report on `kernel`, counted by the programme over the axes,
+    then with the programme off, so that every `residual_masks` row is
+    drawn and counted."""
+    _patch_kernel(monkeypatch, kernel)
+    counted = check_leibniz(lattice, window).to_json_dict()
+    monkeypatch.setattr(PyKernel, "residual_counts", lambda self, size: None)
+    looped = check_leibniz(lattice, window).to_json_dict()
+    monkeypatch.undo()
+    return counted, looped
+
+
+@pytest.mark.parametrize("periods,window", SCAN_CASES + [((3, 3, 3), 2), ((5,), 3)])
+def test_leibniz_counts_equal_the_residual_rows_loop(monkeypatch, periods, window):
+    counted, looped = _leibniz_counted_and_looped(
+        monkeypatch, PyKernel(periods), LatticeSpec(periods), window
+    )
+    assert counted == looped and counted["details"]["ideal_pair_failures"] > 0
+
+
+@pytest.mark.parametrize(
+    "broken,periods,window,seed",
+    # the last seed breaks the rule on 100 non-ideal pairs, past the records
+    BROKEN_CASES + [pytest.param(doubled_entry_kernel, (3, 3, 3), 2, 2, id="periods333-2-2")],
+)
+def test_leibniz_counts_on_broken_tables_equal_the_residual_rows_loop(
+    monkeypatch, broken, periods, window, seed
+):
+    # a doubled entry keeps the tensor fact, so C counts from the doubled
+    # table; the other mutants break it and loop over computed residuals
+    kernel = broken(periods, window, seed)
+    assert (kernel.residual_counts(3 * window) is not None) == (broken is doubled_entry_kernel)
+    counted, looped = _leibniz_counted_and_looped(monkeypatch, kernel, LatticeSpec(periods), window)
+    assert counted == looped
+    if periods == (3, 3, 3) and window == 2:
+        assert counted["violation_count"] == 100 and len(counted["violations"]) == 10
+
+
 # the kernel decision each of A, D and E asks before its walk
 PAIR_DECISIONS = {
     "commutative": check_commutativity,
@@ -869,13 +937,15 @@ def test_pairing_multiplies_nothing(monkeypatch):
     assert calls == [] and not kernel._mult_cache
 
 
-def test_decided_pair_checks_build_no_pair_table(monkeypatch):
-    # decided, A, D and E count their pairs from one-axis counts, so a run
-    # of them alone builds no window table
+def test_decided_window_checks_build_no_pair_table(monkeypatch):
+    # decided, A, B and D count their pairs and triples from one-axis
+    # counts, C its pairs by a programme over the axes, and G ranks per
+    # axis, so none of them builds a window table
     import cubalg.verify
-    from cubalg.verify import _window
+    from cubalg.verify import _assoc_scan, _window
 
     _window.cache_clear()
+    _assoc_scan.cache_clear()
     build, calls = cubalg.verify.pair_table, []
 
     def counting(*args):
@@ -883,7 +953,7 @@ def test_decided_pair_checks_build_no_pair_table(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(cubalg.verify, "pair_table", counting)
-    reports = verify_axioms((3, 3, 3), "A,D,E", 2)
+    reports = verify_axioms((3, 3, 3), "A,B,C,D,E,G", 2)
     assert all(r.passed for r in reports) and calls == []
 
 
