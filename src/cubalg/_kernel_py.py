@@ -10,7 +10,7 @@ kernel per lattice, so every caller shares its memos.
 from __future__ import annotations
 
 from dataclasses import astuple
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, product as _iterproduct
 from math import prod
 from typing import Iterator, NamedTuple
@@ -75,16 +75,6 @@ def linear(terms, image) -> dict:
     return {u: w for u, w in out.items() if w}
 
 
-def product_rule_residual(mult, boundary, a: int, b: int, sign_a: int) -> dict:
-    """The product-rule residual (boundary(a)*b + sign_a * a*boundary(b)) -
-    boundary(a*b) of two basis elements, through the basis maps `mult` and
-    `boundary`; sign_a is (-1)**codim(a)."""
-    parts = [(boundary(c), -v) for c, v in mult(a, b)]
-    parts += [(mult(u, b), s) for u, s in boundary(a)]
-    parts += [(mult(a, u), sign_a * s) for u, s in boundary(b)]
-    return linear(parts, lambda terms: terms)
-
-
 def assoc_sides(mult, a: int, b: int, c: int) -> tuple[dict, dict]:
     """(a*b)*c and a*(b*c) for the basis product `mult`."""
     return linear(mult(a, b), lambda u: mult(u, c)), linear(mult(b, c), lambda u: mult(a, u))
@@ -95,6 +85,50 @@ def times(mult, x, y) -> dict:
     as (code, coef) terms x and y: one `mult` call per pair of terms.  y is
     iterated once per term of x, so it must not be an iterator."""
     return linear((((a, b), v * w) for a, v in x for b, w in y), lambda ab: mult(*ab))
+
+
+# -- the window laws on basis cells ------------------------------------------
+#
+# Each law takes a kernel and basis cells and reads them through the kernel's
+# own maps.  The harness's walks run them on the window's cells, and
+# `PyKernel.holds` runs the same function on the `PyKernel.axis` kernels.
+
+
+def _odd(kernel, code: int) -> bool:
+    """Whether a cell has odd codimension, from the kernel's record of it."""
+    return kernel.cell(code).points.bit_count() % 2 == 1
+
+
+def commutes(kernel, a: int, b: int) -> bool:
+    """Graded commutativity: a*b == (-1)^(codim a codim b) b*a."""
+    ab, ba = kernel.mult(a, b), kernel.mult(b, a)
+    sign = -1 if _odd(kernel, a) and _odd(kernel, b) else 1
+    if sign == 1 and ab is ba:
+        return True  # one product object: equal terms
+    return dict(ab) == {c: sign * v for c, v in ba}
+
+
+def associates(kernel, a: int, b: int, c: int) -> bool:
+    """Associativity: (a*b)*c == a*(b*c) (`assoc_sides`)."""
+    lhs, rhs = assoc_sides(kernel.mult, a, b, c)
+    return lhs == rhs
+
+
+def nonzero_iff_transverse(kernel, a: int, b: int) -> bool:
+    """Transversality: a*b != 0 exactly when a and b are transverse
+    (`PyKernel.transverse`)."""
+    return bool(kernel.mult(a, b)) == kernel.transverse(a, b)
+
+
+def residual(kernel, a: int, b: int) -> dict:
+    """The product-rule residual (da)b + (-1)^(codim a) a(db) - d(ab) of two
+    basis cells, as {code: numerator}; the rule holds where it is empty."""
+    mult, boundary = kernel.mult, kernel.boundary
+    sign_a = -1 if _odd(kernel, a) else 1
+    parts = [(boundary(c), -v) for c, v in mult(a, b)]
+    parts += [(mult(u, b), s) for u, s in boundary(a)]
+    parts += [(mult(a, u), sign_a * s) for u, s in boundary(b)]
+    return linear(parts, lambda terms: terms)
 
 
 class CellRecord(NamedTuple):
@@ -110,13 +144,27 @@ class CellRecord(NamedTuple):
 class PyKernel:
     """Basis-cell product, boundary and the associativity scan, in Python.
 
-    `tensor()` is the one fact under which a law is decided per axis from
-    the 1-d tables: `associative`, `commutative`, `transversal`, `covariant`,
-    `residual_rows`, `pairing_rows` and `pairing_rank` read it, and so does
-    the harness before it leaves out the pairs whose supports miss."""
+    `tensor()` is the one fact under which a law is decided per axis, on the
+    1-d `axis` kernels: `holds` (and so `associative`, `commutative` and
+    `transversal`), `covariant`, `residual_rows` and `pairing_rank` read
+    it, and so does the harness before it leaves out the pairs whose
+    supports miss."""
 
     def __init__(self, periods: tuple[int, ...]):
-        self.periods = tuple(periods)
+        tables = [_axis_table(n) for n in periods]
+        # bit fb of rows[i][fa]: axis i's table gives fa*fb a term.  Read
+        # from the tables and not from `axis_meets`, so that a table with a
+        # product on a non-meeting pair still shows it to E.
+        rows = [
+            [sum(1 << fb for fb in range(r) if table[fa * r + fb] is not None) for fa in range(r)]
+            for table, r in zip(tables, (3 * n for n in periods))
+        ]
+        self._setup(tuple(periods), tables, rows)
+
+    def _setup(self, periods: tuple[int, ...], tables: list, rows: list) -> PyKernel:
+        """Set the kernel up on these per-axis tables and rows, which it
+        keeps as they are, with empty memos and the Koszul signs."""
+        self.periods = periods
         self.d = len(periods)
         self.radices = tuple(3 * n for n in periods)
         self.places = []
@@ -125,15 +173,9 @@ class PyKernel:
             self.places.append(p)
             p *= r
         self.code_bound = p
-        self._tables = [_axis_table(n) for n in periods]
+        self._tables = tables
+        self._rows = rows
         self._meets = [axis_meets(n) for n in periods]
-        # bit fb of _rows[i][fa]: axis i's table gives fa*fb a term.  Read
-        # from the tables and not from `axis_meets`, so that a table with a
-        # product on a non-meeting pair still shows it to E.
-        self._rows = [
-            [sum(1 << fb for fb in range(r) if table[fa * r + fb] is not None) for fa in range(r)]
-            for table, r in zip(self._tables, self.radices)
-        ]
         self._cells: dict[int, CellRecord] = {}
         self._mult_cache: dict[int, tuple[tuple[int, int], ...]] = {}
         # one shared object per distinct product value; far fewer than keys
@@ -142,6 +184,18 @@ class PyKernel:
         # at (pa << d) | pb for the point-axis masks pa, pb of the two factors
         masks = range(1 << self.d)
         self._signs = [koszul_sign_of_points(pa, pb) for pa in masks for pb in masks]
+        return self
+
+    def axis(self, i: int) -> PyKernel:
+        """The 1-d kernel on axis i's factor codes.  It shares that axis's
+        table and rows, so a change made to them shows through it, and has
+        the unit sign, so its product x*y is the entry P_i that `tensor()`
+        reads and its boundary the 1-d boundary.  It is set up without
+        `__init__`, which would build new tables, and afresh, with empty
+        memos, on every call."""
+        return object.__new__(PyKernel)._setup(
+            self.periods[i : i + 1], [self._tables[i]], [self._rows[i]]
+        )
 
     # -- helpers -----------------------------------------------------------
 
@@ -241,9 +295,9 @@ class PyKernel:
         `_signs[0]` is a unit and, on disjoint point masks pa, pb, the sign
         s(pa,pb) = `_signs[pa << d | pb]` is s(0,0) times
         `koszul_sign_of_points(pa, pb)` (a product of overlapping masks is
-        zero before `mult` reads its sign); and on every whole axis a point
-        times a point is zero, point-ness is additive (a term of x*y is a
-        point exactly when x or y is), every entry with a row bit merges to
+        zero before `mult` reads its sign); and on every `axis` kernel a
+        point times a point is zero, point-ness is additive (a term of x*y
+        is a point exactly when x or y is), every product with a row bit is
         a nonzero chain and every row lies in the axis's `axis_meets` row.
         They cover whole axes because the terms of x*y and of the boundary
         of x reach codes a cell set need not use.
@@ -260,9 +314,13 @@ class PyKernel:
         (I1) and (I2) fix every sign of disjoint masks from s(0,0), so the
         premise asks no more of a unit sign table than they do.
 
-        Then, with P_j the entry x_j*y_j of the factor codes of a and b on
-        axis j, read as `mult` reads it (`_entry`), every term of a*b has
-        the point mask pa|pb and a*b = s(pa,pb) (P_1 x ... x P_d).  So:
+        Then, with P_j the product x_j*y_j of the factor codes of a and b on
+        axis j's `axis` kernel, every term of a*b has the point mask pa|pb
+        and a*b = s(pa,pb) (P_1 x ... x P_d).  So the window laws are
+        decided on the axis kernels, over a cell set that is a product over
+        the axes, such as a window; associativity, commutativity and
+        transversality hold when their law function holds on every axis
+        kernel (`holds`):
         - a pair whose closed supports miss has a zero product and, since
           the boundary of a cell lies in its closed support, a zero
           product-rule residual;
@@ -274,26 +332,25 @@ class PyKernel:
           A triple whose point masks overlap has an axis where x*y or y*z
           is a point times a point, or where x, z and every term of x*y are
           points; there L_j == R_j == 0.  The cocycle equates the signs of
-          every other triple (`associative`).  Closed supports meet when
-          they meet on every axis, so on a cell set that is a product over
-          the axes, such as a window, the pairwise-meeting triples are the
+          every other triple (`associates`).  Closed supports meet when
+          they meet on every axis, so the pairwise-meeting triples are the
           product over the axes of the pairwise-meeting triples of factor
           codes, and a decided scan counts them from one-axis counts;
         - with R_i the 1-d residual of (x_i, y_i), (I1) and (I2) make the
           residual of (a, b) s(pa,pb) times the sum over i of
           (-1)^|(pa|pb)<i| (P_1 x ... x R_i x ... x P_d).  The terms of
           summand i have the point mask pa|pb|i, so no two summands cancel:
-          the residual is nonzero exactly when some axis has R_i != 0 and
-          every other axis a row bit (`residual_rows`); on a cell set that
-          is a product over the axes, the pairs are counted by a programme
-          over the axes (`residual_counts`);
+          the residual is nonzero exactly when some axis has R_i != 0
+          (`residual`) and every other axis a row bit (`residual_rows`),
+          and the pairs are counted by a programme over the axes
+          (`residual_counts`);
         - on disjoint masks s(pa,pb) s(pb,pa) = (-1)^(|pa||pb|): each point
           axis of a and each of b make an inversion in one order of the two.
           A point times a point is zero, so a*b = (-1)^(|pa||pb|) b*a when
-          every axis has x*y == y*x (`commutative`);
+          every axis has x*y == y*x (`commutes`);
         - a*b != 0 exactly when every axis has a row bit, so transversality
-          holds when each axis's row bit is "closed supports meet and x and
-          y are not both points" (`transversal`);
+          holds when each axis's row bit is set exactly where x and y are
+          transverse (`nonzero_iff_transverse`);
         - a symmetry carries target axis j from source axis s by a factor
           map img that keeps point-ness, so a cell's image has the point
           mask pi(pa), pi moving bit s to j, and the image of a*b is
@@ -307,16 +364,14 @@ class PyKernel:
           terms of a*c, which all have the point mask pa|pc.  A point times
           a point is zero, so it is nonzero only when pc = ~pa; then every
           term is a point cell, and the numerators of a tensor product sum
-          to the product of the per-axis sums: augment(a*c) = s(pa,~pa)
-          times the product over j of the sum of the numerators of P_j
-          (`pairing_rows`);
-        - so the degree-p pairing matrix is block-diagonal by the row's
-          point mask pa, whose block meets only the columns of mask ~pa, and
-          that block is s(pa,~pa) times the Kronecker product over the axes
-          of the 1-d blocks of those sums: point rows against stick columns
-          on the axes in pa, stick rows against point columns on the others.
-          A Kronecker product has the product of its factors' ranks, so the
-          rank is the sum over pa of those products (`pairing_rank`).
+          to the product of the per-axis sums.  So the degree-p pairing
+          matrix is block-diagonal by the row's point mask pa, whose block
+          meets only the columns of mask ~pa, and that block is s(pa,~pa)
+          times the Kronecker product over the axes of the 1-d blocks of
+          those sums: point rows against stick columns on the axes in pa,
+          stick rows against point columns on the others.  A Kronecker
+          product has the product of its factors' ranks, so the rank is the
+          sum over pa of those products (`pairing_rank`).
         """
         cls = type(self)
         if cls.mult is not PyKernel.mult or cls.boundary is not PyKernel.boundary:
@@ -330,150 +385,73 @@ class PyKernel:
             if not pa & pb
         ):
             return False
-        return all(self._per_axis(self._axis_tensor))
+        return all(self._per_axis(_axis_tensor))
 
     def _per_axis(self, fact) -> list:
-        """fact(axis) for every axis; an axis with the same table and rows
-        as an earlier one takes that axis's value."""
+        """fact(`axis` kernel) for every axis; an axis with the same table
+        and rows as an earlier one takes that axis's value."""
         axes = list(zip(self._tables, self._rows))
         out: list = []
-        for axis, key in enumerate(axes):
+        for i, key in enumerate(axes):
             first = axes.index(key)
-            out.append(out[first] if first < axis else fact(axis))
+            out.append(out[first] if first < i else fact(self.axis(i)))
         return out
 
-    def _entry(self, axis: int, x: int, y: int) -> tuple[tuple[int, int], ...]:
-        """The 1-d product x*y on an axis as `mult` reads it: the table's
-        terms, or none without a row bit."""
-        r = self.radices[axis]
-        return self._tables[axis][x * r + y] if self._rows[axis][x] >> y & 1 else ()
-
-    def _axis_tensor(self, axis: int) -> bool:
-        """The premises of `tensor` on one whole axis."""
-        rows, meets, r = self._rows[axis], self._meets[axis], self.radices[axis]
-        points = sum(1 << fc for fc in range(POINT, r, 3))
-        for x in range(r):
-            if rows[x] & ~meets[x] or x % 3 == POINT and rows[x] & points:
-                return False
-            for y in bit_positions(rows[x]):
-                xy = self._entry(axis, x, y)
-                point = POINT in (x % 3, y % 3)
-                if any((u % 3 == POINT) != point for u, _ in xy):
-                    return False
-                if not self._chain(axis, x, y):
-                    return False
-        return True
-
-    def _chain(self, axis: int, x: int, y: int) -> dict:
-        """`_entry` merged into a chain {factor code: coefficient}."""
-        return linear(self._entry(axis, x, y), lambda u: ((u, 1),))
-
-    def _axis_codes(self, cells) -> list[set[int]]:
-        """Per axis, the factor codes that `cells` use on it."""
-        return [{c // place % r for c in cells} for place, r in zip(self.places, self.radices)]
-
-    def associative(self, cells: list[int]) -> bool:
-        """Whether every triple of `cells` associates, decided without a
-        product: `tensor()` holds and, on every axis, over the factor codes
-        the cells use, the 1-d sides (x*y)*z and x*(y*z) are equal."""
-        if not self.tensor():
-            return False
-        for axis, codes in enumerate(self._axis_codes(cells)):
-            entry = partial(self._entry, axis)
-            for x, y, z in _iterproduct(codes, repeat=3):
-                lhs, rhs = assoc_sides(entry, x, y, z)
-                if lhs != rhs:
-                    return False
-        return True
-
-    def commutative(self, cells: list[int]) -> bool:
-        """Whether a*b = (-1)^(codim a codim b) b*a for every pair of
-        `cells`, decided without a product: `tensor()` holds and, on every
-        axis, over the factor codes the cells use, x*y == y*x (a point
-        times a point is zero, so the 1-d sign is +1)."""
+    def holds(self, law, arity: int, size: int) -> bool:
+        """Whether law(kernel, *cells), one of the window laws above, holds
+        on every `arity`-tuple of the cells whose factor codes are all below
+        `size`, decided without a product of them as `tensor()` shows: the
+        fact holds and, on every `axis` kernel, so does the same law on
+        every tuple of factor codes below `size`."""
+        tuples = list(_iterproduct(range(size), repeat=arity))
         return self.tensor() and all(
-            self._chain(axis, x, y) == self._chain(axis, y, x)
-            for axis, codes in enumerate(self._axis_codes(cells))
-            for x, y in _iterproduct(codes, repeat=2)
+            self._per_axis(lambda axis: all(law(axis, *codes) for codes in tuples))
         )
 
-    def transversal(self, cells: list[int]) -> bool:
-        """Whether a*b != 0 exactly when the closed supports of a and b meet
-        and no axis is a point axis of both, for every pair of `cells`,
-        decided without a product: `tensor()` holds and, on every axis,
-        over the factor codes the cells use, the row bit of (x, y) is set
-        exactly when `axis_meets` has it and x and y are not both points."""
-        return self.tensor() and all(
-            bool(self._rows[axis][x] >> y & 1)
-            == (bool(self._meets[axis][x] >> y & 1) and not x % 3 == y % 3 == POINT)
-            for axis, codes in enumerate(self._axis_codes(cells))
-            for x, y in _iterproduct(codes, repeat=2)
-        )
+    def associative(self, size: int) -> bool:
+        """`holds` for `associates` on triples."""
+        return self.holds(associates, 3, size)
 
-    def covariant(self, cells: list[int], actions) -> bool:
+    def commutative(self, size: int) -> bool:
+        """`holds` for `commutes` on pairs."""
+        return self.holds(commutes, 2, size)
+
+    def transversal(self, size: int) -> bool:
+        """`holds` for `nonzero_iff_transverse` on pairs."""
+        return self.holds(nonzero_iff_transverse, 2, size)
+
+    def covariant(self, size: int, actions) -> bool:
         """Whether each symmetry of `actions` carries the product of every
-        pair of `cells` to the product of their images, decided without a
-        product as `tensor()` shows.  An action is (target kernel, per target
-        axis its source axis and factor map, the sign by point mask), as
-        `verify._Symmetry` holds it: each factor map keeps the kind of every
-        factor.  They are read over the factor codes the cells use on the
-        source axis."""
+        pair of the cells whose factor codes are all below `size` to the
+        product of their images, decided without a product as `tensor()`
+        shows.  An action is (target kernel, per target axis its source axis
+        and factor map, the sign by point mask), as `verify._Symmetry` holds
+        it: each factor map keeps the kind of every factor.  The `axis`
+        kernels of this kernel and of each target are built once per call."""
         if not self.tensor():
             return False
-        d, codes, tensors = self.d, self._axis_codes(cells), {self: True}
+        d, axes = self.d, {self: [self.axis(i) for i in range(self.d)]}
         masks = range(1 << d)
-        for target, axes, signs in actions:
-            if target not in tensors:
-                tensors[target] = target.tensor()
-            if not tensors[target]:
-                return False
-            pi = [sum(1 << j for j, (s, _) in enumerate(axes) if m >> s & 1) for m in masks]
+        disjoint = [(pa, pb) for pa in masks for pb in masks if not pa & pb]
+        for target, maps, signs in actions:
+            if target not in axes:
+                if not target.tensor():
+                    return False
+                axes[target] = [target.axis(j) for j in range(d)]
+            pi = [sum(1 << j for j, (s, _) in enumerate(maps) if m >> s & 1) for m in masks]
             if any(
                 target._signs[pi[pa] << d | pi[pb]]
                 != signs[pa] * signs[pb] * signs[pa | pb] * self._signs[pa << d | pb]
-                for pa in masks
-                for pb in masks
-                if not pa & pb
+                for pa, pb in disjoint
             ):
                 return False
-            for j, (s, img) in enumerate(axes):
-                for x, y in _iterproduct(codes[s], repeat=2):
-                    image = {img[u]: w for u, w in self._chain(s, x, y).items()}
-                    if target._chain(j, img[x], img[y]) != image:
+            for j, (s, img) in enumerate(maps):
+                source, image = axes[self][s], axes[target][j]
+                for x, y in _iterproduct(range(size), repeat=2):
+                    moved = {img[u]: w for u, w in source.mult(x, y)}
+                    if dict(image.mult(img[x], img[y])) != moved:
                         return False
         return True
-
-    def pairing_rows(self, cells: list[int]) -> list[dict[int, int]] | None:
-        """Per cell a of `cells`, {c: numerator of augment(a*c) at scale
-        4**d} over the non-ideal cells c where it is nonzero, decided
-        without a product as `tensor()` shows: s(pa,~pa) times the product
-        of one partner list per axis (`_axis_pairing`).  None unless
-        `tensor()` holds."""
-        if not self.tensor():
-            return None
-        partners, d = self._per_axis(self._axis_pairing), self.d
-        rows = []
-        for code in cells:
-            factors, points, _, _ = self.cell(code)
-            row = {0: self._signs[points << d | ((1 << d) - 1) ^ points]}
-            for place, axis, x in zip(self.places, partners, factors):
-                row = {c + y * place: v * w for c, v in row.items() for y, w in axis[x]}
-            rows.append(row)
-        return rows
-
-    def _axis_pairing(self, axis: int) -> list[list[tuple[int, int]]]:
-        """`pairing_rows` on one axis: per factor code x, the (y, sum of the
-        numerators of x*y) of the non-ideal y, a point exactly when x is
-        not, where that sum is nonzero."""
-        r = self.radices[axis]
-        return [
-            [
-                (y, w)
-                for y in range(STICK if x % 3 == POINT else POINT, r, 3)
-                if (w := sum(v for _, v in self._entry(axis, x, y)))
-            ]
-            for x in range(r)
-        ]
 
     def pairing_rank(self, p: int) -> int | None:
         """The rank of the degree-p pairing matrix (`pairing.pairing_matrix`)
@@ -483,89 +461,57 @@ class PyKernel:
         others (`_axis_pairing_ranks`).  None unless `tensor()` holds."""
         if not self.tensor():
             return None
-        ranks = self._per_axis(self._axis_pairing_ranks)
+        ranks = self._per_axis(_axis_pairing_ranks)
         return sum(
             prod(rank[axis in pa] for axis, rank in enumerate(ranks))
             for pa in combinations(range(self.d), self.d - p)
         )
 
-    def _axis_pairing_ranks(self, axis: int) -> tuple[int, int]:
-        """The ranks of `_axis_pairing`'s two 1-d blocks on one axis: the
-        stick rows against the point columns, then the point rows against
-        the stick columns."""
-        partners, r = [dict(x) for x in self._axis_pairing(axis)], self.radices[axis]
-        blocks = [
-            [[partners[x].get(y, 0) for y in range(other, r, 3)] for x in range(kind, r, 3)]
-            for kind, other in ((STICK, POINT), (POINT, STICK))
-        ]
-        return _eliminate(blocks[0])[0], _eliminate(blocks[1])[0]
-
     def residual_rows(self) -> list[list[int]] | None:
         """Per axis and factor code x, the bitset of the factor codes y whose
-        1-d product-rule residual (dx)y + (-1)^[x is a point] x(dy) - d(xy)
-        is nonzero, read from the tables as `mult` reads them; None unless
-        `tensor()` holds, under which these rows and `_rows` decide the
-        residual of a pair of cells."""
-        return self._per_axis(self._axis_residuals) if self.tensor() else None
+        1-d product-rule residual is nonzero (`residual` on the `axis`
+        kernel); None unless `tensor()` holds, under which these rows and
+        `_rows` decide the residual of a pair of cells."""
+        return self._per_axis(_axis_residuals) if self.tensor() else None
 
-    def _axis_residuals(self, axis: int) -> list[int]:
-        """`residual_rows` on one axis."""
-        entry, r = partial(self._entry, axis), self.radices[axis]
-        bd = partial(_axis_boundary, n=self.periods[axis])
-        signs = [-1 if x % 3 == POINT else 1 for x in range(r)]
-        return [
-            sum(1 << y for y in range(r) if product_rule_residual(entry, bd, x, y, signs[x]))
-            for x in range(r)
-        ]
-
-    def residual_masks(self, codes: list[int]) -> Iterator[int] | None:
+    def residual_masks(self, residuals: list[list[int]], codes: list[int]) -> Iterator[int]:
         """Per position i of `codes`, in order, the bitset of the positions j
         whose pair (codes[i], codes[j]) has a nonzero product-rule residual,
-        decided by `residual_rows`; None when that is None.  Each row is
+        decided by the `residual_rows` value `residuals`.  Each row is
         computed as it is drawn, so a caller holds only the rows it keeps.
 
         Per axis `cells.axis_gather` gathers each position's row and residual
         row, as it gathers `cells.meet_masks`' rows.  Axis by axis, `every`
         keeps the j with a row bit on every axis so far, and `one` those with
         a residual bit on one of them and row bits on the others."""
-        residuals = self.residual_rows()
-        if residuals is None:
-            return None
         axes = [
             (gather(rows), gather(axis))
             for gather, rows, axis in zip(axis_gather(codes, self.periods), self._rows, residuals)
         ]
+        for pos in range(len(codes)):
+            every, one = -1, 0
+            for rows, bits in axes:
+                one = one & rows[pos] | every & bits[pos]
+                every &= rows[pos]
+            yield one
 
-        def masks() -> Iterator[int]:
-            for pos in range(len(codes)):
-                every, one = -1, 0
-                for rows, residual in axes:
-                    one = one & rows[pos] | every & residual[pos]
-                    every &= rows[pos]
-                yield one
-
-        return masks()
-
-    def residual_counts(self, size: int) -> tuple[int, int] | None:
+    def residual_counts(self, residuals: list[list[int]], size: int) -> tuple[int, int]:
         """Over the ordered pairs of the cells whose factor codes are all
         below `size`, the number with a nonzero product-rule residual and no
         ideal cell, and the number with one and an ideal cell; decided by
-        `residual_rows`, None when that is None.
+        the `residual_rows` value `residuals`.
 
         Such a cell set is a product over the axes, and `residual_masks`'
         `every` and `one` are per axis, so a programme over the axes counts
         the pairs by the state (`every`, `one`, a or b ideal so far)."""
-        residuals = self.residual_rows()
-        if residuals is None:
-            return None
         states = {(True, False, False): 1}
         for rows, axis in zip(self._rows, residuals):
             step: dict[tuple[bool, bool, bool], int] = {}
             for x, y in _iterproduct(range(size), repeat=2):
-                row, residual = bool(rows[x] >> y & 1), bool(axis[x] >> y & 1)
+                row, bit = bool(rows[x] >> y & 1), bool(axis[x] >> y & 1)
                 ideal = INF in (x % 3, y % 3)
                 for (every, one, was), count in states.items():
-                    key = (every and row, one and row or every and residual, was or ideal)
+                    key = (every and row, one and row or every and bit, was or ideal)
                     if key[0] or key[1]:
                         step[key] = step.get(key, 0) + count
             states = step
@@ -579,7 +525,7 @@ class PyKernel:
     def scan_assoc(self, table: PairTable) -> tuple[int, list[tuple[int, int, int]]]:
         """Check (a*b)*c == a*(b*c) over all ordered triples from the cells
         of `table` whose closed supports pairwise intersect, both sides
-        multiplied out through `self.mult` (`assoc_sides`).
+        multiplied out through `self.mult` (`associates`).
 
         Returns (number of triples checked, violating triples), the
         violations in the order a, then b, then c of their positions in
@@ -596,11 +542,41 @@ class PyKernel:
                 checked += mask.bit_count()
                 b = cells[j]
                 for k in bit_positions(mask):
-                    c = cells[k]
-                    lhs, rhs = assoc_sides(self.mult, a, b, c)
-                    if lhs != rhs:
-                        violations.append((a, b, c))
+                    if not associates(self, a, b, cells[k]):
+                        violations.append((a, b, cells[k]))
         return checked, violations
+
+
+def _axis_tensor(axis: PyKernel) -> bool:
+    """The premises of `PyKernel.tensor` on one `axis` kernel."""
+    (rows,), (meets,), (r,) = axis._rows, axis._meets, axis.radices
+    points = sum(1 << fc for fc in range(POINT, r, 3))
+    for x in range(r):
+        if rows[x] & ~meets[x] or x % 3 == POINT and rows[x] & points:
+            return False
+        for y in bit_positions(rows[x]):
+            xy, point = axis.mult(x, y), POINT in (x % 3, y % 3)
+            if not xy or any((u % 3 == POINT) != point for u, _ in xy):
+                return False
+    return True
+
+
+def _axis_residuals(axis: PyKernel) -> list[int]:
+    """`PyKernel.residual_rows` on one `axis` kernel."""
+    (r,) = axis.radices
+    return [sum(1 << y for y in range(r) if residual(axis, x, y)) for x in range(r)]
+
+
+def _axis_pairing_ranks(axis: PyKernel) -> tuple[int, int]:
+    """The ranks of the two 1-d pairing blocks of one `axis` kernel, whose
+    entry (x, y) sums the numerators of x*y: the stick rows against the
+    point columns, then the point rows against the stick columns."""
+    (r,) = axis.radices
+    sums = [[sum(v for _, v in axis.mult(x, y)) for y in range(r)] for x in range(r)]
+    return tuple(
+        _eliminate([[sums[x][y] for y in range(other, r, 3)] for x in range(kind, r, 3)])[0]
+        for kind, other in ((STICK, POINT), (POINT, STICK))
+    )
 
 
 @lru_cache(maxsize=None)

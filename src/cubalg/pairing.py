@@ -81,27 +81,24 @@ class PairingMatrix:
 def pairing_matrix(p: int, lattice: LatticeSpec) -> PairingMatrix:
     """Matrix of the pairing on C_p x C_{d-p} over the non-ideal bases.
 
-    Under the tensor fact the kernel assembles each row per axis with no
-    product (`PyKernel.pairing_rows`).  Otherwise each row cell is
-    multiplied by the cells that `near_codes` gives, those whose closed
-    supports meet it; a pair whose supports miss is taken as zero."""
+    Each row cell is multiplied by the cells that `near_codes` gives, those
+    whose closed supports meet it; a pair whose supports miss is taken as
+    zero."""
     rows = tuple(c_basis_codes(p, lattice))
     cols = tuple(c_basis_codes(lattice.d - p, lattice))
     kernel = kernel_for(lattice.periods)
-    numerators = kernel.pairing_rows(rows)
-    if numerators is None:
-        columns = set(cols)
-        # complementary codimensions: every term of r*c is a point cell, so
-        # augmenting the product sums all of its numerators
-        numerators = [
-            {
-                c: v
-                for c in near_codes(r, lattice, (FactorKind.POINT, FactorKind.STICK))
-                if c in columns and (v := sum(num for _, num in kernel.mult(r, c)))
-            }
-            for r in rows
-        ]
-    return PairingMatrix(p, rows, cols, tuple(numerators), 4**lattice.d)
+    columns = set(cols)
+    # complementary codimensions: every term of r*c is a point cell, so
+    # augmenting the product sums all of its numerators
+    numerators = tuple(
+        {
+            c: v
+            for c in near_codes(r, lattice, (FactorKind.POINT, FactorKind.STICK))
+            if c in columns and (v := sum(num for _, num in kernel.mult(r, c)))
+        }
+        for r in rows
+    )
+    return PairingMatrix(p, rows, cols, numerators, 4**lattice.d)
 
 
 def pairing_report(p: int, lattice: LatticeSpec) -> dict:

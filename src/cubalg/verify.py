@@ -26,7 +26,16 @@ from itertools import combinations, islice, permutations, product as _iterproduc
 from math import comb, prod
 from typing import Iterator, NamedTuple
 
-from ._kernel_py import assoc_sides, kernel_for, linear, product_rule_residual, times
+from ._kernel_py import (
+    assoc_sides,
+    associates,
+    commutes,
+    kernel_for,
+    linear,
+    nonzero_iff_transverse,
+    residual,
+    times,
+)
 from .cells import (
     FactorKind,
     PairTable,
@@ -149,33 +158,11 @@ def _chain_str(terms, lattice: LatticeSpec, scale: int) -> str:
     return format_chain(chain)
 
 
-def _leibniz_residual(kernel, a: int, b: int) -> dict[int, int]:
-    """The kernel's product-rule residual of cells a and b, scaled 4**d."""
-    return product_rule_residual(kernel.mult, kernel.boundary, a, b, _sign(_codim(kernel, a)))
-
-
 def _residual_fields(kernel, lattice: LatticeSpec, a: int, b: int, replay=True):
     """`_cells` fields of a and b, and their residual, computed only if recorded."""
     fields = _cells(lattice, a, b, replay=replay)
-    fields["residual"] = lambda: _chain_str(_leibniz_residual(kernel, a, b), lattice, 4**lattice.d)
+    fields["residual"] = lambda: _chain_str(residual(kernel, a, b), lattice, 4**lattice.d)
     return fields
-
-
-def _sign(codim: int) -> int:
-    """(-1)**codim."""
-    return -1 if codim % 2 else 1
-
-
-def _codim(kernel, code: int) -> int:
-    """The codimension of a multiplied cell, from the kernel's record of it."""
-    return kernel.cell(code).points.bit_count()
-
-
-def _commutes(ab, ba, sign: int) -> bool:
-    """a*b == sign * b*a for the kernel's products ab and ba."""
-    if sign == 1 and ab is ba:
-        return True  # one product object: equal terms
-    return dict(ab) == {c: sign * v for c, v in ba}
 
 
 def _escapes(mult, a: int, b: int, closed, lattice: LatticeSpec) -> list[int]:
@@ -198,13 +185,21 @@ def _cells(lattice: LatticeSpec, *codes: int, replay: bool = True) -> dict:
     return fields
 
 
+def _size(lattice: LatticeSpec, window: int) -> int:
+    """3 * window, the bound of the window's factor codes on every axis, at
+    which a kernel decision reads the axes.  Raises ValueError for a window
+    outside 1..min(periods) (`cells.require_window`)."""
+    require_window(lattice, window)
+    return 3 * window
+
+
 @lru_cache(maxsize=1)
 def _assoc_scan(kernel, window: int) -> tuple[int, list[tuple[int, int, int]]]:
     """The window's associativity scan, made once for B and G together.
     When `PyKernel.associative` holds every triple holds, so the triples
     are only counted (`_meeting_counts`); otherwise each one is computed."""
     lattice = LatticeSpec(kernel.periods)
-    if kernel.associative(_window_codes(lattice, window)):
+    if kernel.associative(_size(lattice, window)):
         return _meeting_counts(lattice, window)[1], []
     return kernel.scan_assoc(_window(lattice, window))
 
@@ -232,13 +227,14 @@ def _partners(kernel, near: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...
     return (tuple(range(len(near))),) * len(near)
 
 
-def _residual_bits(kernel, codes) -> Iterator[int]:
+def _residual_bits(kernel, codes, residuals) -> Iterator[int]:
     """Per position i, in order, the bitset of the positions j whose pair
-    has a nonzero product-rule residual: `residual_masks`, or, on a kernel
-    without the tensor fact, each pair's residual computed."""
-    return kernel.residual_masks(codes) or (
-        sum(1 << j for j, b in enumerate(codes) if _leibniz_residual(kernel, a, b)) for a in codes
-    )
+    has a nonzero product-rule residual: `residual_masks` of the kernel's
+    `residual_rows` value `residuals`, or, when that is None, each pair's
+    `residual` computed."""
+    if residuals is not None:
+        return kernel.residual_masks(residuals, codes)
+    return (sum(1 << j for j, b in enumerate(codes) if residual(kernel, a, b)) for a in codes)
 
 
 def _meeting_counts(lattice: LatticeSpec, window: int) -> tuple[int, int]:
@@ -279,26 +275,21 @@ def check_commutativity(lattice: LatticeSpec, window: int) -> CheckReport:
         lattice.periods,
         window,
     )
-    if kernel.commutative(_window_codes(lattice, window)):
+    if kernel.commutative(_size(lattice, window)):
         report.checked = _meeting_counts(lattice, window)[0]
         return report
     win = _window(lattice, window)
-    codes = win.codes
-    codims = [_codim(kernel, c) for c in codes]
-    mult = kernel.mult
     scale = 4 ** lattice.d
     for i, j in _meeting_pairs(win):
-        a, b = codes[i], codes[j]
-        sign = _sign(codims[i] * codims[j])
-        ab, ba = mult(a, b), mult(b, a)
+        a, b = win.codes[i], win.codes[j]
         report.checked += 1
-        if not _commutes(ab, ba, sign):
+        if not commutes(kernel, a, b):
             report.violate(
                 "commutativity",
                 **_cells(lattice, a, b),
                 **{
-                    "a*b": lambda: _chain_str(dict(ab), lattice, scale),
-                    "b*a": lambda: _chain_str(dict(ba), lattice, scale),
+                    "a*b": lambda: _chain_str(dict(kernel.mult(a, b)), lattice, scale),
+                    "b*a": lambda: _chain_str(dict(kernel.mult(b, a)), lattice, scale),
                 },
             )
     return report
@@ -333,13 +324,19 @@ def check_leibniz(lattice: LatticeSpec, window: int) -> CheckReport:
     )
     codes = _window_codes(lattice, window)
     report.checked = len(codes) ** 2
-    ideal = sum(1 << i for i, c in enumerate(codes) if code_is_ideal(c, lattice))
+    # the window holds every code of factor codes below `size`, in order, so
+    # its non-ideal positions are a product over the axes
+    size, clean = 3 * window, 1
+    for i in range(lattice.d):
+        clean = sum(clean << fc * size**i for fc in range(size) if fc % 3 != INF)
+    ideal = (1 << len(codes)) - 1 ^ clean
     # decided, the counts come first and the rows are drawn, in position
     # order, only until both record lists hold what they can
-    counts = kernel.residual_counts(3 * window)
+    residuals = kernel.residual_rows()
+    counts = residuals and kernel.residual_counts(residuals, size)
     full = counts and [min(count, _MAX_RECORDED) for count in counts]
     ideal_failures = 0
-    for i, mask in enumerate(_residual_bits(kernel, codes)):
+    for i, mask in enumerate(_residual_bits(kernel, codes, residuals)):
         if [len(report.violations), len(report.witnesses)] == full:
             break
         hit = mask if ideal >> i & 1 else mask & ideal
@@ -395,8 +392,8 @@ def _symmetries(lattice: LatticeSpec) -> list[_Symmetry]:
             for s, n in zip(sources, periods)
         ]
         to = [sources.index(s) for s in axes]
-        signs = [_sign(sum(to[x] > to[y] for x, y in pairs if m >> x & m >> y & 1)) for m in masks]
-        out.append(_Symmetry(kind, label, periods, maps, signs))
+        inversions = [sum(to[x] > to[y] for x, y in pairs if m >> x & m >> y & 1) for m in masks]
+        out.append(_Symmetry(kind, label, periods, maps, [(-1) ** k for k in inversions]))
 
     for shift in [tuple(int(j == i) for j in axes) for i in axes] + [(1,) * lattice.d]:
         add("translation", {"shift": list(shift)}, axes, lambda s, c, k: c + shift[s])
@@ -420,9 +417,10 @@ def check_symmetry(lattice: LatticeSpec, window: int) -> CheckReport:
         lattice.periods,
         window,
     )
+    size = _size(lattice, window)
     symmetries = [(sym, kernel_for(sym.periods)) for sym in _symmetries(lattice)]
     actions = [(target, sym.axes, sym.signs) for sym, target in symmetries]
-    if kernel.covariant(_window_codes(lattice, window), actions):
+    if kernel.covariant(size, actions):
         report.checked = _meeting_counts(lattice, window)[0] * len(symmetries)
         return report
     win = _window(lattice, window)
@@ -457,31 +455,27 @@ def check_transversality(lattice: LatticeSpec, window: int) -> CheckReport:
     supports meet and no axis is a point axis of both cells.  Decided per
     axis when `PyKernel.transversal` holds, else each pair multiplied."""
     kernel = kernel_for(lattice.periods)
-    codes = _window_codes(lattice, window)
+    size = _size(lattice, window)
     report = CheckReport(
         "E",
         "product is nonzero exactly when supports meet and directions span",
         lattice.periods,
         window,
     )
-    report.checked = len(codes) ** 2
-    if kernel.transversal(codes):
+    report.checked = size ** (2 * lattice.d)
+    if kernel.transversal(size):
         return report
     win = _window(lattice, window)
-    points = [kernel.cell(c).points for c in codes]
-    mult = kernel.mult
     for i, partners in enumerate(_partners(kernel, win.near)):
-        a, mask, points_a = codes[i], win.masks[i], points[i]
+        a = win.codes[i]
         for j in partners:
-            b = codes[j]
-            nonzero = bool(mult(a, b))
-            expected = bool(mask >> j & 1) and not (points_a & points[j])
-            if nonzero != expected:
+            b = win.codes[j]
+            if not nonzero_iff_transverse(kernel, a, b):
                 report.violate(
                     "transversality",
                     **_cells(lattice, a, b),
-                    product_nonzero=nonzero,
-                    transverse=expected,
+                    product_nonzero=lambda: bool(kernel.mult(a, b)),
+                    transverse=lambda: kernel.transverse(a, b),
                 )
     return report
 
@@ -654,7 +648,7 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
         "".join("psi"[int(k)] for k in t) for t in closed
     )
     report.checked = len(codes) ** 2
-    masks = list(_residual_bits(kernel, codes))
+    masks = list(_residual_bits(kernel, codes, kernel.residual_rows()))
     for i, partners in enumerate(_partners(kernel, pair_table(codes, lattice).near)):
         a = codes[i]
         for j in partners:
@@ -775,8 +769,8 @@ def _truncation_case(report, rng, n: int, m: int, sample: int | None) -> dict:
         firsts = drawn[: min(commuted, 200)]
     # the residual bits of the pairs' cells, by position
     at = {c: k for k, c in enumerate(listed)}
-    masks = kernel.residual_masks(listed)
-    masks = masks and list(masks)
+    residuals = kernel.residual_rows()
+    masks = residuals and list(kernel.residual_masks(residuals, listed))
     commuting = []
     for position, a, b in walk:
         escapes = _escapes(kernel.mult, a, b, closed, lattice)
@@ -789,7 +783,7 @@ def _truncation_case(report, rng, n: int, m: int, sample: int | None) -> dict:
                 escapes=lambda: _cell_str(escapes[0], lattice),
             )
         i, j = at[a], at[b]
-        if masks[i] >> j & 1 if masks else _leibniz_residual(kernel, a, b):
+        if masks[i] >> j & 1 if masks else residual(kernel, a, b):
             fields = _residual_fields(kernel, lattice, a, b, must_fail)
             if must_fail:
                 report.witness("leibniz-failure", n=n, m=m, **fields)
@@ -811,16 +805,14 @@ def _truncation_case(report, rng, n: int, m: int, sample: int | None) -> dict:
         return case
     # a pair left out of the walk has two zero products
     for a, b in commuting:
-        ab, ba = kernel.mult(a, b), kernel.mult(b, a)
-        if not _commutes(ab, ba, _sign(_codim(kernel, a) * _codim(kernel, b))):
+        if not commutes(kernel, a, b):
             report.violate("commutativity", n=n, m=m, **_cells(lattice, a, b, replay=False))
     for a, b in firsts:
         c = rng.choice(cells)
         if kernel.supports_intersect(a, c) and kernel.supports_intersect(b, c):
             case["triples"] += 1
             report.checked += 1
-            lhs, rhs = assoc_sides(kernel.mult, a, b, c)
-            if lhs != rhs:
+            if not associates(kernel, a, b, c):
                 report.violate("associativity", n=n, m=m, **_cells(lattice, a, b, c, replay=False))
     return case
 

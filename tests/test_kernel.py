@@ -264,13 +264,12 @@ def test_scan_asks_an_overriding_mult_for_every_product(periods, window):
     SCAN_CASES + [((3, 3, 3), 2), ((3, 3, 3, 3), 2)] + [((n,), n) for n in range(3, 10)],
 )
 def test_the_standard_tables_are_associative(periods, window):
-    assert PyKernel(periods).associative(window_codes(LatticeSpec(periods), window))
+    assert PyKernel(periods).associative(3 * window)
 
 
 @pytest.mark.parametrize("broken,periods,window,seed", BROKEN_CASES)
 def test_a_broken_table_is_not_associative(broken, periods, window, seed):
-    cells = window_codes(LatticeSpec(periods), window)
-    assert not broken(periods, window, seed).associative(cells)
+    assert not broken(periods, window, seed).associative(3 * window)
 
 
 def test_a_term_of_the_wrong_kind_is_caught_where_the_axis_sides_agree():
@@ -286,7 +285,7 @@ def test_a_term_of_the_wrong_kind_is_caught_where_the_axis_sides_agree():
 @pytest.mark.parametrize("overriding", [SquaredPoint, Rewritten])
 @pytest.mark.parametrize("periods,window", SCAN_CASES)
 def test_a_kernel_overriding_mult_is_not_associative(overriding, periods, window):
-    assert not overriding(periods).associative(window_codes(LatticeSpec(periods), window))
+    assert not overriding(periods).associative(3 * window)
 
 
 def test_the_scan_decides_the_standard_tables_without_a_product(monkeypatch):
@@ -458,17 +457,15 @@ def test_the_kernel_is_a_tensor_product_and_a_subclass_overriding_its_laws_is_no
 def test_the_one_dimensional_residual_needs_an_infinitesimal_stick(n):
     # the rows of the 1-d kernel are its residuals, and only a pair with an
     # i factor breaks the product rule; i@0*s@0 leaves -1/4 [p@0]
-    from cubalg.verify import _leibniz_residual
-
     kernel = PyKernel((n,))
     (axis,) = kernel.residual_rows()
     for x in range(3 * n):
         for y in range(3 * n):
-            residual = _leibniz_residual(kernel, x, y)
+            residual = _kernel_py.residual(kernel, x, y)
             assert bool(axis[x] >> y & 1) == bool(residual), (n, x, y)
             assert not residual or 2 in (x % 3, y % 3), (n, x, y)
     inf, stick, point = 2, 1, 0  # the factor codes at coordinate 0
-    assert _leibniz_residual(kernel, inf, stick) == {point: -1}
+    assert _kernel_py.residual(kernel, inf, stick) == {point: -1}
 
 
 def zero_sum_entry_kernel(periods):
@@ -585,13 +582,12 @@ def pair_decisions(kernel, periods, window):
     targets are `kernel` on its own lattice and standard kernels elsewhere."""
     from cubalg.verify import _symmetries
 
-    lattice = LatticeSpec(periods)
-    cells = window_codes(lattice, window)
+    size = 3 * window
     actions = [
         (kernel if sym.periods == kernel.periods else kernel_for(sym.periods), sym.axes, sym.signs)
-        for sym in _symmetries(lattice)
+        for sym in _symmetries(LatticeSpec(periods))
     ]
-    return kernel.commutative(cells), kernel.transversal(cells), kernel.covariant(cells, actions)
+    return kernel.commutative(size), kernel.transversal(size), kernel.covariant(size, actions)
 
 
 # each mutant keeps `tensor()`; the A and E mutants move a single entry and
@@ -626,6 +622,55 @@ def test_a_table_without_the_tensor_fact_decides_no_pair_law(broken, periods, wi
     kernel = broken(periods, window, seed)
     if not kernel.tensor():
         assert pair_decisions(kernel, periods, window) == (False, False, False)
+
+
+# -- the axis kernels the decisions read ------------------------------------
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_the_axis_kernel_of_a_one_dimensional_kernel_agrees_with_it(n):
+    kernel = PyKernel((n,))
+    axis = kernel.axis(0)
+    for x in range(3 * n):
+        assert axis.cell(x) == kernel.cell(x) and axis.boundary(x) == kernel.boundary(x)
+        for y in range(3 * n):
+            assert axis.mult(x, y) == kernel.mult(x, y), (n, x, y)
+            assert axis.supports_intersect(x, y) == kernel.supports_intersect(x, y)
+
+
+def _dropped_entry(kernel):
+    """`dropped_entry_kernel`'s change, made in place."""
+    kernel._tables[0][STICK0 * kernel.radices[0] + STICK0] = None
+    kernel._rows[0][STICK0] &= ~(1 << STICK0)
+    return kernel
+
+
+@pytest.mark.parametrize(
+    "mutate,slot",
+    [
+        (lambda kernel: _scaled_entries(kernel, [(STICK0, INF0)], 2), (STICK0, INF0)),
+        (_dropped_entry, (STICK0, STICK0)),
+    ],
+    ids=["doubled", "dropped"],
+)
+def test_an_axis_kernel_shows_a_change_to_its_own_axis_alone(mutate, slot):
+    # the axis kernels are built before axis 0's table and rows change: they
+    # share them, so that axis's kernel shows the change and the others do
+    # not.  Every sign negated, each axis kernel keeps the unit sign: its
+    # product is the entry `tensor()` reads, not the d-dimensional product
+    periods = (3, 5, 4)
+    kernel = PyKernel(periods)
+    kernel._signs = [-s for s in kernel._signs]
+    axes = [kernel.axis(i) for i in range(len(periods))]
+    mutate(kernel)
+    for i, (axis, n) in enumerate(zip(axes, periods)):
+        standard = PyKernel((n,))
+        changed = [
+            (x, y)
+            for x, y in iterproduct(range(3 * n), repeat=2)
+            if axis.mult(x, y) != standard.mult(x, y)
+        ]
+        assert changed == ([slot] if i == 0 else []), i
 
 
 @pytest.mark.parametrize("periods", [(3,), (4,), (7,), (3, 4), (5, 3, 4)])

@@ -159,7 +159,8 @@ def all_pairs_entries(kernel, p, lattice):
 
 @pytest.mark.parametrize("periods", [(3, 3, 5), (5, 5, 5), (5,)])
 def test_pairing_matrix_equals_all_pairs_assembly(periods):
-    # the matrix multiplies no pair; every pair multiplied gives its entries
+    # the matrix multiplies the pairs whose supports meet; every pair
+    # multiplied gives its entries
     from cubalg._kernel_py import kernel_for
     from cubalg.linalg import det
     from cubalg.pairing import c_basis_codes
@@ -176,52 +177,6 @@ def test_pairing_matrix_equals_all_pairs_assembly(periods):
         assert all(row and all(row.values()) for row in mat.numerators)
         if lattice.d == 1:
             assert mat.determinant == det(all_pairs) != 0
-
-
-def _decided_and_walked(monkeypatch, kernel, lattice):
-    """Per degree, the pairing matrix of `kernel` as `pairing_matrix` builds
-    it, then with the tensor fact forced off, so that it walks."""
-    from cubalg._kernel_py import PyKernel
-
-    monkeypatch.setattr(PAIRING, "kernel_for", lambda periods: kernel)
-    decided = [pairing_matrix(p, lattice) for p in range(lattice.d + 1)]
-    monkeypatch.setattr(PyKernel, "tensor", lambda self: False)
-    walked = [pairing_matrix(p, lattice) for p in range(lattice.d + 1)]
-    monkeypatch.undo()
-    return decided, walked
-
-
-def _assert_same_matrices(decided, walked):
-    for got, expected in zip(decided, walked, strict=True):
-        assert (got.rows, got.cols) == (expected.rows, expected.cols)
-        assert got.numerators == expected.numerators
-        assert got.rank == expected.rank
-        # the dense view and Bareiss cost n**2 and n**3 in Python: past 120
-        # rows they would dominate the suite, and equal rows fix them
-        if len(got.rows) <= 120:
-            assert got.entries == expected.entries
-            assert got.determinant == expected.determinant
-
-
-@pytest.mark.parametrize(
-    "periods", [(3,), (4,), (5,), (3, 3), (4, 3, 3), (3, 3, 5), (3, 3, 3, 3)]
-)
-def test_pairing_rows_equal_the_walk(monkeypatch, periods):
-    from cubalg._kernel_py import PyKernel
-
-    kernel, lattice = PyKernel(periods), LatticeSpec(periods)
-    assert kernel.tensor()
-    _assert_same_matrices(*_decided_and_walked(monkeypatch, kernel, lattice))
-
-
-@pytest.mark.parametrize("broken,periods,window,seed", BROKEN_CASES)
-def test_pairing_rows_on_broken_tables_equal_the_walk(monkeypatch, broken, periods, window, seed):
-    # a doubled entry keeps the tensor fact, so the rows are read from the
-    # doubled table; the other mutants break it and walk
-    kernel, lattice = broken(periods, window, seed), LatticeSpec(periods)
-    decided, walked = _decided_and_walked(monkeypatch, kernel, lattice)
-    assert (kernel.pairing_rows(decided[0].rows) is not None) == (broken is doubled_entry_kernel)
-    _assert_same_matrices(decided, walked)
 
 
 @pytest.mark.parametrize(
@@ -275,8 +230,8 @@ def test_a_doubled_entry_on_an_even_axis_raises_the_rank(monkeypatch):
 
 
 def test_a_point_times_a_point_gets_the_walks_matrix(monkeypatch):
-    # p@0 * p@0 = p@0 on axis 0 breaks the tensor fact: rows built per axis
-    # would pair a point only with sticks there and miss the entries it adds
+    # p@0 * p@0 = p@0 on axis 0 pairs a point with a point there: the walked
+    # matrix takes up the entries it adds
     from cubalg._kernel_py import kernel_for
 
     lattice = LatticeSpec((3, 3, 3))
@@ -285,7 +240,6 @@ def test_a_point_times_a_point_gets_the_walks_matrix(monkeypatch):
     changed = 0
     for p in range(lattice.d + 1):
         mat = pairing_matrix(p, lattice)
-        assert kernel.pairing_rows(mat.rows) is None
         assert mat.entries == all_pairs_entries(kernel, p, lattice)
         changed += mat.entries != all_pairs_entries(kernel_for(lattice.periods), p, lattice)
     assert changed

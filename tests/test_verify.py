@@ -277,9 +277,9 @@ def test_associativity_and_frobenius_share_one_scan(monkeypatch, walks):
     class CountingKernel(PyKernel):
         decisions = scans = 0
 
-        def associative(self, cells):
+        def associative(self, size):
             self.decisions += 1
-            return not walks and super().associative(cells)
+            return not walks and super().associative(size)
 
         def scan_assoc(self, table):
             self.scans += 1
@@ -736,7 +736,7 @@ def test_leibniz_multiplies_only_the_entries_it_records(monkeypatch):
     import cubalg.verify
 
     kernel = _patch_kernel(monkeypatch, PyKernel((3, 3, 3)))
-    real_mult, real_residual = kernel.mult, cubalg.verify._leibniz_residual
+    real_mult, real_residual = kernel.mult, cubalg.verify.residual
     residuals, stray = [], []
 
     def mult(a, b):
@@ -751,7 +751,7 @@ def test_leibniz_multiplies_only_the_entries_it_records(monkeypatch):
         return out
 
     kernel.mult = mult
-    monkeypatch.setattr(cubalg.verify, "_leibniz_residual", residual)
+    monkeypatch.setattr(cubalg.verify, "residual", residual)
     report = check_leibniz(LatticeSpec((3, 3, 3)), 2)
     assert report.passed and report.details["ideal_pair_failures"] == 6552
     assert len(report.witnesses) == 10 and not report.violations
@@ -783,7 +783,7 @@ def _leibniz_counted_and_looped(monkeypatch, kernel, lattice, window):
     drawn and counted."""
     _patch_kernel(monkeypatch, kernel)
     counted = check_leibniz(lattice, window).to_json_dict()
-    monkeypatch.setattr(PyKernel, "residual_counts", lambda self, size: None)
+    monkeypatch.setattr(PyKernel, "residual_counts", lambda self, residuals, size: None)
     looped = check_leibniz(lattice, window).to_json_dict()
     monkeypatch.undo()
     return counted, looped
@@ -808,7 +808,7 @@ def test_leibniz_counts_on_broken_tables_equal_the_residual_rows_loop(
     # a doubled entry keeps the tensor fact, so C counts from the doubled
     # table; the other mutants break it and loop over computed residuals
     kernel = broken(periods, window, seed)
-    assert (kernel.residual_counts(3 * window) is not None) == (broken is doubled_entry_kernel)
+    assert (kernel.residual_rows() is not None) == (broken is doubled_entry_kernel)
     counted, looped = _leibniz_counted_and_looped(monkeypatch, kernel, LatticeSpec(periods), window)
     assert counted == looped
     if periods == (3, 3, 3) and window == 2:
@@ -918,9 +918,32 @@ def test_commutativity_symmetry_and_transversality_multiply_nothing(monkeypatch)
     assert calls == [] and not kernel._mult_cache
 
 
+@pytest.mark.parametrize("periods,kernels", [((3, 3, 3), 1), ((3, 5), 2), ((3, 3, 4), 3)])
+def test_symmetry_builds_each_axis_kernel_once(monkeypatch, periods, kernels):
+    # D's decision builds the source's axis kernels once and one per distinct
+    # (target kernel, axis), however many symmetries share them: 3,3,4 has
+    # 12 symmetries and three target lattices.  `tensor()` builds its own,
+    # so it is taken as the standard kernels have it
+    assert all(kernel_for(p).tensor() for p in [periods, periods[::-1]])
+    real, built = PyKernel.axis, []
+    monkeypatch.setattr(PyKernel, "tensor", lambda self: True)
+    monkeypatch.setattr(PyKernel, "axis", lambda self, i: built.append((self, i)) or real(self, i))
+    assert check_symmetry(LatticeSpec(periods), 2).passed
+    assert len(built) == len(set(built)) == kernels * len(periods)
+
+
+def test_leibniz_computes_its_residual_rows_once(monkeypatch):
+    # one `residual_rows` value serves both C's counts and its drawn rows
+    real, calls = PyKernel.residual_rows, []
+    monkeypatch.setattr(PyKernel, "residual_rows", lambda self: calls.append(self) or real(self))
+    report = check_leibniz(LatticeSpec((3, 3, 3)), 2)
+    assert report.passed and report.details["ideal_pair_failures"] == 6552
+    assert len(calls) == 1
+
+
 def test_pairing_multiplies_nothing(monkeypatch):
     # on the standard tables G reads Frobenius off B's decided scan and
-    # assembles each pairing matrix per axis (`PyKernel.pairing_rows`)
+    # ranks each pairing matrix per axis (`PyKernel.pairing_rank`)
     import importlib
 
     kernel = _patch_kernel(monkeypatch, PyKernel((3, 3, 3)))
