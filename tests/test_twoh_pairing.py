@@ -179,6 +179,40 @@ def test_pairing_matrix_equals_all_pairs_assembly(periods):
             assert mat.determinant == det(all_pairs) != 0
 
 
+def _assert_rows_are_all_pairs(kernel, lattice):
+    # the sparse rows skip the pairs whose supports miss; multiplying every
+    # pair must find no nonzero entry among them
+    from cubalg import linalg
+    from cubalg.pairing import c_basis_codes
+
+    for p in range(lattice.d + 1):
+        mat = pairing_matrix(p, lattice)
+        cols = c_basis_codes(lattice.d - p, lattice)
+        walked = tuple(
+            {c: v for c in cols if (v := sum(num for _, num in kernel.mult(r, c)))}
+            for r in mat.rows
+        )
+        assert mat.numerators == walked
+        assert mat.rank == linalg.rank(walked)
+
+
+@pytest.mark.parametrize(
+    "periods", [(3,), (4,), (5,), (3, 3), (4, 3, 3), (3, 3, 5), (3, 3, 3, 3)]
+)
+def test_pairing_rows_equal_the_walk(periods):
+    from cubalg._kernel_py import kernel_for
+
+    _assert_rows_are_all_pairs(kernel_for(periods), LatticeSpec(periods))
+
+
+@pytest.mark.parametrize("broken,periods,window,seed", BROKEN_CASES)
+def test_pairing_rows_on_broken_tables_equal_the_walk(monkeypatch, broken, periods, window, seed):
+    # every mutant changes entries of pairs that meet, which the rows keep
+    kernel = broken(periods, window, seed)
+    monkeypatch.setattr(PAIRING, "kernel_for", lambda periods: kernel)
+    _assert_rows_are_all_pairs(kernel, LatticeSpec(periods))
+
+
 @pytest.mark.parametrize(
     "periods",
     [(3,), (4,), (5,), (6,), (3, 5), (3, 3, 3), (4, 3, 3), (4, 4, 3), (4, 4, 4, 3)],
