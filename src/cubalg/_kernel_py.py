@@ -131,6 +131,21 @@ def residual(kernel, a: int, b: int) -> dict:
     return linear(parts, lambda terms: terms)
 
 
+# Crumbling's laws read a coarse kernel, the kernel of its k-fold refinement
+# and `crumbled`, a cell's image under `product.crumble_code` as (code, 1)
+# terms.
+
+
+def crumbles_boundary(coarse, fine, crumbled, a: int) -> bool:
+    """Chain map: crumble(da) == d crumble(a)."""
+    return linear(crumbled(a), fine.boundary) == linear(coarse.boundary(a), crumbled)
+
+
+def crumbles_product(coarse, fine, crumbled, a: int, b: int) -> bool:
+    """Algebra map: crumble(a*b) == crumble(a)*crumble(b)."""
+    return linear(coarse.mult(a, b), crumbled) == times(fine.mult, crumbled(a), crumbled(b))
+
+
 class CellRecord(NamedTuple):
     """What the kernel reads of one cell, memoized per code (`PyKernel.cell`).
     In `row` and `one` each axis owns a field of 3n bits, in axis order."""
@@ -146,9 +161,9 @@ class PyKernel:
 
     `tensor()` is the one fact under which a law is decided per axis, on the
     1-d `axis` kernels: `holds` (and so `associative`, `commutative` and
-    `transversal`), `covariant`, `residual_rows` and `pairing_rank` read
-    it, and so does the harness before it leaves out the pairs whose
-    supports miss."""
+    `transversal`), `covariant`, `crumbles`, `residual_rows` and
+    `pairing_rank` read it, and so does the harness before it leaves out
+    the pairs whose supports miss."""
 
     def __init__(self, periods: tuple[int, ...]):
         tables = [_axis_table(n) for n in periods]
@@ -360,6 +375,18 @@ class PyKernel:
           P'_j(img x, img y) == img(P_s(x, y)) and, on disjoint masks,
           s'(pi pa, pi pb) = sigma(pa) sigma(pb) sigma(pa|pb) s(pa,pb)
           (`covariant`);
+        - crumbling keeps each factor's kind, so a crumbled cell keeps its
+          point mask pa, and the image of a cell is the unsigned tensor
+          product of its factors' 1-d images.  So crumble(a*b) is s(pa,pb)
+          and crumble(a)*crumble(b) is the refined kernel's s'(pa,pb) times
+          a tensor product of per-axis vectors: crumble(x_j*y_j) on one
+          side, crumble(x_j)*crumble(y_j) on the other.  When the refined
+          kernel has the fact too and the same unit sign, s and s' agree on
+          disjoint masks, and overlapping masks give zero on both sides.
+          The two boundary sides carry the same prefix-point signs, axis by
+          axis.  So crumbling is a chain map and an algebra map when it is
+          one on every axis (`crumbles_boundary`, `crumbles_product`,
+          `crumbles`);
         - augment(a*c) sums the numerators of the point cells among the
           terms of a*c, which all have the point mask pa|pc.  A point times
           a point is zero, so it is nonzero only when pc = ~pa; then every
@@ -427,12 +454,15 @@ class PyKernel:
         shows.  An action is (target kernel, per target axis its source axis
         and factor map, the sign by point mask), as `verify._Symmetry` holds
         it: each factor map keeps the kind of every factor.  The `axis`
-        kernels of this kernel and of each target are built once per call."""
+        kernels of this kernel and of each target are built once per call,
+        and each distinct (source axis, target axis kernel, factor map) is
+        compared once: D's permutations all have identity maps."""
         if not self.tensor():
             return False
         d, axes = self.d, {self: [self.axis(i) for i in range(self.d)]}
         masks = range(1 << d)
         disjoint = [(pa, pb) for pa in masks for pb in masks if not pa & pb]
+        pairs, carried = list(_iterproduct(range(size), repeat=2)), set()
         for target, maps, signs in actions:
             if target not in axes:
                 if not target.tensor():
@@ -446,11 +476,36 @@ class PyKernel:
             ):
                 return False
             for j, (s, img) in enumerate(maps):
+                key = (s, target, j, tuple(img))
+                if key in carried:
+                    continue
+                carried.add(key)
                 source, image = axes[self][s], axes[target][j]
-                for x, y in _iterproduct(range(size), repeat=2):
+                for x, y in pairs:
                     moved = {img[u]: w for u, w in source.mult(x, y)}
                     if dict(image.mult(img[x], img[y])) != moved:
                         return False
+        return True
+
+    def crumbles(self, fine: PyKernel, size: int, crumbled: list) -> bool:
+        """Whether crumbling onto `fine`, the kernel of the refined lattice,
+        is a chain map on every cell and an algebra map on every pair of the
+        cells whose factor codes are all below `size`, decided without a
+        product of them as `tensor()` shows: both kernels have the fact and
+        the same unit sign, and on every axis i `crumbles_boundary` and
+        `crumbles_product` hold on the `axis` kernels of both, with
+        crumbled[i] axis i's 1-d crumble map, for every factor code and
+        every pair of factor codes below `size`."""
+        if not (self.tensor() and fine.tensor() and self._signs[0] == fine._signs[0]):
+            return False
+        codes = range(size)
+        for i, crumble in enumerate(crumbled):
+            coarse, refined = self.axis(i), fine.axis(i)
+            if not all(crumbles_boundary(coarse, refined, crumble, x) for x in codes):
+                return False
+            for x, y in _iterproduct(codes, repeat=2):
+                if not crumbles_product(coarse, refined, crumble, x, y):
+                    return False
         return True
 
     def pairing_rank(self, p: int) -> int | None:

@@ -20,7 +20,7 @@ import random
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product as _iterproduct
 from math import comb, prod
@@ -30,8 +30,9 @@ from ._kernel_py import (
     assoc_sides,
     associates,
     commutes,
+    crumbles_boundary,
+    crumbles_product,
     kernel_for,
-    linear,
     nonzero_iff_transverse,
     residual,
     times,
@@ -666,9 +667,11 @@ def check_fc_subalgebra(lattice: LatticeSpec, window: int) -> CheckReport:
 
 
 def check_crumbling(lattice: LatticeSpec, window: int, k: int) -> CheckReport:
-    """The refinement map is a chain map and an algebra map.  Raises
-    ValueError for an even or non-positive k (`product.require_odd_factor`)."""
+    """The refinement map is a chain map and an algebra map, decided per
+    axis (`PyKernel.crumbles`) or walked.  Raises ValueError for an even or
+    non-positive k (`product.require_odd_factor`)."""
     require_odd_factor(k)
+    size = _size(lattice, window)
     report = CheckReport(
         "J",
         f"crumbling (k={k}) commutes with the boundary and the product",
@@ -680,23 +683,18 @@ def check_crumbling(lattice: LatticeSpec, window: int, k: int) -> CheckReport:
     fine_lattice = lattice.refined(k)
     fine = kernel_for(fine_lattice.periods)
     scale = 4 ** lattice.d
-
-    @lru_cache(maxsize=None)
-    def crumbled(code: int) -> list[tuple[int, int]]:
-        return crumble_code(code, lattice, k)
-
-    win = _window(lattice, window)
-    # chain map: boundary commutes
-    for a in win.codes:
-        report.checked += 1
-        if linear(crumbled(a), fine.boundary) != linear(kernel.boundary(a), crumbled):
-            report.violate("crumble-boundary", **_cells(lattice, a, replay=False))
-    # algebra map: product commutes
-    for i, j in _meeting_pairs(win):
-        a, b = win.codes[i], win.codes[j]
-        report.checked += 1
-        if linear(kernel.mult(a, b), crumbled) != times(fine.mult, crumbled(a), crumbled(b)):
-            report.violate("crumble-product", **_cells(lattice, a, b))
+    crumbled = lru_cache(maxsize=None)(partial(crumble_code, lattice=lattice, k=k))
+    axes = [partial(crumble_code, lattice=LatticeSpec((n,)), k=k) for n in lattice.periods]
+    report.checked = size**lattice.d + _meeting_counts(lattice, window)[0]
+    if not kernel.crumbles(fine, size, axes):
+        win = _window(lattice, window)
+        for a in win.codes:
+            if not crumbles_boundary(kernel, fine, crumbled, a):
+                report.violate("crumble-boundary", **_cells(lattice, a, replay=False))
+        for i, j in _meeting_pairs(win):
+            a, b = win.codes[i], win.codes[j]
+            if not crumbles_product(kernel, fine, crumbled, a, b):
+                report.violate("crumble-product", **_cells(lattice, a, b))
     # telescoping identity for a refined self-overlapping stick, one dimension
     if lattice.d == 1:
         a = join_code([(0, STICK)], lattice)

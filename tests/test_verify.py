@@ -932,6 +932,27 @@ def test_symmetry_builds_each_axis_kernel_once(monkeypatch, periods, kernels):
     assert len(built) == len(set(built)) == kernels * len(periods)
 
 
+def test_symmetry_compares_each_distinct_axis_map_once(monkeypatch):
+    # D's decision compares each distinct (source axis, target axis kernel,
+    # factor map) once per call.  At 3,3,3,3 its 32 symmetries carry 128
+    # target axes but 24 of these: the 16 identity maps from axis s to axis
+    # j that the permutations and shifts share, and per axis one shifted
+    # and one reflected map.  Each compares 9 pairs at window 1, with one
+    # product on the source axis and one on the target axis
+    real, products = PyKernel.axis, []
+
+    def axis(self, i):
+        out = real(self, i)
+        mult = out.mult
+        out.mult = lambda x, y: products.append((x, y)) or mult(x, y)
+        return out
+
+    monkeypatch.setattr(PyKernel, "tensor", lambda self: True)
+    monkeypatch.setattr(PyKernel, "axis", axis)
+    assert check_symmetry(LatticeSpec((3, 3, 3, 3)), 1).passed
+    assert len(products) == 24 * 9 * 2
+
+
 def test_leibniz_computes_its_residual_rows_once(monkeypatch):
     # one `residual_rows` value serves both C's counts and its drawn rows
     real, calls = PyKernel.residual_rows, []
@@ -1026,17 +1047,19 @@ def test_truncation_streams_its_expected_failure_pairs():
         (check_associativity, (3, 3, 3), (2,), 6),
     ],
 )
-def test_zero_products_stay_out_of_the_kernel_memo(check, periods, args, limit_mb):
+def test_zero_products_stay_out_of_the_kernel_memo(monkeypatch, check, periods, args, limit_mb):
     # most of C's and J's products are zero; memoized, they took C's peak at
     # 3,3,3 window 2 to 11.0 MB and J's at 3,3,3,3 window 1 to 26.9 MB, and
     # kept out, the peaks are 2.0 and 8.4 MB.  B's scan keeps its product
     # ids in dense rows per cell and peaks at 4.2 MiB; dense columns as
     # well took it to 4.8 MiB, and a memo of its multi-term sums keyed on
-    # their terms to 9.1 MiB
+    # their terms to 9.1 MiB.  J decided multiplies no fine cell, so its
+    # walk is forced here to keep the fine kernel's memo under test
     import tracemalloc
 
     from cubalg.verify import _assoc_scan, _window
 
+    monkeypatch.setattr(PyKernel, "crumbles", lambda self, *args: False)
     kernel_for.cache_clear()  # cold kernels, window table and scan: their memos count
     _window.cache_clear()
     _assoc_scan.cache_clear()
@@ -1289,8 +1312,11 @@ BROKEN_FINE = {"crumble-boundary": corrupted_fine_boundary, "crumble-product": p
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("kind", sorted(BROKEN_FINE))
 def test_crumbling_matches_per_pair_loops_on_broken_fine_kernels(monkeypatch, kind, seed):
+    # a fine kernel that overrides `mult` or `boundary` has no tensor fact,
+    # so J walks its pairs
     lattice, window, k = LatticeSpec((3, 5)), 2, 3
     fine = BROKEN_FINE[kind](lattice, window, k, seed)
+    assert not fine.tensor()
     _patch_kernels(monkeypatch, {fine.periods: fine})
     got = check_crumbling(lattice, window, k)
     expected = reference_crumbling(kernel_for(lattice.periods), fine, lattice, window, k)
@@ -1298,6 +1324,79 @@ def test_crumbling_matches_per_pair_loops_on_broken_fine_kernels(monkeypatch, ki
     assert got.violation_count == expected.violation_count > 0
     assert got.violations == expected.violations
     assert {v["kind"] for v in got.violations} == {kind}
+
+
+def _crumbling_decided_and_walked(monkeypatch, kernels, lattice, window):
+    """J's JSON reports at k = 3 with `kernels` patched in
+    (`_patch_kernels`), first as it runs and then with its per-axis
+    decision forced off."""
+    _patch_kernels(monkeypatch, kernels)
+    decided = check_crumbling(lattice, window, 3).to_json_dict()
+    monkeypatch.setattr(PyKernel, "crumbles", lambda self, *args: False)
+    walked = check_crumbling(lattice, window, 3).to_json_dict()
+    monkeypatch.undo()
+    return decided, walked
+
+
+@pytest.mark.parametrize("broken,periods,window,seed", BROKEN_CASES)
+def test_crumbling_on_broken_coarse_tables_reports_what_the_walk_does(
+    monkeypatch, broken, periods, window, seed
+):
+    # a doubled entry keeps the tensor fact, so J's decision reads the
+    # doubled coarse entry against the standard fine one; the other mutants
+    # break the fact and walk.  The walk takes each pair in one order, so
+    # an entry doubled in the other order alone breaks no pair it walks
+    lattice = LatticeSpec(periods)
+    kernels = {periods: broken(periods, window, seed)}
+    decided, walked = _crumbling_decided_and_walked(monkeypatch, kernels, lattice, window)
+    assert decided == walked
+
+
+@pytest.mark.parametrize("fine_negated", [False, True])
+def test_crumbling_compares_the_unit_signs_of_both_kernels(monkeypatch, fine_negated):
+    # every sign negated keeps the tensor fact.  Against the standard fine
+    # kernel it negates every coarse product, so J walks and reports
+    # crumble-product violations; with the fine kernel's signs negated as
+    # well, the unit signs agree and J decides that crumbling holds
+    from cubalg.product import crumble_code
+
+    lattice, window, k = LatticeSpec((3, 5)), 2, 3
+    fine_periods = lattice.refined(k).periods
+    coarse = negated_sign_kernel(lattice.periods)
+    fine = negated_sign_kernel(fine_periods) if fine_negated else kernel_for(fine_periods)
+    assert coarse.tensor() and fine.tensor()
+    axes = [lambda code, n=n: crumble_code(code, LatticeSpec((n,)), k) for n in lattice.periods]
+    assert coarse.crumbles(fine, 3 * window, axes) == fine_negated
+    kernels = {lattice.periods: coarse, fine_periods: fine}
+    decided, walked = _crumbling_decided_and_walked(monkeypatch, kernels, lattice, window)
+    assert decided == walked
+    expected = reference_crumbling(coarse, fine, lattice, window, k)
+    assert decided["checked"] == expected.checked
+    assert decided["violation_count"] == expected.violation_count
+    assert decided["violations"] == expected.violations
+    if not fine_negated:
+        assert decided["violation_count"] > 0
+        assert {v["kind"] for v in decided["violations"]} == {"crumble-product"}
+
+
+def test_decided_crumbling_multiplies_no_fine_cell_and_builds_no_pair_table(monkeypatch):
+    # at 3,3,3,3 window 2 the walk made 20.6 million products on the 9^4
+    # kernel for its 167,832 cells and pairs (N + P, `_meeting_counts`);
+    # decided, J multiplies on the axis kernels alone
+    import cubalg.verify
+    from cubalg.verify import _window
+
+    _window.cache_clear()
+    lattice = LatticeSpec((3, 3, 3, 3))
+    fine = PyKernel(lattice.refined(3).periods)
+    real, calls = fine.mult, []
+    fine.mult = lambda a, b: calls.append((a, b)) or real(a, b)
+    _patch_kernels(monkeypatch, {fine.periods: fine})
+    build, tables = cubalg.verify.pair_table, []
+    monkeypatch.setattr(cubalg.verify, "pair_table", lambda *args: tables.append(args) or build(*args))
+    report = check_crumbling(lattice, 2, 3)
+    assert report.passed and report.checked == 1296 + 166_536
+    assert calls == [] and not fine._mult_cache and tables == []
 
 
 class EscapingProduct(PyKernel):
