@@ -18,6 +18,7 @@ from typing import Iterator, NamedTuple
 from .cells import PairTable, axis_gather, axis_meets, bit_positions
 from .linalg import _eliminate
 from .table1d import CoefficientTable, mult1_terms
+from .truncation import _AXIS_OUTPUTS
 
 POINT, STICK, INF = 0, 1, 2
 
@@ -120,6 +121,13 @@ def nonzero_iff_transverse(kernel, a: int, b: int) -> bool:
     return bool(kernel.mult(a, b)) == kernel.transverse(a, b)
 
 
+def keeps_kinds(kernel, a: int, b: int) -> bool:
+    """Closure: each term of a*b has per axis a kind in `_AXIS_OUTPUTS` of a's and b's."""
+    fa, fb, terms = kernel.cell(a).factors, kernel.cell(b).factors, kernel.mult(a, b)
+    outputs = [_AXIS_OUTPUTS[x % 3, y % 3] for x, y in zip(fa, fb)]
+    return all(z % 3 in out for u, _ in terms for z, out in zip(kernel.cell(u).factors, outputs))
+
+
 def residual(kernel, a: int, b: int) -> dict:
     """The product-rule residual (da)b + (-1)^(codim a) a(db) - d(ab) of two
     basis cells, as {code: numerator}; the rule holds where it is empty."""
@@ -160,8 +168,8 @@ class PyKernel:
     """Basis-cell product, boundary and the associativity scan, in Python.
 
     `tensor()` is the one fact under which a law is decided per axis, on the
-    1-d `axis` kernels: `holds` (and so `associative`, `commutative` and
-    `transversal`), `covariant`, `crumbles`, `residual_rows` and
+    1-d `axis` kernels: `holds` (and so `associative`, `commutative`,
+    `transversal` and `closes`), `covariant`, `crumbles`, `residual_rows` and
     `pairing_rank` read it, and so does the harness before it leaves out
     the pairs whose supports miss."""
 
@@ -366,6 +374,10 @@ class PyKernel:
         - a*b != 0 exactly when every axis has a row bit, so transversality
           holds when each axis's row bit is set exactly where x and y are
           transverse (`nonzero_iff_transverse`);
+        - the terms of a*b are all the combinations of the terms of the P_j,
+          so when each P_j keeps its kinds in `truncation._AXIS_OUTPUTS`
+          (`keeps_kinds`), a set of kind patterns closed under that table,
+          such as `kind_closure`'s, holds every term of its pairs (`closes`);
         - a symmetry carries target axis j from source axis s by a factor
           map img that keeps point-ness, so a cell's image has the point
           mask pi(pa), pi moving bit s to j, and the image of a*b is
@@ -446,6 +458,10 @@ class PyKernel:
     def transversal(self, size: int) -> bool:
         """`holds` for `nonzero_iff_transverse` on pairs."""
         return self.holds(nonzero_iff_transverse, 2, size)
+
+    def closes(self, size: int) -> bool:
+        """`holds` for `keeps_kinds` on pairs."""
+        return self.holds(keeps_kinds, 2, size)
 
     def covariant(self, size: int, actions) -> bool:
         """Whether each symmetry of `actions` carries the product of every

@@ -191,10 +191,10 @@ def window_codes(lattice: LatticeSpec, window: int, kinds=None) -> list[int]:
     outside 1..min(periods) (`require_window`)."""
     require_window(lattice, window)
     patterns = _iterproduct(_KINDS, repeat=lattice.d) if kinds is None else kinds
-    anchors = list(_iterproduct(range(window), repeat=lattice.d))
-    return sorted(
-        join_code(zip(pos, pattern), lattice) for pattern in patterns for pos in anchors
-    )
+    anchors = _iterproduct(range(window), repeat=lattice.d)
+    offsets = [join_code(zip(pos, [0] * lattice.d), lattice) for pos in anchors]
+    bases = [join_code(zip([0] * lattice.d, pattern), lattice) for pattern in patterns]
+    return sorted(base + offset for base in bases for offset in offsets)  # codes are sums
 
 
 def entry_bits(entry: int | tuple[int, int], n: int) -> int:
@@ -260,6 +260,46 @@ def meet_masks(codes: list[int], lattice: LatticeSpec) -> list[int]:
     for n, gather in zip(lattice.periods, axis_gather(codes, lattice.periods)):
         masks = [mask & near for mask, near in zip(masks, gather(axis_meets(n)))]
     return masks
+
+
+def meeting_counts(lattice: LatticeSpec, window: int) -> tuple[int, int]:
+    """(P, T) on the window: P = (M + N)/2 for its N cells and the M ordered
+    pairs of them whose supports meet, each cell paired with itself once,
+    and T the ordered triples whose supports meet pairwise.  The window
+    holds every cell of factor codes below 3 * window and meeting is per
+    axis, so M and T are products of one-axis counts."""
+    size = 3 * window
+    pairs = triples = 1
+    for n in lattice.periods:
+        rows = [axis_meets(n)[x] & (1 << size) - 1 for x in range(size)]
+        pairs *= sum(row.bit_count() for row in rows)
+        triples *= sum((row & rows[y]).bit_count() for row in rows for y in bit_positions(row))
+    return (pairs + size**lattice.d) // 2, triples
+
+
+def meeting_draws(rng, codes: list[int], lattice: LatticeSpec, count: int) -> list:
+    """The first `count` pairs of two rng.choice(codes) whose closed supports
+    meet, of at most 100 * count pairs, with choice's reads of rng inlined."""
+    size, bits, getrandbits = len(codes), len(codes).bit_length(), rng.getrandbits
+    ones, rows, rest = [0] * size, [0] * size, list(codes)  # per axis, fc's bit and meets row
+    for n in lattice.periods:
+        meets = axis_meets(n)
+        for pos, code in enumerate(rest):
+            rest[pos], fc = divmod(code, 3 * n)
+            ones[pos], rows[pos] = ones[pos] << 3 * n | 1 << fc, rows[pos] << 3 * n | meets[fc]
+    drawn = []
+    for _ in range(100 * count):
+        i = getrandbits(bits)
+        while i >= size:
+            i = getrandbits(bits)
+        j = getrandbits(bits)
+        while j >= size:
+            j = getrandbits(bits)
+        if rows[i] & ones[j] == ones[j]:
+            drawn.append((codes[i], codes[j]))
+            if len(drawn) == count:
+                break
+    return drawn
 
 
 def bit_positions(mask: int) -> Iterator[int]:

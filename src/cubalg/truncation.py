@@ -13,7 +13,7 @@ so the kind tuple is a complete translation-invariant classification.
 
 from __future__ import annotations
 
-from itertools import combinations, product as _iterproduct
+from itertools import product as _iterproduct
 
 from .cells import FactorKind
 from .table1d import CoefficientTable, mult1_terms
@@ -42,11 +42,7 @@ def generator_kinds(n: int, m: int) -> frozenset[KindTuple]:
     """Kind patterns of the non-ideal generators of dimension <= m."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    out = set()
-    for dim in range(m + 1):
-        for stick_axes in combinations(range(n), dim):
-            out.add(tuple(S if i in stick_axes else P for i in range(n)))
-    return frozenset(out)
+    return frozenset(t for t in _iterproduct((P, S), repeat=n) if t.count(S) <= m)
 
 
 def kind_closure(n: int, m: int) -> frozenset[KindTuple]:
@@ -54,30 +50,25 @@ def kind_closure(n: int, m: int) -> frozenset[KindTuple]:
 
     Computed by closing the generator patterns under the per-axis output
     table until a fixed point; equivalent to closing actual window cells
-    under the product and extending by translation invariance.
+    under the product and extending by translation invariance.  Both are
+    symmetric under permuting the axes, so only sorted patterns are closed,
+    with a sorted first factor, and a pattern is a member when sorted.
     """
-    closed: set[KindTuple] = set(generator_kinds(n, m))
-    frontier = set(closed)
-    while frontier:
-        new: set[KindTuple] = set()
-        pairs = [(a, b) for a in frontier for b in closed] + [
-            (a, b) for a in closed - frontier for b in frontier
-        ]
-        for ta, tb in pairs:
-            # a point*point axis has no outputs and kills the product
-            for combo in _iterproduct(*[_AXIS_OUTPUTS[kinds] for kinds in zip(ta, tb)]):
-                if combo not in closed:
-                    new.add(combo)
-        closed |= new
-        frontier = new
-    return frozenset(closed)
+    patterns = {t: tuple(sorted(t)) for t in _iterproduct(FactorKind, repeat=n)}
+    classes, found = set(), {patterns[t] for t in generator_kinds(n, m)}
+    while not found <= classes:
+        classes |= found
+        members = [t for t, key in patterns.items() if key in classes]
+        # a point*point axis has no outputs and kills the product
+        found = {
+            tuple(sorted(combo))
+            for ta in classes
+            for tb in members
+            for combo in _iterproduct(*map(_AXIS_OUTPUTS.get, zip(ta, tb)))
+        }
+    return frozenset(members)
 
 
 def max_ideal_dimension(kinds: frozenset[KindTuple]) -> int | None:
     """Largest dimension among ideal kind patterns, or None if none are ideal."""
-    dims = [
-        sum(1 for k in t if k is not P)
-        for t in kinds
-        if any(k is I for k in t)
-    ]
-    return max(dims) if dims else None
+    return max((sum(k is not P for k in t) for t in kinds if I in t), default=None)

@@ -163,19 +163,34 @@ def test_entry_bits_is_the_closed_support(n):
             assert entry_bits(moved, n) == expected, moved
 
 
-@pytest.mark.parametrize(
-    "periods,window,closure",
-    [
-        ((3, 3, 3), 2, None),
-        ((3, 5), 2, None),
-        ((4, 3, 3), 1, None),
-        ((5,), 3, None),
-        ((3, 3, 3, 3), 1, None),
-        # the kind-restricted cell sets of H and of S6's exhaustive n=4, m=3 case
-        ((3, 3, 5), 1, (3, 2)),
-        ((5, 5, 5, 5), 2, (4, 3)),
-    ],
-)
+CELL_SETS = [
+    ((3, 3, 3), 2, None),
+    ((3, 5), 2, None),
+    ((4, 3, 3), 1, None),
+    ((5,), 3, None),
+    ((3, 3, 3, 3), 1, None),
+    # the kind-restricted cell sets of H and of S6's exhaustive n=4, m=3 case
+    ((3, 3, 5), 1, (3, 2)),
+    ((5, 5, 5, 5), 2, (4, 3)),
+]
+
+
+@pytest.mark.parametrize("periods,window,closure", CELL_SETS)
+def test_window_codes_equal_one_join_code_per_cell(periods, window, closure):
+    from itertools import product as iterproduct
+
+    from cubalg.cells import join_code, window_codes
+    from cubalg.truncation import kind_closure
+
+    lattice = LatticeSpec(periods)
+    kinds = closure and kind_closure(*closure)
+    patterns = iterproduct(FactorKind, repeat=lattice.d) if kinds is None else kinds
+    anchors = list(iterproduct(range(window), repeat=lattice.d))
+    expected = sorted(join_code(zip(pos, kind), lattice) for kind in patterns for pos in anchors)
+    assert window_codes(lattice, window, kinds) == expected
+
+
+@pytest.mark.parametrize("periods,window,closure", CELL_SETS)
 def test_meet_masks_equal_the_per_pair_support_test(periods, window, closure):
     from cubalg._kernel_py import PyKernel
     from cubalg.cells import meet_masks, window_codes

@@ -1,8 +1,12 @@
 """Truncation subalgebras: kind closures, membership, the 2m-n bound."""
 
+from itertools import product as iterproduct
+
+import pytest
+
 from cubalg import Chain, LatticeSpec, generator_kinds, kind_closure, parse_cell, product
 from cubalg.cells import FactorKind, decode_cell, window_codes
-from cubalg.truncation import max_ideal_dimension
+from cubalg.truncation import _AXIS_OUTPUTS, max_ideal_dimension
 
 P, S, I = FactorKind.POINT, FactorKind.STICK, FactorKind.INF_STICK
 
@@ -74,6 +78,30 @@ def brute_force_closure(n, m, periods, window):
         all_cells.extend(new_cells)
         frontier = new_cells
     return frozenset(seen)
+
+
+def plain_closure(n, m):
+    """The generator patterns closed under `_AXIS_OUTPUTS` by a plain
+    fixpoint over every pair of patterns, without the axis symmetry."""
+    closed = set(generator_kinds(n, m))
+    frontier = set(closed)
+    while frontier:
+        new = set()
+        pairs = [(a, b) for a in frontier for b in closed] + [
+            (a, b) for a in closed - frontier for b in frontier
+        ]
+        for ta, tb in pairs:
+            for combo in iterproduct(*[_AXIS_OUTPUTS[kinds] for kinds in zip(ta, tb)]):
+                if combo not in closed:
+                    new.add(combo)
+        closed |= new
+        frontier = new
+    return frozenset(closed)
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 7) for m in range(1, n + 1)])
+def test_closure_over_sorted_patterns_equals_the_plain_fixpoint(n, m):
+    assert kind_closure(n, m) == plain_closure(n, m)
 
 
 def test_closure_matches_brute_force_3d():

@@ -1244,7 +1244,8 @@ def _summed(terms):
 
 def reference_crumbling(coarse, fine, lattice, window, k):
     """Check J's chain-map and algebra-map loops, one cell and one pair at a
-    time, supports tested pair by pair and every image summed afresh."""
+    time, supports tested pair by pair and every image summed afresh; the
+    algebra-map law on each meeting pair in both orders, counted once."""
     from cubalg.cells import window_codes
     from cubalg.product import crumble_code
     from cubalg.verify import _cells
@@ -1264,11 +1265,14 @@ def reference_crumbling(coarse, fine, lattice, window, k):
         for b in cells[i:]:
             if not coarse.supports_intersect(a, b):
                 continue
-            lhs = _summed((v, w) for u, w in coarse.mult(a, b) for v in image(u))
-            rhs = _summed((v, w) for x in image(a) for y in image(b) for v, w in fine.mult(x, y))
             report.checked += 1
-            if lhs != rhs:
-                report.violate("crumble-product", **_cells(lattice, a, b))
+            for x, y in {(a, b): None, (b, a): None}:
+                lhs = _summed((v, w) for u, w in coarse.mult(x, y) for v in image(u))
+                rhs = _summed(
+                    (v, w) for s in image(x) for t in image(y) for v, w in fine.mult(s, t)
+                )
+                if lhs != rhs:
+                    report.violate("crumble-product", **_cells(lattice, x, y))
     return report
 
 
@@ -1344,8 +1348,7 @@ def test_crumbling_on_broken_coarse_tables_reports_what_the_walk_does(
 ):
     # a doubled entry keeps the tensor fact, so J's decision reads the
     # doubled coarse entry against the standard fine one; the other mutants
-    # break the fact and walk.  The walk takes each pair in one order, so
-    # an entry doubled in the other order alone breaks no pair it walks
+    # break the fact and walk
     lattice = LatticeSpec(periods)
     kernels = {periods: broken(periods, window, seed)}
     decided, walked = _crumbling_decided_and_walked(monkeypatch, kernels, lattice, window)
@@ -1381,7 +1384,7 @@ def test_crumbling_compares_the_unit_signs_of_both_kernels(monkeypatch, fine_neg
 
 def test_decided_crumbling_multiplies_no_fine_cell_and_builds_no_pair_table(monkeypatch):
     # at 3,3,3,3 window 2 the walk made 20.6 million products on the 9^4
-    # kernel for its 167,832 cells and pairs (N + P, `_meeting_counts`);
+    # kernel for its 167,832 cells and pairs (N + P, `cells.meeting_counts`);
     # decided, J multiplies on the axis kernels alone
     import cubalg.verify
     from cubalg.verify import _window
@@ -1496,3 +1499,155 @@ def test_truncation_flags_a_flipped_sign_as_commutativity(monkeypatch, seed):
     tally = _violation_tally(monkeypatch)
     assert not check_truncation(0).passed
     assert tally["commutativity", 4, 2] == reference_commutativity_failures(kernel, lattice, closed) == 2
+
+
+# -- S6 and H decide closure per axis; S6 draws from the stream ------------
+
+
+def reference_meeting_draws(rng, cells, kernel, count):
+    """S6's sampled pairs as two rng.choice(cells) per pair, kept when their
+    supports meet, the first `count` of at most 100 * count pairs."""
+    from itertools import islice
+
+    draws = ((rng.choice(cells), rng.choice(cells)) for _ in range(100 * count))
+    return list(islice(((a, b) for a, b in draws if kernel.supports_intersect(a, b)), count))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("size", [1, 37, 512, 992])
+def test_meeting_draws_read_the_stream_as_choice_does(seed, size):
+    # 992 is S6's n=5, m=3 cell list and 512 a power of two, whose draws
+    # reject half the values of one bit more
+    from cubalg.cells import window_codes
+    from cubalg.truncation import kind_closure
+    from cubalg.cells import meeting_draws
+
+    lattice = LatticeSpec((5,) * 5)
+    cells = window_codes(lattice, 2, kind_closure(5, 3))[:size]
+    assert len(cells) == size
+    got_rng, expected_rng = random.Random(seed), random.Random(seed)
+    got = meeting_draws(got_rng, cells, lattice, 300)
+    expected = reference_meeting_draws(expected_rng, cells, kernel_for(lattice.periods), 300)
+    assert got == expected and len(got) == 300
+    assert got_rng.getrandbits(32) == expected_rng.getrandbits(32)
+
+
+def stick_term_kernel(periods):
+    """A pure kernel whose axis-0 entry s@0 * i@0 gains the term s@0: a
+    stick, outside `_AXIS_OUTPUTS[(S, I)]`, which keeps the tensor fact."""
+    kernel = PyKernel(periods)
+    stick, inf = 1, 2  # the factor codes 3 * coord + kind at coord 0
+    table = kernel._tables[0]
+    table[stick * 3 * periods[0] + inf] += ((stick, 4),)
+    return kernel
+
+
+# (check, the lattices it builds kernels for)
+CLOSURE_CHECKS = {
+    "H": (lambda: check_fc_subalgebra(LatticeSpec((3, 3, 3)), 2), [(3, 3, 3)]),
+    "S6": (lambda: check_truncation(0), [(5,) * n for n in (4, 5, 6)]),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CLOSURE_CHECKS))
+def test_closure_on_a_stick_term_walks_and_reports_what_the_forced_walk_does(monkeypatch, check):
+    # the tensor fact holds, but the axis outputs leave `_AXIS_OUTPUTS`, so
+    # the closure decision fails and every walked pair is multiplied
+    import cubalg.verify
+
+    run, lattices = CLOSURE_CHECKS[check]
+    kernels = {periods: stick_term_kernel(periods) for periods in lattices}
+    assert all(k.tensor() and not k.closes(6) for k in kernels.values())
+    _patch_kernels(monkeypatch, kernels)
+    escapes, real = [], cubalg.verify._escapes
+    monkeypatch.setattr(cubalg.verify, "_escapes", lambda *args: escapes.append(1) or real(*args))
+    walked = run().to_json_dict()
+    assert escapes
+    monkeypatch.setattr(PyKernel, "closes", lambda self, size: False)
+    assert run().to_json_dict() == walked
+
+
+def test_decided_truncation_multiplies_only_its_smoke_value_and_records(monkeypatch):
+    # on the standard tables S6 decides closure, commutativity and
+    # associativity per axis and reads the residual bits: its 4-, 5- and
+    # 6-d kernels multiply only inside the n=4, m=3 witness's recorded
+    # residual and the 6-d smoke product
+    import cubalg.verify
+
+    inside, stray, escapes = [], [], []
+
+    def counted(kernel):
+        real = kernel.mult
+
+        def mult(a, b):
+            if not inside:
+                stray.append((kernel.periods, a, b))
+            return real(a, b)
+
+        kernel.mult = mult
+        return kernel
+
+    def marked(name):
+        real = getattr(cubalg.verify, name)
+
+        def run(*args):
+            inside.append(name)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(cubalg.verify, name, run)
+
+    _patch_kernels(monkeypatch, {(5,) * n: counted(PyKernel((5,) * n)) for n in (4, 5, 6)})
+    marked("residual")
+    marked("product")
+    monkeypatch.setattr(cubalg.verify, "_escapes", lambda *args: escapes.append(args))
+    report = check_truncation(0)
+    assert report.passed and report.details["n4m3"]["pairs"] == 1370
+    assert len(report.witnesses) == 1 and "residual" in report.witnesses[0]
+    assert stray == [] and escapes == []
+
+
+def test_crumbling_checks_both_orders_of_each_pair(monkeypatch):
+    # the doubled entry i@0 * s@0 on axis 3 breaks crumble(a*b) ==
+    # crumble(a)*crumble(b) in one order of its pairs alone
+    periods = (3, 4, 3, 5)
+    lattice = LatticeSpec(periods)
+    kernel = doubled_entry_kernel(periods, 1, 0)
+    decided, walked = _crumbling_decided_and_walked(monkeypatch, {periods: kernel}, lattice, 1)
+    assert decided == walked and walked["violation_count"] > 0
+    expected = reference_crumbling(kernel, kernel_for(lattice.refined(3).periods), lattice, 1, 3)
+    assert walked["checked"] == expected.checked
+    assert walked["violation_count"] == expected.violation_count
+    assert walked["violations"] == expected.violations
+
+
+def doubled_stick_products_kernel(periods):
+    """A pure kernel whose axis-0 products of two sticks are all doubled:
+    commutative and closed per axis, but the product rule breaks."""
+    kernel = PyKernel(periods)
+    table, size = kernel._tables[0], 3 * periods[0]
+    for slot, terms in enumerate(table):
+        if terms and slot // size % 3 == slot % size % 3 == 1:
+            table[slot] = tuple((fc, 2 * w) for fc, w in terms)
+    return kernel
+
+
+@pytest.mark.parametrize(
+    "broken",
+    # seed 2 breaks commutativity, seed 19 the product rule as well
+    [lambda periods, seed=seed: doubled_entry_kernel(periods, 2, seed) for seed in (0, 2, 19)]
+    + [doubled_stick_products_kernel],
+    ids=["doubled-0", "doubled-2", "doubled-19", "stick-products"],
+)
+def test_truncation_on_tensor_tables_reports_what_the_full_walk_does(monkeypatch, broken):
+    # these tables keep the tensor fact and the axis outputs, so S6 decides
+    # closure and reads the residual bits, walking only the laws a table
+    # breaks per axis
+    kernels = {(5,) * n: broken((5,) * n) for n in (4, 5, 6)}
+    assert all(k.closes(6) for k in kernels.values())
+    _patch_kernels(monkeypatch, kernels)
+    decided = check_truncation(0).to_json_dict()
+    monkeypatch.setattr(PyKernel, "tensor", lambda self: False)
+    assert check_truncation(0).to_json_dict() == decided
